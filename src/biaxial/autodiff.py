@@ -2,13 +2,26 @@
 
 The primitive set is deliberately small: elementwise arithmetic, matmul,
 softmax, layer norm, relu/gelu/sigmoid/log, dropout, shape ops and
-reductions. That is exactly what the bi-axial transformer and its two
-losses need, and nothing more. Gradients are accumulated by replaying a
-topologically ordered tape of the recorded operations.
+reductions, plus one private fused attention core. That is exactly what
+the bi-axial transformer and its two losses need, and nothing more.
+Gradients are accumulated by replaying a topologically ordered tape of
+the recorded operations.
+
+Memory is bounded by what one training step needs:
+
+- `backward` releases the tape as it goes. Once a recorded node has
+  passed its gradient on to its parents, its gradient buffer, backward
+  closure and parent links are dropped, so every intermediate array is
+  freed as soon as no later step reads it. Only leaves (parameters and
+  constants) keep `.grad`. A recorded graph is therefore single-use: a
+  second `backward` that reaches a released node raises RuntimeError.
+- Inside `with no_grad():` the ops record nothing, so an inference
+  forward keeps no intermediate alive and its outputs are constants.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import struct
 import warnings
@@ -49,12 +62,16 @@ __all__ = [
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+# Switched off by `no_grad`; per process, like the rest of the tape state.
+_grad_enabled = True
+
 
 class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     Tensors produced by the ops below remember their parents and a
-    closure that routes output gradients back to them.
+    closure that routes output gradients back to them, until `backward`
+    has used them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn",
@@ -165,9 +182,26 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op returns a constant tensor.
+
+    Outputs are bitwise the same as with recording on; use it for
+    inference and evaluation forwards, whose graphs are never
+    backpropagated.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data, parents: Iterable[Tensor], grad_fn: Callable) -> Tensor:
     parents = tuple(parents)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _grad_fn=grad_fn)
     return Tensor(data)
 
@@ -484,15 +518,96 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     """Inverted dropout; identity in eval mode or at p == 0."""
     if not train or p <= 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode requires an rng stream")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    keep, scale = _keep_mask(x.shape, p, rng)
 
     def grad_fn(g):
         if x.requires_grad:
-            x._accumulate(g * keep)
+            x._accumulate(_apply_keep(g, keep, scale))
 
-    return _node(x.data * keep, (x,), grad_fn)
+    return _node(_apply_keep(x.data, keep, scale), (x,), grad_fn)
+
+
+def _keep_mask(shape: tuple, p: float, rng) -> tuple[np.ndarray, float]:
+    """Boolean keep mask with P(keep) = 1 - p, and the 1/(1-p) rescale."""
+    if rng is None:
+        raise ValueError("dropout in train mode requires an rng stream")
+    return rng.random(shape) >= p, 1.0 / (1.0 - p)
+
+
+def _apply_keep(a: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
+    # bitwise equal to a * (keep / (1 - p)), without a float64 mask
+    out = a * scale
+    out *= keep
+    return out
+
+
+def _split_heads(a: np.ndarray, axis: int, heads: int) -> np.ndarray:
+    """View (B, N1, N2, E) as (B, G, heads, S, E/heads), S = N_axis.
+
+    A view for C-contiguous `a`, so writing into it fills `a`.
+    """
+    b, n1, n2, e = a.shape
+    a = a.reshape(b, n1, n2, heads, e // heads)
+    return a.transpose((0, 2, 3, 1, 4) if axis == 1 else (0, 1, 3, 2, 4))
+
+
+def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
+                    key_bias: np.ndarray | None, p: float, rng,
+                    train: bool) -> Tensor:
+    """Fused multi-head dot-product attention along `axis` of (B, N1, N2, E).
+
+    Computes dropout(softmax(q k^T / sqrt(E/heads) + key_bias)) v over
+    axis 1 or 2, independently for each index of the other axis; E is
+    split into `heads` inside, and the context comes back in the input
+    layout. key_bias (B, S) is added to the scores of every query. The
+    arithmetic is that of the unfused matmul/mul/add/softmax/dropout/matmul
+    chain, but the backward keeps only q, k, v, the softmax weights and a
+    boolean dropout mask.
+    """
+    axis %= 4
+    if axis not in (1, 2):
+        raise ValueError(f"attention runs over axis 1 or 2 of a 4-D input, got {axis}")
+    b, s, e = q.shape[0], q.shape[axis], q.shape[3]
+    scale = 1.0 / np.sqrt(e // heads)
+    q5, k5, v5 = (_split_heads(t.data, axis, heads) for t in (q, k, v))
+
+    weights = q5 @ np.swapaxes(k5, -1, -2)          # (B, G, h, S, S)
+    weights *= scale
+    if key_bias is not None:
+        weights += key_bias.reshape(b, 1, 1, 1, s)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    keep = drop_scale = None
+    if train and p > 0.0:
+        keep, drop_scale = _keep_mask(weights.shape, p, rng)
+
+    def dropped():
+        return weights if keep is None else _apply_keep(weights, keep, drop_scale)
+
+    ctx = np.empty(q.shape)
+    np.matmul(dropped(), v5, out=_split_heads(ctx, axis, heads))
+
+    def grad_fn(g):
+        g5 = _split_heads(np.ascontiguousarray(g), axis, heads)
+        if v.requires_grad:
+            dv = np.empty(v.shape)
+            np.matmul(np.swapaxes(dropped(), -1, -2), g5, out=_split_heads(dv, axis, heads))
+            v._accumulate(dv)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dw = g5 @ np.swapaxes(v5, -1, -2)
+        if keep is not None:
+            dw = _apply_keep(dw, keep, drop_scale)
+        ds = weights * (dw - (dw * weights).sum(axis=-1, keepdims=True))
+        ds *= scale
+        for t, lhs, rhs in ((q, ds, k5), (k, np.swapaxes(ds, -1, -2), q5)):
+            if t.requires_grad:
+                grad = np.empty(t.shape)
+                np.matmul(lhs, rhs, out=_split_heads(grad, axis, heads))
+                t._accumulate(grad)
+
+    return _node(ctx, (q, k, v), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +641,17 @@ class GradientTape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from `loss`.
+    """Accumulate into .grad of every leaf requires_grad tensor below `loss`.
 
-    The loss must be a scalar, and a given forward result can only be
-    backpropagated once.
+    The loss must be a scalar. The tape is released while it is replayed:
+    each recorded (non-leaf) node drops its `.grad`, backward closure and
+    parent links as soon as it has passed its gradient on, so only leaves
+    hold gradients afterwards and the intermediates' memory is returned
+    during the pass. A recorded graph can therefore be backpropagated
+    only once: a second backward through any of its nodes, from the same
+    loss or from a new one built on top of it, raises RuntimeError
+    before touching any gradient. Forwards run under `no_grad` record
+    nothing and cannot be backpropagated at all.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -537,16 +659,27 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError(
             "backward was already run on this tensor; rebuild the forward pass first"
         )
-    loss._backward_done = True
     if not loss.requires_grad:
+        loss._backward_done = True
         warnings.warn("backward on a tensor detached from any trainable input; "
                       "no gradients were produced")
         return
-    tape = GradientTape.from_root(loss)
+    nodes = GradientTape.from_root(loss).nodes
+    if any(node._backward_done for node in nodes):
+        raise RuntimeError(
+            "backward reached a node already released by an earlier backward; "
+            "a recorded graph is single-use, rebuild the forward pass first"
+        )
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(tape.nodes):
-        if node._grad_fn is not None and node.grad is not None:
+    while nodes:
+        node = nodes.pop()
+        if node._grad_fn is None:
+            continue
+        if node.grad is not None:
             node._grad_fn(node.grad)
+        node.grad = node._grad_fn = None
+        node._parents = ()
+        node._backward_done = True
 
 
 # ---------------------------------------------------------------------------

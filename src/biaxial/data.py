@@ -134,10 +134,6 @@ class EpisodeRecord:
     def n_hours(self) -> int:
         return self.values.shape[1]
 
-    def observed_time_mask(self) -> np.ndarray:
-        """Per-hour flag: any sensor observed at that hour."""
-        return self.mask.any(axis=0)
-
     def copy(self) -> "EpisodeRecord":
         return EpisodeRecord(
             patient_id=self.patient_id,

@@ -102,16 +102,12 @@ def auc_roc(scores, labels) -> float:
             f"AUC-ROC undefined: {n_pos} positives, {n_neg} negatives"
         )
     order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s), dtype=np.float64)
     sorted_s = s[order]
-    # midranks for ties
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # midranks: the run of equal scores at sorted positions i..j gets (i + j) / 2 + 1
+    first = np.flatnonzero(np.r_[True, sorted_s[1:] != sorted_s[:-1]])
+    last = np.r_[first[1:], len(s)] - 1
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum_pos = ranks[y == 1].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -87,37 +87,19 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 def _attention(x: Tensor, p: dict, prefix: str, heads: int,
                attn_dropout: float, rng, train: bool,
-               key_mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head self-attention over the second-to-last axis of a 4-D input.
+               key_mask: np.ndarray | None = None, axis: int = -2) -> Tensor:
+    """Multi-head self-attention along `axis` (1 or 2) of a 4-D input.
 
-    x is (B, G, S, E): attention runs over S independently for each of the
-    G groups, with weights shared across groups. key_mask (B, S), when
-    given, blanks out the masked key positions.
+    x is (B, N1, N2, E): attention runs over `axis` independently for
+    each index of the other middle axis, with weights shared across them;
+    the output keeps the input layout. key_mask (B, N_axis), when given,
+    blanks out the masked key positions.
     """
-    b, g, s, e = x.shape
-    dk = e // heads
     q = ad.affine(x, p[f"{prefix}/wq"], p[f"{prefix}/bq"])
     k = ad.affine(x, p[f"{prefix}/wk"], p[f"{prefix}/bk"])
     v = ad.affine(x, p[f"{prefix}/wv"], p[f"{prefix}/bv"])
-    if heads > 1:
-        # (B, G, S, E) -> (B, G, h, S, dk)
-        split = lambda t: ad.transpose(ad.reshape(t, (b, g, s, heads, dk)),
-                                       (0, 1, 3, 2, 4))
-        q, k, v = split(q), split(k), split(v)
-        kt = ad.transpose(k, (0, 1, 2, 4, 3))
-        mask_shape = (b, 1, 1, 1, s)
-    else:
-        kt = ad.transpose(k, (0, 1, 3, 2))
-        mask_shape = (b, 1, 1, s)
-    scores = ad.matmul(q, kt) * (1.0 / np.sqrt(dk))
-    if key_mask is not None:
-        fill = np.where(key_mask, 0.0, ATTN_MASK_FILL)
-        scores = ad.add(scores, ad.tensor(fill.reshape(mask_shape)))
-    weights = ad.softmax(scores, axis=-1)
-    weights = ad.dropout(weights, attn_dropout, rng, train)
-    ctx = ad.matmul(weights, v)
-    if heads > 1:
-        ctx = ad.reshape(ad.transpose(ctx, (0, 1, 3, 2, 4)), (b, g, s, e))
+    key_bias = None if key_mask is None else np.where(key_mask, 0.0, ATTN_MASK_FILL)
+    ctx = ad._attention_core(q, k, v, heads, axis, key_bias, attn_dropout, rng, train)
     return ad.affine(ctx, p[f"{prefix}/wo"], p[f"{prefix}/bo"])
 
 
@@ -227,7 +209,6 @@ class BatModel:
                train: bool, rng) -> Tensor:
         cfg = self.cfg
         p = self.params
-        b, d, t, e = x.shape
         normed = ad.layer_norm(x, p[f"layer{layer}/norm1/gain"],
                                p[f"layer{layer}/norm1/bias"], axis=-1)
         key_time = key_feat = None
@@ -235,11 +216,9 @@ class BatModel:
             key_time = mask.any(axis=1)   # (B, T)
             key_feat = mask.any(axis=2)   # (B, D)
         a_time = _attention(normed, p, f"layer{layer}/time_attn", cfg.heads,
-                            cfg.attn_dropout, rng, train, key_mask=key_time)
-        normed_ft = ad.transpose(normed, (0, 2, 1, 3))  # (B, T, D, E)
-        a_feat = _attention(normed_ft, p, f"layer{layer}/feat_attn", cfg.heads,
-                            cfg.attn_dropout, rng, train, key_mask=key_feat)
-        a_feat = ad.transpose(a_feat, (0, 2, 1, 3))
+                            cfg.attn_dropout, rng, train, key_mask=key_time, axis=2)
+        a_feat = _attention(normed, p, f"layer{layer}/feat_attn", cfg.heads,
+                            cfg.attn_dropout, rng, train, key_mask=key_feat, axis=1)
         x = ad.add(x, ad.add(ad.dropout(a_time, cfg.dropout, rng, train),
                              ad.dropout(a_feat, cfg.dropout, rng, train)))
         normed2 = ad.layer_norm(x, p[f"layer{layer}/norm2/gain"],
@@ -269,10 +248,6 @@ class BatModel:
         fused = self.pool_and_fuse(x, statics)
         logits = ad.affine(fused, self.params["head_cls/w"], self.params["head_cls/b"])
         return ad.sigmoid(ad.reshape(logits, (values.shape[0],)))
-
-    def classify_from_trunk(self, fused: Tensor) -> Tensor:
-        logits = ad.affine(fused, self.params["head_cls/w"], self.params["head_cls/b"])
-        return ad.sigmoid(ad.reshape(logits, (fused.shape[0],)))
 
     def forecast(self, values, mask, hours, statics=None,
                  train: bool = False, rng=None) -> Tensor:

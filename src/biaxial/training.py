@@ -54,7 +54,6 @@ class TrainConfig:
     weight_decay: float = 1e-6
     lr_gamma: float = 0.95
     seed: int = 0
-    mode: str = "scratch"
     weighted_loss: bool = True
     standardization: str = "refit"   # refit | inherit
 
@@ -201,18 +200,20 @@ def _classification_arrays(episodes):
 
 def _eval_bce(model, episodes, batch_size, pos_weight):
     total = 0.0
-    for batch in _chunks(episodes, batch_size):
-        values, mask, hours, statics, labels = _classification_arrays(batch)
-        probs = model.classify(values, mask, hours, statics)
-        total += mt.weighted_bce(probs, labels, pos_weight).item() * len(batch)
+    with ad.no_grad():
+        for batch in _chunks(episodes, batch_size):
+            values, mask, hours, statics, labels = _classification_arrays(batch)
+            probs = model.classify(values, mask, hours, statics)
+            total += mt.weighted_bce(probs, labels, pos_weight).item() * len(batch)
     return total / len(episodes)
 
 
 def predict_probs(model, episodes, batch_size=64) -> np.ndarray:
     probs = []
-    for batch in _chunks(episodes, batch_size):
-        values, mask, hours, statics, _ = _classification_arrays(batch)
-        probs.append(model.classify(values, mask, hours, statics).data)
+    with ad.no_grad():
+        for batch in _chunks(episodes, batch_size):
+            values, mask, hours, statics, _ = _classification_arrays(batch)
+            probs.append(model.classify(values, mask, hours, statics).data)
     return np.concatenate(probs)
 
 
@@ -280,8 +281,9 @@ def _train_one_fold(train_eps, val_eps, model_cfg, train_cfg, sampler_cfg, fold)
             raise TrainingError(
                 f"fold {fold} epoch {epoch}: over half the batches "
                 f"({skipped}/{len(batches)}) had no valid window")
-        val_loss = float(np.mean([_forecast_loss_on_split(model, w).item()
-                                  for w in val_windows]))
+        with ad.no_grad():
+            val_loss = float(np.mean([_forecast_loss_on_split(model, w).item()
+                                      for w in val_windows]))
         train_curve.append(float(np.mean(losses)) if losses else np.nan)
         val_curve.append(val_loss)
         lr_curve.append(lr)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biaxial import autodiff as ad
+from biaxial import model as md
 from biaxial.autodiff import Tensor, backward, grad_check, tensor
 
 
@@ -421,3 +422,156 @@ class TestCheckpointRoundTrip:
         path.write_bytes(b"NOTAPARM" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
             ad.load_params(path)
+
+
+def unfused_attention(q, k, v, heads, axis, key_bias, p, rng, train):
+    """The transpose/matmul/mul/add/softmax/dropout/matmul chain that the
+    fused attention core replaces, built from public primitives."""
+    if axis == 1:
+        q, k, v = (ad.transpose(t, (0, 2, 1, 3)) for t in (q, k, v))
+    b, g, s, e = q.shape
+    dk = e // heads
+    split = lambda t: ad.transpose(ad.reshape(t, (b, g, s, heads, dk)), (0, 1, 3, 2, 4))
+    q, k, v = split(q), split(k), split(v)
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 2, 4, 3))) * (1.0 / np.sqrt(dk))
+    if key_bias is not None:
+        scores = ad.add(scores, tensor(key_bias.reshape(b, 1, 1, 1, s)))
+    weights = ad.dropout(ad.softmax(scores, axis=-1), p, rng, train)
+    ctx = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 1, 3, 2, 4)), (b, g, s, e))
+    return ad.transpose(ctx, (0, 2, 1, 3)) if axis == 1 else ctx
+
+
+class TestAttentionCore:
+    SHAPE = (2, 3, 5, 4)       # (B, N1, N2, E)
+
+    def _inputs(self, axis, masked, seed=20):
+        rng = np.random.default_rng(seed)
+        qkv = [rng.uniform(-2, 2, self.SHAPE) for _ in range(3)]
+        w = rng.uniform(-1, 1, self.SHAPE)
+        key_bias = None
+        if masked:
+            keys = rng.random((self.SHAPE[0], self.SHAPE[axis])) < 0.6
+            keys[:, 0] = True
+            key_bias = np.where(keys, 0.0, -1e9)
+        return qkv, w, key_bias
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_matches_unfused_composition(self, heads, axis, masked, train):
+        qkv, w, key_bias = self._inputs(axis, masked)
+        outs, grads = [], []
+        for attend in (ad._attention_core, unfused_attention):
+            q, k, v = (tensor(a.copy(), requires_grad=True) for a in qkv)
+            out = attend(q, k, v, heads, axis, key_bias, 0.3,
+                         np.random.default_rng(21), train)
+            outs.append(out.data.copy())
+            backward(ad.sum_reduce(ad.mul(out, tensor(w))))
+            grads.append([t.grad for t in (q, k, v)])
+        fused, ref = outs
+        np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=0)
+        for g_fused, g_ref in zip(*grads):
+            assert np.max(np.abs(g_fused - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+    @pytest.mark.parametrize("heads,axis", [(1, 2), (2, 1)])
+    def test_grad_check(self, heads, axis):
+        qkv, w, key_bias = self._inputs(axis, masked=True, seed=22)
+        params = {name: tensor(a, requires_grad=True) for name, a in zip("qkv", qkv)}
+
+        def f():
+            out = ad._attention_core(params["q"], params["k"], params["v"], heads, axis,
+                                     key_bias, 0.3, np.random.default_rng(23), True)
+            return ad.sum_reduce(ad.mul(out, tensor(w)))
+
+        report = grad_check(f, params, tol=1e-6)
+        assert report.passed, report
+
+    def test_masked_keys_get_no_weight(self):
+        qkv, _, key_bias = self._inputs(axis=2, masked=True, seed=24)
+        q, k, v = (tensor(a) for a in qkv)
+        out = ad._attention_core(q, k, v, 1, 2, key_bias, 0.0, None, False)
+        v_changed = qkv[2] + 100.0 * (key_bias != 0.0)[:, None, :, None]
+        out2 = ad._attention_core(q, k, tensor(v_changed), 1, 2, key_bias, 0.0, None, False)
+        np.testing.assert_allclose(out.data, out2.data, rtol=0, atol=1e-9)
+
+    def test_rejects_batch_axis(self):
+        q = tensor(np.zeros(self.SHAPE))
+        with pytest.raises(ValueError, match="axis"):
+            ad._attention_core(q, q, q, 1, 0, None, 0.0, None, False)
+
+
+class TestTapeRelease:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_no_recorded_node_keeps_tape_state_after_backward(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = md.BatConfig(sensors_count=3, value_embed_size=4, layers=int(rng.integers(1, 3)),
+                           heads=int(rng.choice([1, 2])), dropout=0.2, attn_dropout=0.2,
+                           use_mask=bool(rng.integers(2)))
+        model = md.BatModel.init(cfg, rng)
+        values = rng.normal(size=(2, 3, 4))
+        mask = rng.random((2, 3, 4)) < 0.7
+        mask[:, 0, 0] = True
+        loss = ad.sum_reduce(model.classify(values, mask, np.arange(4.0), np.zeros((2, 4)),
+                                            train=True, rng=rng))
+        nodes = ad.GradientTape.from_root(loss).nodes
+        recorded = [n for n in nodes if n._grad_fn is not None]
+        leaves = [n for n in nodes if n._grad_fn is None and n.requires_grad]
+        assert recorded and leaves
+        backward(loss)
+        for node in recorded:
+            assert node.grad is None and node._grad_fn is None and node._parents == ()
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_backward_through_released_shared_node_raises(self):
+        # h feeds two losses; without the check a second backward reaching
+        # h would add its stale gradient again (w.grad 9, not 3 + 3)
+        w = tensor([1.0], requires_grad=True)
+        h = w * 3.0
+        backward(ad.sum_reduce(h))
+        with pytest.raises(RuntimeError, match="released"):
+            backward(ad.sum_reduce(h * 1.0))
+        np.testing.assert_array_equal(w.grad, [3.0])
+
+    def test_leaf_parameters_can_feed_many_graphs(self):
+        w = tensor([2.0], requires_grad=True)
+        backward(ad.sum_reduce(w * 3.0))
+        backward(ad.sum_reduce(w * 3.0))
+        np.testing.assert_array_equal(w.grad, [6.0])
+
+
+class TestNoGrad:
+    def test_eval_forward_records_nothing_and_is_bitwise_equal(self):
+        cfg = md.BatConfig(sensors_count=3, value_embed_size=4, layers=2, heads=2,
+                           dropout=0.2, attn_dropout=0.2)
+        model = md.BatModel.init(cfg, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        batch = (rng.normal(size=(2, 3, 5)), rng.random((2, 3, 5)) < 0.6,
+                 np.arange(5.0), rng.normal(size=(2, 4)))
+        recorded = model.classify(*batch)
+        assert recorded._grad_fn is not None
+        with ad.no_grad():
+            free = model.classify(*batch)
+        assert free._grad_fn is None and free._parents == () and not free.requires_grad
+        assert np.array_equal(free.data, recorded.data)
+        # recording resumes after the block
+        assert model.classify(*batch)._grad_fn is not None
+
+    def test_restored_after_an_exception(self):
+        w = tensor([1.0], requires_grad=True)
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError
+        assert ad.mul(w, w).requires_grad
+
+
+class TestDropoutMask:
+    def test_bitwise_equal_to_float_mask(self):
+        x = np.random.default_rng(40).normal(size=(50, 7))
+        g = np.random.default_rng(41).normal(size=(50, 7))
+        xt = tensor(x, requires_grad=True)
+        out = ad.dropout(xt, 0.364, np.random.default_rng(42), train=True)
+        backward(ad.sum_reduce(ad.mul(out, tensor(g))))
+        keep = (np.random.default_rng(42).random(x.shape) >= 0.364) / (1.0 - 0.364)
+        assert np.array_equal(out.data, x * keep)
+        assert np.array_equal(xt.grad, g * keep)

@@ -159,6 +159,26 @@ class TestWeightedBce:
             m.pos_weight_for([0, 0])
 
 
+def tie_loop_auc_roc(scores, labels):
+    """Rank statistic with midranks assigned by a loop over tie runs: the
+    reference the vectorized auc_roc must match bitwise."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos, n_neg = int((y == 1).sum()), int((y == 0).sum())
+    order = np.argsort(s, kind="mergesort")
+    sorted_s = s[order]
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    u = ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
 class TestAucRoc:
     def test_worked_example(self):
         # pairs: (0.35 vs 0.1, 0.4) and (0.8 vs 0.1, 0.4): 3 wins, 1 loss
@@ -187,6 +207,16 @@ class TestAucRoc:
             fast = m.auc_roc(scores, labels)
             slow = brute_force_auc_roc(scores, labels)
             assert abs(fast - slow) <= 1e-12
+
+    def test_bitwise_equal_to_tie_loop_midranks(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(2, 80))
+            labels = (rng.random(n) < 0.3).astype(int)
+            if labels.sum() in (0, n):
+                continue
+            scores = np.round(rng.random(n), int(rng.integers(0, 3)))
+            assert m.auc_roc(scores, labels) == tie_loop_auc_roc(scores, labels)
 
     def test_complement_identity_for_tie_free_scores(self):
         rng = np.random.default_rng(7)
