@@ -1,10 +1,10 @@
 """Bi-axial transformer for irregular clinical time series.
 
-Ships a small float64 autodiff engine, a missingness-aware data pipeline
-with a synthetic EHR generator, dynamic observation/forecast window
-sampling, the bi-axial attention model with classification and
-forecasting heads, training with early stopping, and a CLI for
-reproducible experiments.
+Ships a small autodiff engine (float32 training and inference, float64
+gradient checks), a missingness-aware data pipeline with a synthetic EHR
+generator, dynamic observation/forecast window sampling, the bi-axial
+attention model with classification and forecasting heads, training
+with early stopping, and a CLI for reproducible experiments.
 """
 
 from biaxial import _malloc

@@ -1,6 +1,6 @@
 """Raise glibc's mmap threshold so large array buffers get recycled.
 
-The training loops allocate and free many multi-megabyte float64 buffers
+The training loops allocate and free many multi-megabyte array buffers
 of varying sizes. With glibc defaults those go through mmap/munmap and
 every reuse pays zero-fill page faults, which triples step times. Routing
 them through the heap freelists instead is safe and process-local; on

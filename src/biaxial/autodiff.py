@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
 The primitive set is deliberately small: elementwise arithmetic, matmul,
 softmax, layer norm, relu/gelu/sigmoid/log, dropout, shape ops and
@@ -17,12 +17,19 @@ Memory is bounded by what one training step needs:
   second `backward` that reaches a released node raises RuntimeError.
 - Inside `with no_grad():` the ops record nothing, so an inference
   forward keeps no intermediate alive and its outputs are constants.
+
+Precision is a per-process setting. New tensors take the compute dtype,
+float64 unless a `with compute_dtype(np.float32):` block is open, and
+every op computes in the dtype of its inputs; an op whose result has
+another dtype raises TypeError instead of silently promoting the rest of
+the graph. `grad_check` is the float64 oracle and refuses anything else.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import struct
 import warnings
 from typing import Callable, Iterable, Sequence
@@ -59,15 +66,20 @@ __all__ = [
     "load_params",
 ]
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not NumPy float64 scalars, which would promote float32
+# arrays to float64 (NEP 50).
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Switched off by `no_grad`; per process, like the rest of the tape state.
+# Switched by `no_grad` and `compute_dtype`; per process, like the rest of
+# the tape state.
 _grad_enabled = True
+_compute_dtype = np.dtype(np.float64)
+_COMPUTE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A dense array in the compute dtype plus an optional gradient buffer.
 
     Tensors produced by the ops below remember their parents and a
     closure that routes output gradients back to them, until `backward`
@@ -79,7 +91,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _grad_fn: Callable | None = None):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        self.data = np.asarray(data, dtype=_compute_dtype, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -179,7 +191,7 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 
 
 def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 @contextlib.contextmanager
@@ -199,8 +211,31 @@ def no_grad():
         _grad_enabled = previous
 
 
+@contextlib.contextmanager
+def compute_dtype(dtype):
+    """Create new tensors as `dtype` (float32 or float64) inside the block.
+
+    Tensors made before the block keep their dtype; mixing them with
+    tensors of the other dtype in one op raises TypeError.
+    """
+    global _compute_dtype
+    dtype = np.dtype(dtype)
+    if dtype not in _COMPUTE_DTYPES:
+        raise ValueError(f"compute dtype must be float32 or float64, got {dtype}")
+    previous = _compute_dtype
+    _compute_dtype = dtype
+    try:
+        yield
+    finally:
+        _compute_dtype = previous
+
+
 def _node(data, parents: Iterable[Tensor], grad_fn: Callable) -> Tensor:
     parents = tuple(parents)
+    if data.dtype != _compute_dtype:
+        op = grad_fn.__qualname__.split(".")[0]
+        raise TypeError(f"{op} computed in {data.dtype}, not the compute dtype "
+                        f"{_compute_dtype}: an input or constant of another dtype")
     if _grad_enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _grad_fn=grad_fn)
     return Tensor(data)
@@ -535,7 +570,7 @@ def _keep_mask(shape: tuple, p: float, rng) -> tuple[np.ndarray, float]:
 
 
 def _apply_keep(a: np.ndarray, keep: np.ndarray, scale: float) -> np.ndarray:
-    # bitwise equal to a * (keep / (1 - p)), without a float64 mask
+    # bitwise equal to a * (keep / (1 - p)), without a float mask
     out = a * scale
     out *= keep
     return out
@@ -568,13 +603,13 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
     if axis not in (1, 2):
         raise ValueError(f"attention runs over axis 1 or 2 of a 4-D input, got {axis}")
     b, s, e = q.shape[0], q.shape[axis], q.shape[3]
-    scale = 1.0 / np.sqrt(e // heads)
+    scale = 1.0 / math.sqrt(e // heads)             # a Python float, like _INV_SQRT2
     q5, k5, v5 = (_split_heads(t.data, axis, heads) for t in (q, k, v))
 
     weights = q5 @ np.swapaxes(k5, -1, -2)          # (B, G, h, S, S)
     weights *= scale
     if key_bias is not None:
-        weights += key_bias.reshape(b, 1, 1, 1, s)
+        weights += key_bias.astype(weights.dtype).reshape(b, 1, 1, 1, s)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -585,13 +620,13 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
     def dropped():
         return weights if keep is None else _apply_keep(weights, keep, drop_scale)
 
-    ctx = np.empty(q.shape)
+    ctx = np.empty(q.shape, q.data.dtype)
     np.matmul(dropped(), v5, out=_split_heads(ctx, axis, heads))
 
     def grad_fn(g):
         g5 = _split_heads(np.ascontiguousarray(g), axis, heads)
         if v.requires_grad:
-            dv = np.empty(v.shape)
+            dv = np.empty(v.shape, v.data.dtype)
             np.matmul(np.swapaxes(dropped(), -1, -2), g5, out=_split_heads(dv, axis, heads))
             v._accumulate(dv)
         if not (q.requires_grad or k.requires_grad):
@@ -603,7 +638,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
         ds *= scale
         for t, lhs, rhs in ((q, ds, k5), (k, np.swapaxes(ds, -1, -2), q5)):
             if t.requires_grad:
-                grad = np.empty(t.shape)
+                grad = np.empty(t.shape, t.data.dtype)
                 np.matmul(lhs, rhs, out=_split_heads(grad, axis, heads))
                 t._accumulate(grad)
 
@@ -715,11 +750,18 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
 
     `f` must rebuild its forward pass on every call and read the current
     values of `params`. Relative error uses |a - b| / max(|a| + |b|, 1e-6)
-    per coordinate.
+    per coordinate. The check is a float64 oracle: a float32 loss or
+    parameter raises TypeError, because central differences at the
+    default step fall below float32 resolution.
     """
     if step <= 0:
         raise ValueError("step must be positive")
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise TypeError(f"grad_check needs float64 parameters; {name!r} is {p.data.dtype}")
     loss = f()
+    if loss.data.dtype != np.float64:
+        raise TypeError(f"grad_check needs a float64 loss, got {loss.data.dtype}")
     backward(loss)
     analytic = {}
     for name, p in params.items():
@@ -763,7 +805,11 @@ _CKPT_VERSION = 1
 
 
 def save_params(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named float64 arrays (plus an optional JSON-able meta dict)."""
+    """Write named arrays (plus an optional JSON-able meta dict).
+
+    Values are stored as float64, so float32 arrays round-trip exactly
+    once cast back.
+    """
     entries = []
     buffers = []
     offset = 0

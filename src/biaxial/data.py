@@ -111,6 +111,10 @@ class ParseError(ValueError):
     """A data file is malformed; the message names the offending line."""
 
 
+class SubsampleError(ValueError):
+    """A subsample of the requested size cannot be drawn from a dataset."""
+
+
 class CalibrationError(RuntimeError):
     """The synthetic generator could not hit the requested prevalence."""
 
@@ -555,11 +559,12 @@ def pool_datasets(datasets: list, prefix_ids: bool = True) -> Dataset:
 
 def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Dataset:
     """Class-stratified subsample: positives = round(size * prevalence),
-    at least 1; uniform without replacement within each class."""
+    at least 1; uniform without replacement within each class. A size
+    that cannot be drawn raises SubsampleError."""
     if size < 2:
-        raise ValueError(f"subsample size must be >= 2, got {size}")
+        raise SubsampleError(f"subsample size must be >= 2, got {size}")
     if size > len(ds):
-        raise ValueError(f"subsample size {size} exceeds dataset size {len(ds)}")
+        raise SubsampleError(f"subsample size {size} exceeds dataset size {len(ds)}")
     labels = ds.labels()
     if (labels < 0).any():
         raise ValueError("subsampling requires a fully labeled dataset")
@@ -569,9 +574,9 @@ def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Datase
     n_pos = max(1, int(np.floor(size * prevalence + 0.5)))
     n_neg = size - n_pos
     if n_pos > len(pos_idx):
-        raise ValueError(f"positive class exhausted: need {n_pos}, have {len(pos_idx)}")
+        raise SubsampleError(f"positive class exhausted: need {n_pos}, have {len(pos_idx)}")
     if n_neg > len(neg_idx):
-        raise ValueError(f"negative class exhausted: need {n_neg}, have {len(neg_idx)}")
+        raise SubsampleError(f"negative class exhausted: need {n_neg}, have {len(neg_idx)}")
     rng = substream(seed, "subsample")
     take_pos = rng.choice(pos_idx, size=n_pos, replace=False)
     take_neg = rng.choice(neg_idx, size=n_neg, replace=False)

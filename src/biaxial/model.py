@@ -174,7 +174,7 @@ class BatModel:
     def from_arrays(cls, cfg: BatConfig, arrays: dict) -> "BatModel":
         params = {}
         for name, arr in arrays.items():
-            params[name] = Tensor(np.array(arr, dtype=np.float64), requires_grad=True)
+            params[name] = Tensor(np.array(arr), requires_grad=True)
         return cls(cfg, params)
 
     # -- forward passes ------------------------------------------------
@@ -315,7 +315,7 @@ class TemporalTransformer:
 
     @classmethod
     def from_arrays(cls, cfg: BatConfig, arrays: dict) -> "TemporalTransformer":
-        return cls(cfg, {n: Tensor(np.array(a, dtype=np.float64), requires_grad=True)
+        return cls(cfg, {n: Tensor(np.array(a), requires_grad=True)
                          for n, a in arrays.items()})
 
     def classify(self, values, mask, hours, statics,

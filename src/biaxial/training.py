@@ -5,10 +5,16 @@ keeps the fold model with the lowest validation masked loss. Fine-tuning
 supports full-model updates, head-only updates with a frozen trunk, and
 from-scratch baselines (bi-axial or mean-imputed temporal transformer).
 All randomness is derived from the run seed through named substreams.
+
+The entry points (`pretrain`, `finetune` and `predict_probs`) compute in
+float32, the precision the paper's models train in; the models they build
+or load take that dtype, and checkpoints store float64, which holds every
+float32 value exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import zlib
 from dataclasses import dataclass, field, replace
@@ -27,6 +33,9 @@ logger = logging.getLogger(__name__)
 
 FINETUNE_MODES = ("finetune_full", "finetune_head", "scratch")
 GRID_VARIANTS = ("finetune_full", "finetune_head", "scratch_bat", "scratch_transformer")
+
+# dtype of every forward, backward and optimizer step run by an entry point
+COMPUTE_DTYPE = np.float32
 
 DEFAULT_VARIANT_LR = {
     "finetune_full": 3e-4,
@@ -89,6 +98,15 @@ class PretrainResult:
         return self.fold_results[self.selected_fold]
 
 
+def _in_compute_dtype(fn):
+    """Run `fn` with `COMPUTE_DTYPE` as the autodiff compute dtype."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with ad.compute_dtype(COMPUTE_DTYPE):
+            return fn(*args, **kwargs)
+    return wrapper
+
+
 # ---------------------------------------------------------------------------
 # optimizer and schedules
 
@@ -97,7 +115,8 @@ class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
     Only parameters listed in `trainable` (default: all) are updated;
-    frozen parameters are never touched, bitwise.
+    frozen parameters are never touched, bitwise. The moments take each
+    parameter's dtype.
     """
 
     BETAS = (0.9, 0.999)
@@ -208,7 +227,11 @@ def _eval_bce(model, episodes, batch_size, pos_weight):
     return total / len(episodes)
 
 
+@_in_compute_dtype
 def predict_probs(model, episodes, batch_size=64) -> np.ndarray:
+    """Mortality probabilities, computed in `COMPUTE_DTYPE` by a copy of
+    `model` whose parameters take that dtype."""
+    model = type(model).from_arrays(model.cfg, model.state_arrays())
     probs = []
     with ad.no_grad():
         for batch in _chunks(episodes, batch_size):
@@ -306,6 +329,7 @@ def _train_one_fold(train_eps, val_eps, model_cfg, train_cfg, sampler_cfg, fold)
     )
 
 
+@_in_compute_dtype
 def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
              sampler_cfg: sp.SamplerConfig, n_folds: int = 5) -> PretrainResult:
     """Five-fold self-supervised forecasting over a pooled, unlabeled corpus.
@@ -360,6 +384,7 @@ def stratified_split(episodes, val_frac: float, rng) -> tuple[list, list]:
     return train, val
 
 
+@_in_compute_dtype
 def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
              train_cfg: TrainConfig, model_cfg: BatConfig | None = None,
              val_episodes: list | None = None, test_episodes: list | None = None,
@@ -529,11 +554,16 @@ def _cell_seed(base_seed: int, size: int, rep: int, variant: str) -> int:
 _GRID_CONTEXT: dict = {}
 
 
+# A cell that raises one of these is infeasible for its size and seed and
+# is skipped; any other exception is a bug and fails the grid.
+_INFEASIBLE_CELL = (TrainingError, dt.SubsampleError, mt.UndefinedMetricError)
+
+
 def _run_cell(args):
     size, rep, variant = args
     try:
         return _run_cell_inner(size, rep, variant)
-    except (TrainingError, ValueError) as exc:
+    except _INFEASIBLE_CELL as exc:
         logger.warning("skipping cell size=%d seed=%d variant=%s: %s",
                        size, rep, variant, exc)
         return None
@@ -590,8 +620,9 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     """Subsample / train / evaluate every (size, seed, variant) cell.
 
     The 80/20 test split is fixed once from the full dataset; every cell
-    evaluates on it. Infeasible or failed cells are skipped with a
-    warning. Returns (per-run rows, aggregate rows).
+    evaluates on it. Infeasible cells (TrainingError, SubsampleError or
+    UndefinedMetricError) are skipped with a warning; any other error
+    propagates. Returns (per-run rows, aggregate rows).
     """
     needs_ckpt = {"finetune_full", "finetune_head"} & set(grid.variants)
     if needs_ckpt and checkpoint is None:

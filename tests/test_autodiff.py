@@ -389,6 +389,19 @@ class TestGradCheck:
         report = grad_check(f2, params, step=1e-5, tol=1e-3)
         assert report.passed, report
 
+    def test_float32_is_rejected(self):
+        def float32_loss(w):
+            with ad.compute_dtype(np.float32):
+                return ad.sum_reduce(tensor(w.data) * w.data)
+
+        with ad.compute_dtype(np.float32):
+            params32 = {"w": tensor([1.0, 2.0], requires_grad=True)}
+        with pytest.raises(TypeError, match="float64 parameters"):
+            grad_check(lambda: float32_loss(params32["w"]), params32)
+        params = {"w": tensor([1.0, 2.0], requires_grad=True)}
+        with pytest.raises(TypeError, match="float64 loss"):
+            grad_check(lambda: float32_loss(params["w"]), params)
+
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
             grad_check(lambda: tensor(0.0), {}, step=0.0)

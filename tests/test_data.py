@@ -373,15 +373,19 @@ class TestSubsample:
         assert int((out.labels() == 1).sum()) == 1
 
     def test_size_too_small_rejected(self):
-        with pytest.raises(ValueError, match=">= 2"):
+        with pytest.raises(dt.SubsampleError, match=">= 2"):
             dt.subsample_preserving_prevalence(self._labeled_dataset(n=50), 1, seed=0)
 
     def test_exhausted_class_names_it(self):
         # all-negative dataset: the minimum-one-positive rule needs 1, has 0
         all_neg = dt.Dataset.from_episodes(
             "y", [make_episode(pid=f"n{i}", d=1, t=4, label=0) for i in range(10)])
-        with pytest.raises(ValueError, match="positive class exhausted"):
+        with pytest.raises(dt.SubsampleError, match="positive class exhausted"):
             dt.subsample_preserving_prevalence(all_neg, 5, seed=0)
+
+    def test_size_above_dataset_rejected(self):
+        with pytest.raises(dt.SubsampleError, match="exceeds dataset size"):
+            dt.subsample_preserving_prevalence(self._labeled_dataset(n=50), 51, seed=0)
 
 
 class TestSplits:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biaxial import data as dt
+from biaxial import metrics as mt
 from biaxial import training as tr
 from biaxial.autodiff import Tensor
 from biaxial.model import BatConfig
@@ -392,6 +393,33 @@ class TestExperimentGrid:
                 mortality_ds, None, tiny_model_cfg(), tiny_train_cfg(epochs=1), grid)
         assert rows == [] and aggregates == []
         assert any("skipping size" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("error", [tr.TrainingError("empty split"),
+                                       dt.SubsampleError("negative class exhausted"),
+                                       mt.UndefinedMetricError("no positive labels")])
+    def test_infeasible_cell_skipped_with_warning(self, mortality_ds, monkeypatch,
+                                                  caplog, error):
+        def infeasible(size, rep, variant):
+            raise error
+        monkeypatch.setattr(tr, "_run_cell_inner", infeasible)
+        grid = tr.GridConfig(sizes=[30], seeds=[0, 1], variants=["scratch_bat"])
+        with caplog.at_level("WARNING"):
+            rows, _ = tr.run_experiment_grid(
+                mortality_ds, None, tiny_model_cfg(), tiny_train_cfg(epochs=1), grid)
+        assert rows == []
+        assert sum("skipping cell" in rec.message for rec in caplog.records) == 2
+
+    @pytest.mark.parametrize("error", [ValueError("operands could not be broadcast"),
+                                       TypeError("gelu computed in float64"),
+                                       ZeroDivisionError("division by zero")])
+    def test_other_cell_errors_fail_the_grid(self, mortality_ds, monkeypatch, error):
+        def buggy(size, rep, variant):
+            raise error
+        monkeypatch.setattr(tr, "_run_cell_inner", buggy)
+        grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"])
+        with pytest.raises(type(error), match=str(error)):
+            tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
+                                   tiny_train_cfg(epochs=1), grid)
 
     def test_missing_checkpoint_for_finetune_variant(self, mortality_ds):
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_full"])
