@@ -1,10 +1,12 @@
 """Raise glibc's mmap threshold so large array buffers get recycled.
 
-The training loops allocate and free many multi-megabyte array buffers
-of varying sizes. With glibc defaults those go through mmap/munmap and
-every reuse pays zero-fill page faults, which triples step times. Routing
-them through the heap freelists instead is safe and process-local; on
-non-glibc platforms this is a no-op.
+Training allocates and frees many multi-megabyte array buffers of
+varying sizes. With glibc defaults those go through mmap/munmap and every
+reuse pays zero-fill page faults. Routing them through the heap freelists
+instead is safe and process-local; on non-glibc platforms this is a no-op.
+On a 2-vCPU VM (medians of alternating 30 s benchmark runs with and
+without it) it raises training throughput by 15-32% and cuts the CLI
+pipeline's wall time by 20%, for up to 11 MB more peak RSS.
 """
 
 from __future__ import annotations

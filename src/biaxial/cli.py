@@ -21,7 +21,7 @@ from biaxial import data as dt
 from biaxial import metrics as mt
 from biaxial import training as tr
 from biaxial.config import ConfigError, load_config
-from biaxial.model import BatModel, TemporalTransformer
+from biaxial.model import ARCHS
 
 logger = logging.getLogger("biaxial")
 
@@ -132,10 +132,13 @@ def cmd_finetune(cfg) -> int:
     if len(paths) != 1:
         raise ConfigError("finetune requires exactly one dataset path (data.paths)")
     grid = cfg.grid_cfg()
-    needs_ckpt = {"finetune_full", "finetune_head"} & set(grid.variants)
+    save_variant = cfg["grid"]["save_model"]
+    if save_variant and save_variant not in tr.GRID_VARIANTS:
+        raise ConfigError(f"grid.save_model must be one of {tuple(tr.GRID_VARIANTS)}")
+    needs_ckpt = grid.pretrained_variants()
     ckpt_path = cfg["data"]["checkpoint"]
     if needs_ckpt and not ckpt_path:
-        raise ConfigError(f"variants {sorted(needs_ckpt)} need data.checkpoint")
+        raise ConfigError(f"variants {needs_ckpt} need data.checkpoint")
     if ckpt_path and not os.path.exists(ckpt_path):
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     _echo_config(cfg, out_dir)
@@ -152,10 +155,7 @@ def cmd_finetune(cfg) -> int:
     _write_csv(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")
 
-    save_variant = cfg["grid"]["save_model"]
     if save_variant:
-        if save_variant not in tr.GRID_VARIANTS:
-            raise ConfigError(f"grid.save_model must be one of {tr.GRID_VARIANTS}")
         _save_final_model(cfg, ds, checkpoint, model_cfg, save_variant, out_dir)
         print(f"model: {os.path.join(out_dir, 'model.bax')}")
     return 0
@@ -164,24 +164,18 @@ def cmd_finetune(cfg) -> int:
 def _save_final_model(cfg, ds, checkpoint, model_cfg, variant, out_dir):
     """Train one model of the given variant on the full training pool and
     save it for cross-dataset evaluation."""
-    from dataclasses import replace
-
     train_cfg = cfg.train_cfg()
-    grid = cfg.grid_cfg()
-    train_cfg = replace(train_cfg, learning_rate=grid.learning_rates.get(
-        variant, train_cfg.learning_rate))
     plan = dt.make_splits(ds, train_cfg.seed)
     pool = dt.Dataset.from_episodes(
         ds.name, dt.select_episodes(ds, plan.pool_ids()), sensors=ds.sensors)
-    arch = "transformer" if variant == "scratch_transformer" else "bat"
-    mode = variant if variant.startswith("finetune") else "scratch"
-    result = tr.finetune(checkpoint if mode != "scratch" else None, pool, mode,
-                         train_cfg, model_cfg=model_cfg, arch=arch)
+    result = tr.train_variant(variant, checkpoint, pool, train_cfg, model_cfg,
+                              cfg.grid_cfg())
     tr.save_checkpoint(
         os.path.join(out_dir, "model.bax"), result.params, result.preprocessor,
         model_cfg,
-        meta={"kind": "classifier", "arch": arch, "variant": variant,
-              "dataset": ds.name, "best_val_loss": result.best_val},
+        meta={"kind": "classifier", "arch": tr.GRID_VARIANTS[variant].arch,
+              "variant": variant, "dataset": ds.name,
+              "best_val_loss": result.best_val},
     )
 
 
@@ -199,9 +193,8 @@ def cmd_evaluate(cfg) -> int:
     rows = []
     for ckpt_path in ckpts:
         bundle = tr.load_checkpoint(ckpt_path)
-        arch = bundle["meta"].get("arch", "bat")
-        model_cls = TemporalTransformer if arch == "transformer" else BatModel
-        model = model_cls.from_arrays(bundle["model_cfg"], bundle["params"])
+        model = ARCHS[bundle["meta"].get("arch", "bat")].from_arrays(
+            bundle["model_cfg"], bundle["params"])
         sensors = dt.SENSOR_SCHEMA[:bundle["model_cfg"].sensors_count]
         for path in paths:
             ds = dt.apply_exclusions(

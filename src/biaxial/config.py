@@ -66,10 +66,7 @@ SCHEMA = {
         "sizes": ("intlist", [100, 500, 1000]),
         "seeds": ("intlist", [0, 1, 2, 3, 4]),
         "variants": ("strlist", list(GRID_VARIANTS)),
-        "lr_finetune_full": ("float", 3e-4),
-        "lr_finetune_head": ("float", 1e-2),
-        "lr_scratch_bat": ("float", 1.5e-3),
-        "lr_scratch_transformer": ("float", 1.5e-3),
+        **{f"lr_{name}": ("float", v.lr) for name, v in GRID_VARIANTS.items()},
         "jobs": ("int", 1),
         "save_model": ("str", ""),
     },
@@ -125,73 +122,33 @@ class ExperimentConfig:
 
     # -- typed views -----------------------------------------------------
 
-    def model_cfg(self) -> BatConfig:
-        m = self.values["model"]
+    def _view(self, section: str, cls, values: dict | None = None):
+        """Build `cls` from a section's values (or `values`), reporting a
+        rejected value as a ConfigError that names the section."""
         try:
-            return BatConfig(
-                sensors_count=m["sensors_count"],
-                value_embed_size=m["value_embed_size"],
-                layers=m["layers"],
-                heads=m["heads"],
-                dropout=m["dropout"],
-                attn_dropout=m["attn_dropout"],
-                pooling=m["pooling"],
-                use_mask=m["use_mask"],
-                forecast_horizon=m["forecast_horizon"],
-            )
+            return cls(**(self.values[section] if values is None else values))
         except ValueError as exc:
-            raise ConfigError(f"[model] {exc}") from None
+            raise ConfigError(f"[{section}] {exc}") from None
+
+    def model_cfg(self) -> BatConfig:
+        return self._view("model", BatConfig)
 
     def sampler_cfg(self) -> SamplerConfig:
-        s = self.values["sampler"]
-        if s["forecast_horizon"] != self.values["model"]["forecast_horizon"]:
+        s, m = self.values["sampler"], self.values["model"]
+        if s["forecast_horizon"] != m["forecast_horizon"]:
             raise ConfigError(
                 "sampler.forecast_horizon must equal model.forecast_horizon")
-        try:
-            return SamplerConfig(
-                min_obs_len=s["min_obs_len"],
-                forecast_horizon=s["forecast_horizon"],
-                max_obs=s["max_obs"],
-                max_tries=s["max_tries"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[sampler] {exc}") from None
+        return self._view("sampler", SamplerConfig)
 
     def train_cfg(self) -> TrainConfig:
-        t = self.values["train"]
-        try:
-            return TrainConfig(
-                batch_size=t["batch_size"],
-                epochs=t["epochs"],
-                patience=t["patience"],
-                min_delta=t["min_delta"],
-                learning_rate=t["learning_rate"],
-                weight_decay=t["weight_decay"],
-                lr_gamma=t["lr_gamma"],
-                seed=t["seed"],
-                weighted_loss=t["weighted_loss"],
-                standardization=t["standardization"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[train] {exc}") from None
+        return self._view("train", TrainConfig)
 
     def grid_cfg(self) -> GridConfig:
         g = self.values["grid"]
-        try:
-            return GridConfig(
-                sizes=list(g["sizes"]),
-                seeds=list(g["seeds"]),
-                variants=list(g["variants"]),
-                learning_rates={
-                    "finetune_full": g["lr_finetune_full"],
-                    "finetune_head": g["lr_finetune_head"],
-                    "scratch_bat": g["lr_scratch_bat"],
-                    "scratch_transformer": g["lr_scratch_transformer"],
-                },
-                jobs=g["jobs"],
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[grid] {exc}") from None
+        return self._view("grid", GridConfig, dict(
+            sizes=list(g["sizes"]), seeds=list(g["seeds"]),
+            variants=list(g["variants"]), jobs=g["jobs"],
+            learning_rates={name: g[f"lr_{name}"] for name in GRID_VARIANTS}))
 
     # -- serialization ---------------------------------------------------
 

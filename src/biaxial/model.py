@@ -11,7 +11,7 @@ pool + linear map emitting a D x H forecast grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,18 +49,7 @@ class BatConfig:
             raise ValueError("invalid layer/head/sensor counts")
 
     def to_dict(self) -> dict:
-        return {
-            "sensors_count": self.sensors_count,
-            "value_embed_size": self.value_embed_size,
-            "layers": self.layers,
-            "heads": self.heads,
-            "dropout": self.dropout,
-            "attn_dropout": self.attn_dropout,
-            "pooling": self.pooling,
-            "static_count": self.static_count,
-            "forecast_horizon": self.forecast_horizon,
-            "use_mask": self.use_mask,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BatConfig":
@@ -108,46 +97,50 @@ def _ffn(x: Tensor, p: dict, prefix: str) -> Tensor:
     return ad.affine(h, p[f"{prefix}/w2"], p[f"{prefix}/b2"])
 
 
-class BatModel:
-    """Parameter set plus forward passes for the bi-axial transformer."""
+def _layer_arrays(rng: np.random.Generator, layer: int, e: int,
+                  attentions: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Initial arrays of one pre-LN trunk layer: each named attention
+    block, two layer norms and the FFN, drawn from `rng` in this order."""
+    p = {}
+    for branch in attentions:
+        base = f"layer{layer}/{branch}"
+        for mat in ("wq", "wk", "wv", "wo"):
+            p[f"{base}/{mat}"] = _xavier(rng, e, e)
+        for vec in ("bq", "bk", "bv", "bo"):
+            p[f"{base}/{vec}"] = np.zeros(e)
+    for norm in ("norm1", "norm2"):
+        p[f"layer{layer}/{norm}/gain"] = np.ones(e)
+        p[f"layer{layer}/{norm}/bias"] = np.zeros(e)
+    w = e * FFN_WIDTH_FACTOR
+    p[f"layer{layer}/ffn/w1"] = _xavier(rng, e, w)
+    p[f"layer{layer}/ffn/b1"] = np.zeros(w)
+    p[f"layer{layer}/ffn/w2"] = _xavier(rng, w, e)
+    p[f"layer{layer}/ffn/b2"] = np.zeros(e)
+    return p
+
+
+class _ParamModel:
+    """A named parameter set plus the plumbing both model classes share.
+
+    Subclasses draw their initial arrays, by name, in the classmethod
+    `_init_arrays(cfg, rng)`, and map the name prefix of each head's
+    parameters to its group in `HEADS`; every other parameter is trunk.
+    """
+
+    HEADS: dict[str, str]
 
     def __init__(self, cfg: BatConfig, params: dict[str, Tensor]):
         self.cfg = cfg
         self.params = params
 
-    # -- construction -------------------------------------------------
+    @classmethod
+    def init(cls, cfg: BatConfig, rng: np.random.Generator):
+        return cls.from_arrays(cfg, cls._init_arrays(cfg, rng))
 
     @classmethod
-    def init(cls, cfg: BatConfig, rng: np.random.Generator) -> "BatModel":
-        d, e, s = cfg.sensors_count, cfg.value_embed_size, cfg.static_count
-        w = cfg.value_embed_size * FFN_WIDTH_FACTOR
-        p: dict[str, np.ndarray] = {
-            "embed/value_w": rng.normal(0.0, 0.5, e),
-            "embed/value_b": np.zeros(e),
-            "embed/missing": rng.normal(0.0, 0.2, (d, e)),
-            "embed/identity": rng.normal(0.0, 0.2, (d, e)),
-        }
-        for layer in range(cfg.layers):
-            for branch in ("time_attn", "feat_attn"):
-                base = f"layer{layer}/{branch}"
-                for mat in ("wq", "wk", "wv", "wo"):
-                    p[f"{base}/{mat}"] = _xavier(rng, e, e)
-                for vec in ("bq", "bk", "bv", "bo"):
-                    p[f"{base}/{vec}"] = np.zeros(e)
-            p[f"layer{layer}/norm1/gain"] = np.ones(e)
-            p[f"layer{layer}/norm1/bias"] = np.zeros(e)
-            p[f"layer{layer}/norm2/gain"] = np.ones(e)
-            p[f"layer{layer}/norm2/bias"] = np.zeros(e)
-            p[f"layer{layer}/ffn/w1"] = _xavier(rng, e, w)
-            p[f"layer{layer}/ffn/b1"] = np.zeros(w)
-            p[f"layer{layer}/ffn/w2"] = _xavier(rng, w, e)
-            p[f"layer{layer}/ffn/b2"] = np.zeros(e)
-        p["head_cls/w"] = _xavier(rng, e + s, 1)
-        p["head_cls/b"] = np.zeros(1)
-        p["head_for/w"] = _xavier(rng, e, cfg.forecast_horizon,
-                                  (e, cfg.forecast_horizon))
-        p["head_for/b"] = np.zeros(cfg.forecast_horizon)
-        return cls(cfg, {k: Tensor(v, requires_grad=True) for k, v in p.items()})
+    def from_arrays(cls, cfg: BatConfig, arrays: dict):
+        return cls(cfg, {n: Tensor(np.array(a), requires_grad=True)
+                         for n, a in arrays.items()})
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -159,23 +152,54 @@ class BatModel:
     def param_groups(self) -> dict[str, list[str]]:
         groups = {"trunk": [], "head_cls": [], "head_for": []}
         for name in self.params:
-            if name.startswith("head_cls/"):
-                groups["head_cls"].append(name)
-            elif name.startswith("head_for/"):
-                groups["head_for"].append(name)
-            else:
-                groups["trunk"].append(name)
+            groups[self.HEADS.get(name.split("/", 1)[0], "trunk")].append(name)
         return groups
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
 
+    def _pool(self, x: Tensor, axis: int) -> Tensor:
+        if self.cfg.pooling == "max":
+            return ad.max_reduce(x, axis=axis)
+        return ad.mean_reduce(x, axis=axis)
+
+    def _norm(self, x: Tensor, prefix: str) -> Tensor:
+        return ad.layer_norm(x, self.params[f"{prefix}/gain"],
+                             self.params[f"{prefix}/bias"], axis=-1)
+
+    def _ffn_sublayer(self, x: Tensor, layer: int, train: bool, rng) -> Tensor:
+        """Pre-LN feedforward residual: x + dropout(ffn(norm2(x)))."""
+        ffn_out = _ffn(self._norm(x, f"layer{layer}/norm2"), self.params,
+                       f"layer{layer}/ffn")
+        return ad.add(x, ad.dropout(ffn_out, self.cfg.dropout, rng, train))
+
+
+class BatModel(_ParamModel):
+    """Parameter set plus forward passes for the bi-axial transformer."""
+
+    HEADS = {"head_cls": "head_cls", "head_for": "head_for"}
+
+    # Kept in the class body: bench/probes.py times zero_grad by patching
+    # each model class's own __dict__.
+    zero_grad = _ParamModel.zero_grad
+
     @classmethod
-    def from_arrays(cls, cfg: BatConfig, arrays: dict) -> "BatModel":
-        params = {}
-        for name, arr in arrays.items():
-            params[name] = Tensor(np.array(arr), requires_grad=True)
-        return cls(cfg, params)
+    def _init_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
+        d, e, s = cfg.sensors_count, cfg.value_embed_size, cfg.static_count
+        p: dict[str, np.ndarray] = {
+            "embed/value_w": rng.normal(0.0, 0.5, e),
+            "embed/value_b": np.zeros(e),
+            "embed/missing": rng.normal(0.0, 0.2, (d, e)),
+            "embed/identity": rng.normal(0.0, 0.2, (d, e)),
+        }
+        for layer in range(cfg.layers):
+            p.update(_layer_arrays(rng, layer, e, ("time_attn", "feat_attn")))
+        p["head_cls/w"] = _xavier(rng, e + s, 1)
+        p["head_cls/b"] = np.zeros(1)
+        p["head_for/w"] = _xavier(rng, e, cfg.forecast_horizon,
+                                  (e, cfg.forecast_horizon))
+        p["head_for/b"] = np.zeros(cfg.forecast_horizon)
+        return p
 
     # -- forward passes ------------------------------------------------
 
@@ -209,8 +233,7 @@ class BatModel:
                train: bool, rng) -> Tensor:
         cfg = self.cfg
         p = self.params
-        normed = ad.layer_norm(x, p[f"layer{layer}/norm1/gain"],
-                               p[f"layer{layer}/norm1/bias"], axis=-1)
+        normed = self._norm(x, f"layer{layer}/norm1")
         key_time = key_feat = None
         if cfg.use_mask and mask is not None:
             key_time = mask.any(axis=1)   # (B, T)
@@ -221,10 +244,7 @@ class BatModel:
                             cfg.attn_dropout, rng, train, key_mask=key_feat, axis=1)
         x = ad.add(x, ad.add(ad.dropout(a_time, cfg.dropout, rng, train),
                              ad.dropout(a_feat, cfg.dropout, rng, train)))
-        normed2 = ad.layer_norm(x, p[f"layer{layer}/norm2/gain"],
-                                p[f"layer{layer}/norm2/bias"], axis=-1)
-        ffn_out = _ffn(normed2, self.params, f"layer{layer}/ffn")
-        return ad.add(x, ad.dropout(ffn_out, cfg.dropout, rng, train))
+        return self._ffn_sublayer(x, layer, train, rng)
 
     def trunk(self, values: np.ndarray, mask: np.ndarray, hours: np.ndarray,
               train: bool = False, rng=None) -> Tensor:
@@ -235,10 +255,7 @@ class BatModel:
 
     def pool_and_fuse(self, x: Tensor, statics: np.ndarray) -> Tensor:
         """Reduce over sensors and time, then append the static features."""
-        if self.cfg.pooling == "max":
-            pooled = ad.max_reduce(ad.max_reduce(x, axis=1), axis=1)
-        else:
-            pooled = ad.mean_reduce(ad.mean_reduce(x, axis=1), axis=1)
+        pooled = self._pool(self._pool(x, axis=1), axis=1)
         return ad.concat([pooled, ad.tensor(statics)], axis=1)
 
     def classify(self, values, mask, hours, statics,
@@ -258,65 +275,31 @@ class BatModel:
         already make them distinguishable).
         """
         x = self.trunk(values, mask, hours, train=train, rng=rng)
-        if self.cfg.pooling == "max":
-            pooled = ad.max_reduce(x, axis=2)     # (B, D, E)
-        else:
-            pooled = ad.mean_reduce(x, axis=2)
+        pooled = self._pool(x, axis=2)     # (B, D, E)
         return ad.affine(pooled, self.params["head_for/w"], self.params["head_for/b"])
 
 
-class TemporalTransformer:
+class TemporalTransformer(_ParamModel):
     """Vanilla temporal transformer over mean-imputed values; no mask input."""
 
-    def __init__(self, cfg: BatConfig, params: dict[str, Tensor]):
-        self.cfg = cfg
-        self.params = params
+    HEADS = {"head": "head_cls"}
+
+    # Kept in the class body: bench/probes.py times zero_grad by patching
+    # each model class's own __dict__.
+    zero_grad = _ParamModel.zero_grad
 
     @classmethod
-    def init(cls, cfg: BatConfig, rng: np.random.Generator) -> "TemporalTransformer":
+    def _init_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
         d, e, s = cfg.sensors_count, cfg.value_embed_size, cfg.static_count
-        w = e * FFN_WIDTH_FACTOR
         p: dict[str, np.ndarray] = {
             "embed/w": _xavier(rng, d, e),
             "embed/b": np.zeros(e),
         }
         for layer in range(cfg.layers):
-            base = f"layer{layer}/attn"
-            for mat in ("wq", "wk", "wv", "wo"):
-                p[f"{base}/{mat}"] = _xavier(rng, e, e)
-            for vec in ("bq", "bk", "bv", "bo"):
-                p[f"{base}/{vec}"] = np.zeros(e)
-            p[f"layer{layer}/norm1/gain"] = np.ones(e)
-            p[f"layer{layer}/norm1/bias"] = np.zeros(e)
-            p[f"layer{layer}/norm2/gain"] = np.ones(e)
-            p[f"layer{layer}/norm2/bias"] = np.zeros(e)
-            p[f"layer{layer}/ffn/w1"] = _xavier(rng, e, w)
-            p[f"layer{layer}/ffn/b1"] = np.zeros(w)
-            p[f"layer{layer}/ffn/w2"] = _xavier(rng, w, e)
-            p[f"layer{layer}/ffn/b2"] = np.zeros(e)
+            p.update(_layer_arrays(rng, layer, e, ("attn",)))
         p["head/w"] = _xavier(rng, e + s, 1)
         p["head/b"] = np.zeros(1)
-        return cls(cfg, {k: Tensor(v, requires_grad=True) for k, v in p.items()})
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def param_groups(self) -> dict[str, list[str]]:
-        head = [n for n in self.params if n.startswith("head/")]
-        trunk = [n for n in self.params if not n.startswith("head/")]
-        return {"trunk": trunk, "head_cls": head, "head_for": []}
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    @classmethod
-    def from_arrays(cls, cfg: BatConfig, arrays: dict) -> "TemporalTransformer":
-        return cls(cfg, {n: Tensor(np.array(a), requires_grad=True)
-                         for n, a in arrays.items()})
+        return p
 
     def classify(self, values, mask, hours, statics,
                  train: bool = False, rng=None) -> Tensor:
@@ -331,20 +314,16 @@ class TemporalTransformer:
         x = ad.add(x, ad.tensor(time_encoding(hours, e).reshape(1, t, e)))
         x = ad.reshape(x, (b, 1, t, e))
         for layer in range(self.cfg.layers):
-            normed = ad.layer_norm(x, self.params[f"layer{layer}/norm1/gain"],
-                                   self.params[f"layer{layer}/norm1/bias"], axis=-1)
-            att = _attention(normed, self.params, f"layer{layer}/attn",
-                             self.cfg.heads, self.cfg.attn_dropout, rng, train)
+            att = _attention(self._norm(x, f"layer{layer}/norm1"), self.params,
+                             f"layer{layer}/attn", self.cfg.heads,
+                             self.cfg.attn_dropout, rng, train)
             x = ad.add(x, ad.dropout(att, self.cfg.dropout, rng, train))
-            normed2 = ad.layer_norm(x, self.params[f"layer{layer}/norm2/gain"],
-                                    self.params[f"layer{layer}/norm2/bias"], axis=-1)
-            ffn_out = _ffn(normed2, self.params, f"layer{layer}/ffn")
-            x = ad.add(x, ad.dropout(ffn_out, self.cfg.dropout, rng, train))
-        x = ad.reshape(x, (b, t, e))
-        if self.cfg.pooling == "max":
-            pooled = ad.max_reduce(x, axis=1)
-        else:
-            pooled = ad.mean_reduce(x, axis=1)
+            x = self._ffn_sublayer(x, layer, train, rng)
+        pooled = self._pool(ad.reshape(x, (b, t, e)), axis=1)
         fused = ad.concat([pooled, ad.tensor(statics)], axis=1)
         logits = ad.affine(fused, self.params["head/w"], self.params["head/b"])
         return ad.sigmoid(ad.reshape(logits, (b,)))
+
+
+# checkpoint `meta["arch"]` and `finetune(arch=...)` name -> model class
+ARCHS = {"bat": BatModel, "transformer": TemporalTransformer}

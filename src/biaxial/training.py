@@ -26,23 +26,33 @@ from biaxial import data as dt
 from biaxial import metrics as mt
 from biaxial import sampler as sp
 from biaxial.autodiff import Tensor, backward
-from biaxial.model import BatConfig, BatModel, TemporalTransformer
+from biaxial.model import ARCHS, BatConfig, BatModel
 from biaxial.rng import substream
 
 logger = logging.getLogger(__name__)
 
-FINETUNE_MODES = ("finetune_full", "finetune_head", "scratch")
-GRID_VARIANTS = ("finetune_full", "finetune_head", "scratch_bat", "scratch_transformer")
-
 # dtype of every forward, backward and optimizer step run by an entry point
 COMPUTE_DTYPE = np.float32
 
-DEFAULT_VARIANT_LR = {
-    "finetune_full": 3e-4,
-    "finetune_head": 1e-2,
-    "scratch_bat": 1.5e-3,
-    "scratch_transformer": 1.5e-3,
+
+@dataclass(frozen=True)
+class Variant:
+    """How one grid variant trains: model class, fine-tuning mode, default lr."""
+    arch: str
+    mode: str
+    lr: float
+
+
+# The paper's comparison: a pretrained BAT fine-tuned in full or head-only,
+# and two supervised baselines trained from scratch.
+GRID_VARIANTS = {
+    "finetune_full": Variant("bat", "finetune_full", 3e-4),
+    "finetune_head": Variant("bat", "finetune_head", 1e-2),
+    "scratch_bat": Variant("bat", "scratch", 1.5e-3),
+    "scratch_transformer": Variant("transformer", "scratch", 1.5e-3),
 }
+
+FINETUNE_MODES = tuple(dict.fromkeys(v.mode for v in GRID_VARIANTS.values()))
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -202,6 +212,73 @@ class EarlyStopper:
 
 
 # ---------------------------------------------------------------------------
+# the epoch loop
+
+
+def _fit(model, optimizer: AdamW, items: list, train_cfg: TrainConfig, key: tuple,
+         step, val_loss) -> RunResult:
+    """The epoch loop shared by pretraining and fine-tuning.
+
+    Each epoch shuffles `items` with the ("order", *key, epoch) substream
+    and cuts them into batches. `step(batch, epoch, dropout_rng)` runs the
+    training forward and returns the loss tensor, or None for a batch it
+    skipped; the loop backpropagates and steps the optimizer at the
+    epoch's decayed lr. An epoch that skips over half its batches raises
+    TrainingError. `val_loss()` is taken after every epoch without a tape;
+    training stops early by the patience rule, and the returned parameters
+    are those of the epoch with the lowest validation loss.
+    """
+    seed = train_cfg.seed
+    stopper = EarlyStopper(train_cfg.patience, train_cfg.min_delta)
+    best_val = np.inf
+    best_epoch = -1
+    best_params = model.state_arrays()
+    train_curve, val_curve, lr_curve = [], [], []
+    stop_reason = "max_epochs"
+    for epoch in range(train_cfg.epochs):
+        lr = lr_at_epoch(train_cfg.learning_rate, train_cfg.lr_gamma, epoch)
+        order = substream(seed, "order", *key, epoch).permutation(len(items))
+        dropout_rng = substream(seed, "dropout", *key, epoch)
+        batches = list(_chunks([items[i] for i in order], train_cfg.batch_size))
+        losses = []
+        for batch in batches:
+            model.zero_grad()
+            loss = step(batch, epoch, dropout_rng)
+            if loss is None:
+                continue
+            backward(loss)
+            optimizer.step(lr)
+            losses.append(loss.item())
+        skipped = len(batches) - len(losses)
+        if skipped > 0.5 * len(batches):
+            raise TrainingError(
+                f"epoch {epoch}: over half the batches "
+                f"({skipped}/{len(batches)}) had no valid window")
+        with ad.no_grad():
+            val = val_loss()
+        train_curve.append(float(np.mean(losses)) if losses else np.nan)
+        val_curve.append(val)
+        lr_curve.append(lr)
+        if val < best_val:
+            best_val = val
+            best_epoch = epoch
+            best_params = model.state_arrays()
+        if stopper.update(val):
+            stop_reason = "early_stop"
+            break
+    return RunResult(
+        params=best_params,
+        train_curve=train_curve,
+        val_curve=val_curve,
+        lr_curve=lr_curve,
+        stop_epoch=len(val_curve),
+        best_epoch=best_epoch,
+        best_val=best_val,
+        stop_reason=stop_reason,
+    )
+
+
+# ---------------------------------------------------------------------------
 # batching helpers
 
 
@@ -219,11 +296,10 @@ def _classification_arrays(episodes):
 
 def _eval_bce(model, episodes, batch_size, pos_weight):
     total = 0.0
-    with ad.no_grad():
-        for batch in _chunks(episodes, batch_size):
-            values, mask, hours, statics, labels = _classification_arrays(batch)
-            probs = model.classify(values, mask, hours, statics)
-            total += mt.weighted_bce(probs, labels, pos_weight).item() * len(batch)
+    for batch in _chunks(episodes, batch_size):
+        values, mask, hours, statics, labels = _classification_arrays(batch)
+        probs = model.classify(values, mask, hours, statics)
+        total += mt.weighted_bce(probs, labels, pos_weight).item() * len(batch)
     return total / len(episodes)
 
 
@@ -271,62 +347,22 @@ def _train_one_fold(train_eps, val_eps, model_cfg, train_cfg, sampler_cfg, fold)
     optimizer = AdamW(model.params, train_cfg.learning_rate, train_cfg.weight_decay)
     val_windows = _fixed_validation_windows(
         val_eps, sampler_cfg, train_cfg.batch_size, substream(seed, "valwin", fold))
+    sampler_rng = functools.cache(lambda epoch: substream(seed, "sampler", fold, epoch))
 
-    stopper = EarlyStopper(train_cfg.patience, train_cfg.min_delta)
-    best_val = np.inf
-    best_epoch = -1
-    best_params = model.state_arrays()
-    train_curve, val_curve, lr_curve = [], [], []
-    stop_reason = "max_epochs"
-    for epoch in range(train_cfg.epochs):
-        lr = lr_at_epoch(train_cfg.learning_rate, train_cfg.lr_gamma, epoch)
-        order_rng = substream(seed, "order", fold, epoch)
-        sampler_rng = substream(seed, "sampler", fold, epoch)
-        dropout_rng = substream(seed, "dropout", fold, epoch)
-        order = order_rng.permutation(len(train_eps))
-        batches = list(_chunks([train_eps[i] for i in order], train_cfg.batch_size))
-        skipped = 0
-        losses = []
-        for batch in batches:
-            try:
-                split = sp.sample_window(batch, sampler_cfg, sampler_rng)
-            except sp.SamplerExhaustedError:
-                skipped += 1
-                logger.warning("fold %d epoch %d: skipping batch with no valid window",
-                               fold, epoch)
-                continue
-            model.zero_grad()
-            loss = _forecast_loss_on_split(model, split, train=True, rng=dropout_rng)
-            backward(loss)
-            optimizer.step(lr)
-            losses.append(loss.item())
-        if skipped > 0.5 * len(batches):
-            raise TrainingError(
-                f"fold {fold} epoch {epoch}: over half the batches "
-                f"({skipped}/{len(batches)}) had no valid window")
-        with ad.no_grad():
-            val_loss = float(np.mean([_forecast_loss_on_split(model, w).item()
-                                      for w in val_windows]))
-        train_curve.append(float(np.mean(losses)) if losses else np.nan)
-        val_curve.append(val_loss)
-        lr_curve.append(lr)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_params = model.state_arrays()
-        if stopper.update(val_loss):
-            stop_reason = "early_stop"
-            break
-    return RunResult(
-        params=best_params,
-        train_curve=train_curve,
-        val_curve=val_curve,
-        lr_curve=lr_curve,
-        stop_epoch=len(val_curve),
-        best_epoch=best_epoch,
-        best_val=best_val,
-        stop_reason=stop_reason,
-    )
+    def step(batch, epoch, dropout_rng):
+        try:
+            split = sp.sample_window(batch, sampler_cfg, sampler_rng(epoch))
+        except sp.SamplerExhaustedError:
+            logger.warning("fold %d epoch %d: skipping batch with no valid window",
+                           fold, epoch)
+            return None
+        return _forecast_loss_on_split(model, split, train=True, rng=dropout_rng)
+
+    def val_loss():
+        return float(np.mean([_forecast_loss_on_split(model, w).item()
+                              for w in val_windows]))
+
+    return _fit(model, optimizer, train_eps, train_cfg, (fold,), step, val_loss)
 
 
 @_in_compute_dtype
@@ -402,9 +438,10 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
         raise ValueError("scratch training does not take a pretrained checkpoint")
     if mode != "scratch" and pretrained is None:
         raise ValueError(f"mode {mode!r} requires a pretrained checkpoint")
-    if arch not in ("bat", "transformer"):
-        raise ValueError(f"arch must be 'bat' or 'transformer', got {arch!r}")
-    if arch == "transformer" and mode != "scratch":
+    if arch not in ARCHS:
+        raise ValueError(f"arch must be one of {tuple(ARCHS)}, got {arch!r}")
+    # pretraining produces bi-axial weights only
+    if ARCHS[arch] is not BatModel and mode != "scratch":
         raise ValueError("the temporal baseline is only trained from scratch")
 
     seed = train_cfg.seed
@@ -425,14 +462,11 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
     val_t = dt.transform_all(val_episodes, pp)
 
     if pretrained is not None:
-        model_cfg = pretrained["model_cfg"]
-        model = BatModel.from_arrays(model_cfg, pretrained["params"])
+        model = ARCHS[arch].from_arrays(pretrained["model_cfg"], pretrained["params"])
     else:
         if model_cfg is None:
             raise ValueError("scratch training requires a model config")
-        init_rng = substream(seed, "init", arch)
-        model = (BatModel.init(model_cfg, init_rng) if arch == "bat"
-                 else TemporalTransformer.init(model_cfg, init_rng))
+        model = ARCHS[arch].init(model_cfg, substream(seed, "init", arch))
 
     trainable = _freeze_set(model, mode)
     frozen_before = {n: model.params[n].data.copy()
@@ -444,57 +478,22 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
     pos_weight = (mt.pos_weight_for(labels_train)
                   if train_cfg.weighted_loss and labels_train.sum() > 0 else 1.0)
 
-    stopper = EarlyStopper(train_cfg.patience, train_cfg.min_delta)
-    best_val = np.inf
-    best_epoch = -1
-    best_params = model.state_arrays()
-    train_curve, val_curve, lr_curve = [], [], []
-    stop_reason = "max_epochs"
-    for epoch in range(train_cfg.epochs):
-        lr = lr_at_epoch(train_cfg.learning_rate, train_cfg.lr_gamma, epoch)
-        order = substream(seed, "order", epoch).permutation(len(train_t))
-        dropout_rng = substream(seed, "dropout", epoch)
-        losses = []
-        for batch in _chunks([train_t[i] for i in order], train_cfg.batch_size):
-            values, mask, hours, statics, labels = _classification_arrays(batch)
-            model.zero_grad()
-            probs = model.classify(values, mask, hours, statics,
-                                   train=True, rng=dropout_rng)
-            loss = mt.weighted_bce(probs, labels, pos_weight)
-            backward(loss)
-            optimizer.step(lr)
-            losses.append(loss.item())
-        val_loss = _eval_bce(model, val_t, train_cfg.batch_size, pos_weight)
-        train_curve.append(float(np.mean(losses)))
-        val_curve.append(val_loss)
-        lr_curve.append(lr)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_params = model.state_arrays()
-        if stopper.update(val_loss):
-            stop_reason = "early_stop"
-            break
+    def step(batch, epoch, dropout_rng):
+        values, mask, hours, statics, labels = _classification_arrays(batch)
+        probs = model.classify(values, mask, hours, statics,
+                               train=True, rng=dropout_rng)
+        return mt.weighted_bce(probs, labels, pos_weight)
+
+    result = _fit(model, optimizer, train_t, train_cfg, (), step,
+                  lambda: _eval_bce(model, val_t, train_cfg.batch_size, pos_weight))
 
     for name, before in frozen_before.items():
         if not np.array_equal(model.params[name].data, before):
             raise AssertionError(f"frozen parameter {name!r} changed during training")
 
-    result = RunResult(
-        params=best_params,
-        train_curve=train_curve,
-        val_curve=val_curve,
-        lr_curve=lr_curve,
-        stop_epoch=len(val_curve),
-        best_epoch=best_epoch,
-        best_val=best_val,
-        stop_reason=stop_reason,
-        preprocessor=pp,
-    )
+    result.preprocessor = pp
     if test_episodes:
-        best_model = (BatModel.from_arrays(model.cfg, best_params)
-                      if isinstance(model, BatModel)
-                      else TemporalTransformer.from_arrays(model.cfg, best_params))
+        best_model = type(model).from_arrays(model.cfg, result.params)
         test_t = dt.transform_all(test_episodes, pp)
         probs = predict_probs(best_model, test_t, train_cfg.batch_size)
         result.metrics = mt.evaluate_probs(
@@ -538,13 +537,32 @@ class GridConfig:
     sizes: list
     seeds: list
     variants: list = field(default_factory=lambda: list(GRID_VARIANTS))
-    learning_rates: dict = field(default_factory=lambda: dict(DEFAULT_VARIANT_LR))
+    learning_rates: dict = field(
+        default_factory=lambda: {name: v.lr for name, v in GRID_VARIANTS.items()})
     jobs: int = 1
 
     def __post_init__(self):
         for v in self.variants:
             if v not in GRID_VARIANTS:
                 raise ValueError(f"unknown grid variant {v!r}")
+
+    def pretrained_variants(self) -> list:
+        """The variants of this grid that need a pretrained checkpoint, sorted."""
+        return sorted(v for v in self.variants if GRID_VARIANTS[v].mode != "scratch")
+
+
+def train_variant(variant: str, checkpoint: dict | None, ds: dt.Dataset,
+                  train_cfg: TrainConfig, model_cfg: BatConfig, grid: GridConfig,
+                  val_episodes: list | None = None,
+                  test_episodes: list | None = None) -> RunResult:
+    """`finetune` one grid variant at the grid's learning rate for it; the
+    checkpoint is used only by the variants that fine-tune it."""
+    v = GRID_VARIANTS[variant]
+    cfg = replace(train_cfg, learning_rate=grid.learning_rates.get(
+        variant, train_cfg.learning_rate))
+    return finetune(checkpoint if v.mode != "scratch" else None, ds, v.mode, cfg,
+                    model_cfg=model_cfg, val_episodes=val_episodes,
+                    test_episodes=test_episodes, arch=v.arch)
 
 
 def _cell_seed(base_seed: int, size: int, rep: int, variant: str) -> int:
@@ -572,40 +590,20 @@ def _run_cell(args):
 def _run_cell_inner(size, rep, variant):
     ctx = _GRID_CONTEXT
     pool_ds = ctx["pool_ds"]
-    train_cfg: TrainConfig = ctx["train_cfg"]
-    grid: GridConfig = ctx["grid"]
-    cell_cfg = replace(
-        train_cfg,
-        seed=_cell_seed(train_cfg.seed, size, rep, variant),
-        learning_rate=grid.learning_rates.get(variant, train_cfg.learning_rate),
-    )
+    cell_cfg = replace(ctx["train_cfg"],
+                       seed=_cell_seed(ctx["train_cfg"].seed, size, rep, variant))
     sub = dt.subsample_preserving_prevalence(pool_ds, size, seed=cell_cfg.seed)
     train_eps, val_eps = stratified_split(
         list(sub.episodes), 0.2, substream(cell_cfg.seed, "holdout"))
     cell_train = dt.Dataset.from_episodes(pool_ds.name, train_eps,
                                           sensors=pool_ds.sensors)
-    if variant == "finetune_full":
-        result = finetune(ctx["checkpoint"], cell_train, "finetune_full", cell_cfg,
-                          val_episodes=val_eps, test_episodes=ctx["test_eps"])
-        model_name, mode = "bat", "finetune_full"
-    elif variant == "finetune_head":
-        result = finetune(ctx["checkpoint"], cell_train, "finetune_head", cell_cfg,
-                          val_episodes=val_eps, test_episodes=ctx["test_eps"])
-        model_name, mode = "bat", "finetune_head"
-    elif variant == "scratch_bat":
-        result = finetune(None, cell_train, "scratch", cell_cfg,
-                          model_cfg=ctx["model_cfg"], val_episodes=val_eps,
-                          test_episodes=ctx["test_eps"], arch="bat")
-        model_name, mode = "bat", "scratch"
-    else:
-        result = finetune(None, cell_train, "scratch", cell_cfg,
-                          model_cfg=ctx["model_cfg"], val_episodes=val_eps,
-                          test_episodes=ctx["test_eps"], arch="transformer")
-        model_name, mode = "transformer", "scratch"
+    result = train_variant(variant, ctx["checkpoint"], cell_train, cell_cfg,
+                           ctx["model_cfg"], ctx["grid"], val_episodes=val_eps,
+                           test_episodes=ctx["test_eps"])
     return {
         "dataset": ctx["dataset_name"],
-        "model": model_name,
-        "mode": mode,
+        "model": GRID_VARIANTS[variant].arch,
+        "mode": GRID_VARIANTS[variant].mode,
         "size": size,
         "seed": rep,
         "fold": 0,
@@ -624,9 +622,9 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     UndefinedMetricError) are skipped with a warning; any other error
     propagates. Returns (per-run rows, aggregate rows).
     """
-    needs_ckpt = {"finetune_full", "finetune_head"} & set(grid.variants)
+    needs_ckpt = grid.pretrained_variants()
     if needs_ckpt and checkpoint is None:
-        raise ValueError(f"variants {sorted(needs_ckpt)} require a checkpoint")
+        raise ValueError(f"variants {needs_ckpt} require a checkpoint")
     plan = dt.make_splits(ds, train_cfg.seed)
     test_eps = dt.select_episodes(ds, plan.test_ids)
     pool_eps = dt.select_episodes(ds, plan.pool_ids())

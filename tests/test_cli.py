@@ -7,7 +7,9 @@ import pytest
 
 from biaxial import cli
 from biaxial import data as dt
+from biaxial import training as tr
 from biaxial.config import ConfigError, load_config
+from biaxial.model import BatModel, TemporalTransformer
 
 
 def run_cli(*argv):
@@ -235,6 +237,16 @@ class TestFinetune:
                        "--out", str(tmp_path / "z"))
         assert code == 1
 
+    def test_bad_save_model_fails_before_the_grid(self, small_dataset_dir,
+                                                  pretrain_out, tmp_path):
+        out = tmp_path / "typo"
+        ckpt = os.path.join(pretrain_out, "checkpoint.bax")
+        code = run_cli(*self._finetune_args(
+            small_dataset_dir, ckpt, out, ("--set", "grid.save_model=finetune_ful")))
+        assert code == 1
+        assert not (out / "runs.csv").exists()
+        assert not (out / "config.ini").exists()
+
     def test_scratch_only_grid_needs_no_checkpoint(self, small_dataset_dir,
                                                    tmp_path):
         out = tmp_path / "scratch"
@@ -293,6 +305,43 @@ class TestEvaluate:
                        "--data", str(tmp_path / "missing"),
                        "--out", str(tmp_path / "e"))
         assert code == 1
+
+    @pytest.mark.parametrize("variant", ["finetune_full", "finetune_head",
+                                         "scratch_bat", "scratch_transformer"])
+    def test_saved_model_of_each_variant_evaluates(self, small_dataset_dir,
+                                                   pretrain_out, tmp_path,
+                                                   monkeypatch, variant):
+        arch, model_cls = (("transformer", TemporalTransformer)
+                           if variant == "scratch_transformer" else ("bat", BatModel))
+        code = run_cli("finetune", "--data", small_dataset_dir,
+                       "--checkpoint", os.path.join(pretrain_out, "checkpoint.bax"),
+                       "--out", str(tmp_path / "ft"), "--seed", "4",
+                       "--set", "train.epochs=1",
+                       "--set", "train.batch_size=32",
+                       "--set", "grid.sizes=40",
+                       "--set", "grid.seeds=0",
+                       "--set", f"grid.variants={variant}",
+                       "--set", f"grid.save_model={variant}")
+        assert code == 0
+        model_path = str(tmp_path / "ft" / "model.bax")
+        meta = tr.load_checkpoint(model_path)["meta"]
+        assert (meta["arch"], meta["variant"]) == (arch, variant)
+
+        loaded = []
+        real = tr.predict_probs
+
+        def spy(model, *args, **kwargs):
+            loaded.append(type(model))
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "predict_probs", spy)
+        code = run_cli("evaluate", "--checkpoint", model_path,
+                       "--data", small_dataset_dir,
+                       "--out", str(tmp_path / "ev"), "--seed", "4")
+        assert code == 0
+        assert loaded == [model_cls]
+        rows = open(tmp_path / "ev" / "evaluate.csv").read().splitlines()
+        assert len(rows) == 1 + 1
 
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1

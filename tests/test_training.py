@@ -315,13 +315,32 @@ class TestFinetune:
         assert r1.train_curve == r2.train_curve
         assert r1.val_curve == r2.val_curve
 
-    def test_never_trains_past_epochs_and_best_is_min(self, mortality_ds):
-        cfg = tiny_train_cfg(epochs=3)
-        result = tr.finetune(None, mortality_ds, "scratch", cfg,
-                             model_cfg=tiny_model_cfg())
-        assert result.stop_epoch <= cfg.epochs
-        assert result.best_val == min(result.val_curve)
-        assert result.lr_curve[0] == cfg.learning_rate
+    def test_never_trains_past_epochs_and_best_is_min(self, mortality_ds,
+                                                      pooled_pretrain_ds):
+        results = []
+        for patience in (1, 3):
+            # a high lr makes the validation curves bounce, so early stops and
+            # best epochs before the last one both occur
+            cfg = tiny_train_cfg(epochs=5, patience=patience, min_delta=0.3,
+                                 learning_rate=3e-2)
+            results.append((cfg, tr.finetune(None, mortality_ds, "scratch", cfg,
+                                             model_cfg=tiny_model_cfg())))
+            folds = tr.pretrain(pooled_pretrain_ds, tiny_model_cfg(), cfg,
+                                SamplerConfig(), n_folds=2).fold_results
+            results += [(cfg, fold) for fold in folds]
+        for cfg, result in results:
+            assert result.stop_epoch == len(result.val_curve) <= cfg.epochs
+            assert result.best_val == min(result.val_curve)
+            assert result.best_epoch == int(np.argmin(result.val_curve))
+            assert result.lr_curve[0] == cfg.learning_rate
+            assert result.lr_curve == [tr.lr_at_epoch(cfg.learning_rate, cfg.lr_gamma, k)
+                                       for k in range(result.stop_epoch)]
+            stopped = tr.early_stop_check(result.val_curve, cfg.patience,
+                                          cfg.min_delta) == "stop"
+            assert (result.stop_reason == "early_stop") == stopped
+            if stopped and len(result.val_curve) > 1:  # stops at the first "stop"
+                assert tr.early_stop_check(result.val_curve[:-1], cfg.patience,
+                                           cfg.min_delta) == "continue"
 
     def test_scratch_with_shuffled_labels_is_chance_level(self):
         base = dt.generate_synthetic(620, prevalence=0.25, mean_stay_hours=40,
