@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -25,6 +24,7 @@ from biaxial.model import ARCHS
 
 logger = logging.getLogger("biaxial")
 
+METRIC_CSV_FIELDS = ["dataset", "model", "mode", "size", "seed", "fold", "auc_roc", "auc_pr"]
 AGGREGATE_FIELDS = ["dataset", "model", "mode", "size", "n_seeds", "mean_auc_pr",
                     "sd_auc_pr", "mean_auc_roc", "sd_auc_roc", "rank_auc_pr"]
 EVALUATE_FIELDS = ["checkpoint", "dataset", "auc_roc", "auc_pr", "n_pos", "n_neg",
@@ -35,17 +35,14 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
-def _write_csv(path, fieldnames, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[f]) for f in fieldnames])
+def _write_rows(path, fields, rows):
+    """Write dict rows as a CSV table with the given columns."""
+    dt.write_table(path, fields, ([_fmt(row[f]) for f in fields] for row in rows))
 
 
 def _echo_config(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.ini"), "w") as fh:
+    with dt.open_output(os.path.join(out_dir, "config.ini")) as fh:
         fh.write(cfg.to_ini())
 
 
@@ -94,14 +91,14 @@ def cmd_pretrain(cfg) -> int:
     result = tr.pretrain(pooled, cfg.model_cfg(), cfg.train_cfg(), cfg.sampler_cfg())
 
     for fold, run in enumerate(result.fold_results):
-        with open(os.path.join(out_dir, f"fold{fold}.log"), "w") as fh:
+        with dt.open_output(os.path.join(out_dir, f"fold{fold}.log")) as fh:
             for epoch, (trn, val, lr) in enumerate(
                     zip(run.train_curve, run.val_curve, run.lr_curve)):
                 fh.write(f"epoch {epoch} train {_fmt(trn)} val {_fmt(val)} "
                          f"lr {_fmt(lr)}\n")
             fh.write(f"stop_epoch {run.stop_epoch} best_epoch {run.best_epoch} "
                      f"best_val {_fmt(run.best_val)} reason {run.stop_reason}\n")
-    with open(os.path.join(out_dir, "pretrain.log"), "w") as fh:
+    with dt.open_output(os.path.join(out_dir, "pretrain.log")) as fh:
         for fold, run in enumerate(result.fold_results):
             fh.write(f"fold {fold} best_val_masked_mse {_fmt(run.best_val)}\n")
         fh.write(f"selected fold {result.selected_fold} with the lowest masked "
@@ -135,7 +132,8 @@ def cmd_finetune(cfg) -> int:
     save_variant = cfg["grid"]["save_model"]
     if save_variant and save_variant not in tr.GRID_VARIANTS:
         raise ConfigError(f"grid.save_model must be one of {tuple(tr.GRID_VARIANTS)}")
-    needs_ckpt = grid.pretrained_variants()
+    needs_ckpt = tr.pretrained_variants(
+        [*grid.variants, save_variant] if save_variant else grid.variants)
     ckpt_path = cfg["data"]["checkpoint"]
     if needs_ckpt and not ckpt_path:
         raise ConfigError(f"variants {needs_ckpt} need data.checkpoint")
@@ -151,8 +149,8 @@ def cmd_finetune(cfg) -> int:
                 ds.name, len(ds))
     rows, aggregates = tr.run_experiment_grid(
         ds, checkpoint, model_cfg, cfg.train_cfg(), grid)
-    mt.write_metric_rows(os.path.join(out_dir, "runs.csv"), rows)
-    _write_csv(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
+    _write_rows(os.path.join(out_dir, "runs.csv"), METRIC_CSV_FIELDS, rows)
+    _write_rows(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")
 
     if save_variant:
@@ -213,7 +211,7 @@ def cmd_evaluate(cfg) -> int:
                 "n_neg": report.n_neg,
                 "prevalence": report.prevalence,
             })
-    _write_csv(os.path.join(out_dir, "evaluate.csv"), EVALUATE_FIELDS, rows)
+    _write_rows(os.path.join(out_dir, "evaluate.csv"), EVALUATE_FIELDS, rows)
     for row in rows:
         print(f"{row['checkpoint']} on {row['dataset']}: "
               f"auc_roc={row['auc_roc']:.4f} auc_pr={row['auc_pr']:.4f}")
@@ -318,8 +316,7 @@ def main(argv=None) -> int:
     except mt.UndefinedMetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, dt.SchemaError, dt.ParseError, ValueError,
-            FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError, SchemaError, ParseError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures

@@ -172,7 +172,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
               for section, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():

@@ -6,11 +6,9 @@ demographics and an optional mortality label. The canonical schema has
 48 time-varying sensors and 4 statics; smaller experiments use a prefix
 of the sensor list.
 
-On-disk format (UTF-8, '.' decimals, no thousands separators):
-
-    measurements.csv  patient_id,hour,sensor,value
-    statics.csv       patient_id,age,female,height_cm,weight_kg,stay_hours
-    labels.csv        patient_id,mortality
+On disk a dataset is three UTF-8 CSV tables ('.' decimals, no thousands
+separators): measurements.csv, statics.csv and labels.csv, whose headers
+are MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER.
 
 Sensor names are lowercase with underscores for spaces; parenthesised
 qualifiers and unit symbols are folded in (e.g. "bilirubin_direct",
@@ -21,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,6 +82,10 @@ SENSOR_SCHEMA = (
 
 STATIC_SCHEMA = ("age", "female", "height_cm", "weight_kg")
 
+MEASUREMENTS_HEADER = ("patient_id", "hour", "sensor", "value")
+STATICS_HEADER = ("patient_id", *STATIC_SCHEMA, "stay_hours")
+LABELS_HEADER = ("patient_id", "mortality")
+
 VITAL_SENSORS = frozenset({
     "heart_rate",
     "blood_pressure_systolic",
@@ -125,7 +128,6 @@ class EpisodeRecord:
     patient_id: str
     values: np.ndarray          # (D, T) float64
     mask: np.ndarray            # (D, T) bool, true = observed
-    hours: np.ndarray           # (T,) float64, 0..T-1 after resampling
     statics: np.ndarray         # (S,) float64: age, female, height_cm, weight_kg
     stay_hours: float
     label: int | None = None
@@ -143,7 +145,6 @@ class EpisodeRecord:
             patient_id=self.patient_id,
             values=self.values.copy(),
             mask=self.mask.copy(),
-            hours=self.hours.copy(),
             statics=self.statics.copy(),
             stay_hours=self.stay_hours,
             label=self.label,
@@ -161,24 +162,15 @@ class Dataset:
     @classmethod
     def from_episodes(cls, name: str, episodes: list,
                       sensors: tuple = SENSOR_SCHEMA) -> "Dataset":
+        labeled = [ep.label for ep in episodes if ep.label is not None]
         return cls(name=name, episodes=list(episodes), sensors=tuple(sensors),
-                   prevalence=_prevalence_of(episodes))
+                   prevalence=float(np.mean(labeled)) if labeled else None)
 
     def __len__(self) -> int:
         return len(self.episodes)
 
     def labels(self) -> np.ndarray:
         return np.array([-1 if ep.label is None else ep.label for ep in self.episodes])
-
-    def recomputed_prevalence(self) -> float | None:
-        return _prevalence_of(self.episodes)
-
-
-def _prevalence_of(episodes) -> float | None:
-    labeled = [ep.label for ep in episodes if ep.label is not None]
-    if not labeled:
-        return None
-    return float(np.mean(labeled))
 
 
 @dataclass
@@ -223,9 +215,42 @@ class SplitPlan:
 # file ingestion
 
 
-def _open_rows(path):
-    fh = open(path, "r", encoding="utf-8", newline="")
-    return fh, csv.reader(fh)
+def read_table(path, header, empty_ok: bool = False):
+    """Yield (line number, row) for each non-blank row of a UTF-8 CSV table.
+
+    The first line must be `header` and every row must have one field per
+    header column; anything else raises ParseError("path:line: ...").
+    With empty_ok, a file with no lines at all is an empty table.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        first = next(rows, None)
+        if first is None and empty_ok:
+            return
+        if first != list(header):
+            raise ParseError(f"{path}:1: expected header {','.join(header)}")
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+
+def open_output(path):
+    """Open a text file for writing as UTF-8 with '\n' line ends. Bytes that
+    a non-UTF-8 locale decoded to lone surrogates (in command-line arguments
+    and file names) are written back unchanged."""
+    return open(path, "w", encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: `header`, then each row's cells as given."""
+    with open_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_dataset(measurements_path, statics_path, labels_path=None,
@@ -235,7 +260,7 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
     Duplicate (patient, sensor, hour) cells resolve last-write-wins with a
     logged warning; a row that moves backwards in time for the same patient
     and sensor is a parse error. labels_path may be omitted for unlabeled
-    cohorts.
+    cohorts, and an empty measurements file has no observations.
     """
     sensors = tuple(sensors)
     unknown = set(sensors) - set(SENSOR_SCHEMA)
@@ -245,84 +270,57 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
 
     statics: dict[str, tuple[np.ndarray, float]] = {}
     order: list[str] = []
-    fh, rows = _open_rows(statics_path)
-    with fh:
-        header = next(rows, None)
-        expected = ["patient_id", "age", "female", "height_cm", "weight_kg", "stay_hours"]
-        if header != expected:
-            raise ParseError(f"{statics_path}:1: expected header {','.join(expected)}")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"{statics_path}:{lineno}: expected 6 fields, got {len(row)}")
-            pid = row[0]
-            try:
-                vals = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{statics_path}:{lineno}: {exc}") from None
-            if pid in statics:
-                raise ParseError(f"{statics_path}:{lineno}: duplicate patient_id {pid!r}")
-            statics[pid] = (np.array(vals[:4], dtype=np.float64), vals[4])
-            order.append(pid)
+    for lineno, (pid, *fields) in read_table(statics_path, STATICS_HEADER):
+        try:
+            vals = [float(x) for x in fields]
+        except ValueError as exc:
+            raise ParseError(f"{statics_path}:{lineno}: {exc}") from None
+        if pid in statics:
+            raise ParseError(f"{statics_path}:{lineno}: duplicate patient_id {pid!r}")
+        statics[pid] = (np.array(vals[:4], dtype=np.float64), vals[4])
+        order.append(pid)
 
     labels: dict[str, int] = {}
     if labels_path is not None:
-        fh, rows = _open_rows(labels_path)
-        with fh:
-            header = next(rows, None)
-            if header != ["patient_id", "mortality"]:
-                raise ParseError(f"{labels_path}:1: expected header patient_id,mortality")
-            for lineno, row in enumerate(rows, start=2):
-                if not row:
-                    continue
-                if len(row) != 2 or row[1] not in ("0", "1"):
-                    raise ParseError(f"{labels_path}:{lineno}: mortality must be 0 or 1")
-                labels[row[0]] = int(row[1])
+        for lineno, (pid, mortality) in read_table(labels_path, LABELS_HEADER):
+            if mortality not in ("0", "1"):
+                raise ParseError(f"{labels_path}:{lineno}: mortality must be 0 or 1")
+            labels[pid] = int(mortality)
 
     cells: dict[str, dict[tuple[int, int], float]] = {pid: {} for pid in statics}
     last_hour: dict[tuple[str, int], int] = {}
     max_hour: dict[str, int] = {}
-    fh, rows = _open_rows(measurements_path)
-    with fh:
-        header = next(rows, None)
-        if header is not None and header != ["patient_id", "hour", "sensor", "value"]:
-            raise ParseError(f"{measurements_path}:1: expected header patient_id,hour,sensor,value")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"{measurements_path}:{lineno}: expected 4 fields, got {len(row)}")
-            pid, hour_s, sensor, value_s = row
-            if sensor not in sensor_index:
-                raise SchemaError(
-                    f"{measurements_path}:{lineno}: unknown sensor {sensor!r}"
-                )
-            try:
-                hour = int(hour_s)
-                value = float(value_s)
-            except ValueError as exc:
-                raise ParseError(f"{measurements_path}:{lineno}: {exc}") from None
-            if hour < 0:
-                raise ParseError(f"{measurements_path}:{lineno}: negative hour {hour}")
-            if pid not in statics:
-                raise SchemaError(
-                    f"{measurements_path}:{lineno}: patient {pid!r} missing from statics"
-                )
-            d = sensor_index[sensor]
-            key = (pid, d)
-            prev = last_hour.get(key)
-            if prev is not None and hour < prev:
-                raise ParseError(
-                    f"{measurements_path}:{lineno}: non-monotone timestamp for "
-                    f"({pid}, {sensor}): hour {hour} after hour {prev}"
-                )
-            if prev is not None and hour == prev:
-                logger.warning("%s:%d: duplicate cell (%s, %s, %d); keeping the later value",
-                               measurements_path, lineno, pid, sensor, hour)
-            last_hour[key] = hour
-            cells[pid][(d, hour)] = value
-            max_hour[pid] = max(max_hour.get(pid, -1), hour)
+    for lineno, (pid, hour_s, sensor, value_s) in read_table(
+            measurements_path, MEASUREMENTS_HEADER, empty_ok=True):
+        if sensor not in sensor_index:
+            raise SchemaError(
+                f"{measurements_path}:{lineno}: unknown sensor {sensor!r}"
+            )
+        try:
+            hour = int(hour_s)
+            value = float(value_s)
+        except ValueError as exc:
+            raise ParseError(f"{measurements_path}:{lineno}: {exc}") from None
+        if hour < 0:
+            raise ParseError(f"{measurements_path}:{lineno}: negative hour {hour}")
+        if pid not in statics:
+            raise SchemaError(
+                f"{measurements_path}:{lineno}: patient {pid!r} missing from statics"
+            )
+        d = sensor_index[sensor]
+        key = (pid, d)
+        prev = last_hour.get(key)
+        if prev is not None and hour < prev:
+            raise ParseError(
+                f"{measurements_path}:{lineno}: non-monotone timestamp for "
+                f"({pid}, {sensor}): hour {hour} after hour {prev}"
+            )
+        if prev is not None and hour == prev:
+            logger.warning("%s:%d: duplicate cell (%s, %s, %d); keeping the later value",
+                           measurements_path, lineno, pid, sensor, hour)
+        last_hour[key] = hour
+        cells[pid][(d, hour)] = value
+        max_hour[pid] = max(max_hour.get(pid, -1), hour)
 
     episodes = []
     for pid in order:
@@ -337,7 +335,6 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
             patient_id=pid,
             values=values,
             mask=mask,
-            hours=np.arange(t_len, dtype=np.float64),
             statics=stat_vec,
             stay_hours=stay,
             label=labels.get(pid),
@@ -347,37 +344,28 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
 
 def write_dataset_csvs(ds: Dataset, out_dir) -> None:
     """Write measurements/statics/labels CSVs; deterministic row order."""
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "measurements.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["patient_id", "hour", "sensor", "value"])
+    def measurement_rows():
         for ep in ds.episodes:
             d_idx, t_idx = np.nonzero(ep.mask)
-            for d, t in zip(d_idx.tolist(), t_idx.tolist()):
-                w.writerow([ep.patient_id, t, ds.sensors[d], f"{ep.values[d, t]:.4f}"])
-    with open(os.path.join(out_dir, "statics.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["patient_id", "age", "female", "height_cm", "weight_kg", "stay_hours"])
-        for ep in ds.episodes:
-            age, female, height, weight = ep.statics
-            w.writerow([ep.patient_id, f"{age:.1f}", int(female), f"{height:.1f}",
-                        f"{weight:.1f}", int(ep.stay_hours)])
-    labeled = [ep for ep in ds.episodes if ep.label is not None]
+            for d, t, value in zip(d_idx.tolist(), t_idx.tolist(),
+                                   ep.values[d_idx, t_idx].tolist()):
+                yield ep.patient_id, t, ds.sensors[d], f"{value:.4f}"
+
+    os.makedirs(out_dir, exist_ok=True)
+    write_table(os.path.join(out_dir, "measurements.csv"), MEASUREMENTS_HEADER,
+                measurement_rows())
+    write_table(os.path.join(out_dir, "statics.csv"), STATICS_HEADER, (
+        (ep.patient_id, f"{ep.statics[0]:.1f}", int(ep.statics[1]),
+         f"{ep.statics[2]:.1f}", f"{ep.statics[3]:.1f}", int(ep.stay_hours))
+        for ep in ds.episodes))
+    labeled = [(ep.patient_id, ep.label) for ep in ds.episodes if ep.label is not None]
     if labeled:
-        with open(os.path.join(out_dir, "labels.csv"), "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["patient_id", "mortality"])
-            for ep in labeled:
-                w.writerow([ep.patient_id, ep.label])
+        write_table(os.path.join(out_dir, "labels.csv"), LABELS_HEADER, labeled)
 
 
 def load_dataset_dir(path, name: str | None = None,
                      sensors: tuple = SENSOR_SCHEMA) -> Dataset:
     """Load the measurements/statics/labels triple from one directory."""
-    import os
-
     labels = os.path.join(path, "labels.csv")
     return load_dataset(
         os.path.join(path, "measurements.csv"),
@@ -432,7 +420,6 @@ def apply_exclusions(ds: Dataset, task: str) -> Dataset:
                 patient_id=ep.patient_id,
                 values=ep.values[:, :t_cut].copy(),
                 mask=ep.mask[:, :t_cut].copy(),
-                hours=ep.hours[:t_cut].copy(),
                 statics=ep.statics.copy(),
                 stay_hours=ep.stay_hours,
                 label=ep.label,
@@ -509,7 +496,6 @@ def transform(ep: EpisodeRecord, pp: PreprocessorState) -> EpisodeRecord:
         patient_id=ep.patient_id,
         values=standardized,
         mask=ep.mask.copy(),
-        hours=ep.hours.copy(),
         statics=(ep.statics - pp.static_mean) / pp.static_std,
         stay_hours=ep.stay_hours,
         label=ep.label,
@@ -729,7 +715,6 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
             patient_id=f"p{i:06d}",
             values=values,
             mask=mask,
-            hours=np.arange(t_len, dtype=np.float64),
             statics=np.array([age, female, height, weight]),
             stay_hours=float(stay),
             label=0,

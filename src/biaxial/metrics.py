@@ -6,7 +6,6 @@ metrics are plain numpy evaluation code.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,6 @@ from biaxial import autodiff as ad
 from biaxial.autodiff import Tensor
 
 PROB_CLAMP = 1e-7
-
-METRIC_CSV_FIELDS = ["dataset", "model", "mode", "size", "seed", "fold", "auc_roc", "auc_pr"]
 
 
 class UndefinedMetricError(ValueError):
@@ -155,14 +152,3 @@ def evaluate_probs(probs, labels) -> MetricReport:
         prevalence=n_pos / max(n_pos + n_neg, 1),
     )
 
-
-def write_metric_rows(path, rows: list[dict]) -> None:
-    """Serialize metric rows with the canonical column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            out["auc_roc"] = repr(float(row["auc_roc"]))
-            out["auc_pr"] = repr(float(row["auc_pr"]))
-            writer.writerow(out)

@@ -129,7 +129,3 @@ def sample_window(batch: list, cfg: SamplerConfig,
         statics=statics,
     )
 
-
-def sparsity_check(split: WindowSplit) -> bool:
-    """True iff the observation window contains at least one observed cell."""
-    return bool(split.obs_mask.any())

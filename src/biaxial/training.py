@@ -546,9 +546,10 @@ class GridConfig:
             if v not in GRID_VARIANTS:
                 raise ValueError(f"unknown grid variant {v!r}")
 
-    def pretrained_variants(self) -> list:
-        """The variants of this grid that need a pretrained checkpoint, sorted."""
-        return sorted(v for v in self.variants if GRID_VARIANTS[v].mode != "scratch")
+
+def pretrained_variants(variants) -> list:
+    """The given variants that need a pretrained checkpoint, sorted."""
+    return sorted({v for v in variants if GRID_VARIANTS[v].mode != "scratch"})
 
 
 def train_variant(variant: str, checkpoint: dict | None, ds: dt.Dataset,
@@ -622,7 +623,7 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     UndefinedMetricError) are skipped with a warning; any other error
     propagates. Returns (per-run rows, aggregate rows).
     """
-    needs_ckpt = grid.pretrained_variants()
+    needs_ckpt = pretrained_variants(grid.variants)
     if needs_ckpt and checkpoint is None:
         raise ValueError(f"variants {needs_ckpt} require a checkpoint")
     plan = dt.make_splits(ds, train_cfg.seed)

@@ -1,6 +1,8 @@
 """End-to-end CLI tests: config handling, artifacts, determinism, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,13 +179,13 @@ class TestPretrain:
                        "--sensors-count", "6", "--seed", "13",
                        "--name", "heldout", "--out", str(held_out)) == 0
         opened = []
-        real = dt._open_rows
+        real = dt.read_table
 
-        def spy(path):
+        def spy(path, *args, **kwargs):
             opened.append(str(path))
-            return real(path)
+            return real(path, *args, **kwargs)
 
-        monkeypatch.setattr(dt, "_open_rows", spy)
+        monkeypatch.setattr(dt, "read_table", spy)
         out = tmp_path / "pt"
         assert run_cli("pretrain", "--data", small_dataset_dir,
                        "--out", str(out), "--seed", "1",
@@ -246,6 +248,36 @@ class TestFinetune:
         assert code == 1
         assert not (out / "runs.csv").exists()
         assert not (out / "config.ini").exists()
+
+    def test_save_model_needing_a_checkpoint_fails_before_the_grid(
+            self, small_dataset_dir, tmp_path):
+        out = tmp_path / "nockpt"
+        code = run_cli("finetune", "--data", small_dataset_dir,
+                       "--out", str(out), "--seed", "2",
+                       "--set", "model.sensors_count=6",
+                       "--set", "model.value_embed_size=8",
+                       "--set", "model.layers=1",
+                       "--set", "train.epochs=1",
+                       "--set", "train.batch_size=32",
+                       "--set", "grid.sizes=40",
+                       "--set", "grid.seeds=0",
+                       "--set", "grid.variants=scratch_bat",
+                       "--set", "grid.save_model=finetune_full")
+        assert code == 1
+        assert not (out / "runs.csv").exists()
+        assert not (out / "config.ini").exists()
+
+    def test_two_jobs_write_the_same_csvs_as_one(self, small_dataset_dir,
+                                                  pretrain_out, tmp_path):
+        ckpt = os.path.join(pretrain_out, "checkpoint.bax")
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run_cli(*self._finetune_args(small_dataset_dir, ckpt, one,
+                                            ("--jobs", "1"))) == 0
+        assert run_cli(*self._finetune_args(small_dataset_dir, ckpt, two,
+                                            ("--jobs", "2"))) == 0
+        assert len(read(one / "runs.csv").splitlines()) == 1 + 4
+        for fn in ("runs.csv", "aggregate.csv"):
+            assert read(one / fn) == read(two / fn)
 
     def test_scratch_only_grid_needs_no_checkpoint(self, small_dataset_dir,
                                                    tmp_path):
@@ -345,3 +377,53 @@ class TestEvaluate:
 
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1
+
+
+def test_ascii_locale_pipeline_writes_utf8(tmp_path):
+    """generate -> pretrain -> finetune -> evaluate in subprocesses under an
+    ASCII locale, with a non-ASCII dataset name and directories. Every text
+    artifact must be UTF-8, and any open() that falls back to the locale's
+    encoding is an error (EncodingWarning)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
+
+    def biaxial(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "biaxial.cli", *map(str, argv)],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+
+    root = tmp_path / "données"
+    data, pre, ft, ev = (root / "séjours", root / "prétrain", root / "réglage",
+                         root / "évaluation")
+    biaxial("generate", "--n", "60", "--prevalence", "0.2", "--sensors-count", "4",
+            "--name", "café", "--seed", "3", "--out", data,
+            "--set", "data.mean_stay_hours=40")
+    biaxial("pretrain", "--data", data, "--out", pre, "--seed", "1",
+            "--set", "model.sensors_count=4", "--set", "model.value_embed_size=8",
+            "--set", "model.layers=1", "--set", "train.epochs=1",
+            "--set", "train.batch_size=32")
+    biaxial("finetune", "--data", data, "--checkpoint", pre / "checkpoint.bax",
+            "--out", ft, "--seed", "2", "--set", "train.epochs=1",
+            "--set", "train.batch_size=32", "--set", "grid.sizes=30",
+            "--set", "grid.seeds=0", "--set", "grid.variants=finetune_head",
+            "--set", "grid.save_model=finetune_head")
+    biaxial("evaluate", "--checkpoint", ft / "model.bax", "--data", data,
+            "--out", ev, "--seed", "2")
+
+    text = {}
+    for dirpath, _, files in os.walk(root):
+        for fn in files:
+            if not fn.endswith(".bax"):
+                path = os.path.join(dirpath, fn)
+                text[os.path.relpath(path, root)] = read(path).decode("utf-8")
+    assert len(text) == 4 + 7 + 3 + 2
+    assert "name = café" in text[os.path.join("séjours", "config.ini")]
+    assert str(data) in text[os.path.join("réglage", "config.ini")]
+    for table in ("runs.csv", "aggregate.csv"):
+        assert text[os.path.join("réglage", table)].splitlines()[1].startswith("séjours,")
+    assert text[os.path.join("évaluation", "evaluate.csv")].splitlines()[1] \
+        .startswith("model.bax,séjours,")

@@ -16,7 +16,6 @@ def make_episode(pid="p0", d=3, t=10, stay=None, age=50.0, label=0,
         patient_id=pid,
         values=values.astype(float),
         mask=mask,
-        hours=np.arange(t, dtype=float),
         statics=np.array([age, 1.0, 170.0, 80.0]),
         stay_hours=float(t if stay is None else stay),
         label=label,
@@ -71,6 +70,29 @@ class TestLoadDataset:
         ds = dt.load_dataset(*write_csvs(tmp_path, "", "", ""))
         assert len(ds) == 0
 
+    def test_zero_byte_measurements_file_means_no_observations(self, tmp_path):
+        mpath, spath, lpath = write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
+        mpath.write_bytes(b"")
+        ds = dt.load_dataset(mpath, spath, lpath)
+        assert len(ds) == 1 and not ds.episodes[0].mask.any()
+
+    @pytest.mark.parametrize("table", ["statics", "labels"])
+    def test_zero_byte_statics_or_labels_file_is_parse_error(self, tmp_path, table):
+        paths = write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
+        (tmp_path / f"{table}.csv").write_bytes(b"")
+        with pytest.raises(dt.ParseError, match=rf"{table}\.csv:1: expected header"):
+            dt.load_dataset(*paths)
+
+    @pytest.mark.parametrize("table, m, s, l, fields", [
+        ("measurements", "a,0,heart_rate,80\n\na,1,heart_rate\n", "a,60,1,165,70,8\n",
+         "a,1\n", "expected 4 fields, got 3"),
+        ("statics", "", "a,60,1,165,70,8\n\nb,1\n", "a,1\n", "expected 6 fields, got 2"),
+        ("labels", "", "a,60,1,165,70,8\n", "a,1\n\nb,0,1\n", "expected 2 fields, got 3"),
+    ])
+    def test_blank_lines_skipped_and_bad_row_named(self, tmp_path, table, m, s, l, fields):
+        with pytest.raises(dt.ParseError, match=rf"{table}\.csv:4: {fields}"):
+            dt.load_dataset(*write_csvs(tmp_path, m, s, l))
+
     def test_single_cell_mapping(self, tmp_path):
         ds = dt.load_dataset(*write_csvs(
             tmp_path, "a,5,heart_rate,80\n", "a,60,1,165,70,8\n"))
@@ -113,7 +135,7 @@ class TestLoadDataset:
             tmp_path, "a,0,heart_rate,80\nb,0,heart_rate,82\n",
             "a,60,1,165,70,8\nb,50,0,170,75,9\n", "a,1\nb,0\n"))
         assert ds.prevalence == 0.5
-        assert ds.recomputed_prevalence() == ds.prevalence
+        assert ds.labels().mean() == ds.prevalence
 
 
 class TestExclusions:
@@ -136,7 +158,6 @@ class TestExclusions:
         out = dt.apply_exclusions(ds, "mortality")
         assert [ep.patient_id for ep in out.episodes] == ["l"]
         assert out.episodes[0].n_hours == 24
-        np.testing.assert_array_equal(out.episodes[0].hours, np.arange(24.0))
 
     def test_sparse_two_point_episode_excluded(self):
         mask = np.zeros((3, 20), dtype=bool)
@@ -453,7 +474,7 @@ class TestSplits:
 class TestGenerator:
     def test_prevalence_calibrated(self):
         ds = dt.generate_synthetic(1000, prevalence=0.12, seed=0, n_sensors=8)
-        measured = ds.recomputed_prevalence()
+        measured = ds.labels().mean()
         assert 0.11 <= measured <= 0.13
         assert ds.prevalence == measured
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from biaxial import autodiff as ad
+from biaxial import cli
 from biaxial import metrics as m
 from biaxial.autodiff import backward, tensor
 
@@ -284,7 +285,7 @@ class TestReportAndCsv:
         rows = [{"dataset": "synthA", "model": "bat", "mode": "scratch", "size": 100,
                  "seed": 3, "fold": 0, "auc_roc": 0.7512345678901234, "auc_pr": 0.25}]
         path = tmp_path / "rows.csv"
-        m.write_metric_rows(path, rows)
-        text = path.read_text()
-        assert text.splitlines()[0] == ",".join(m.METRIC_CSV_FIELDS)
+        cli._write_rows(path, cli.METRIC_CSV_FIELDS, rows)
+        text = path.read_text(encoding="utf-8")
+        assert text.splitlines()[0] == ",".join(cli.METRIC_CSV_FIELDS)
         assert "0.7512345678901234" in text

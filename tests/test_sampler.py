@@ -24,7 +24,6 @@ def episode_from_mask(mask, pid="e0"):
         patient_id=pid,
         values=np.arange(d * t, dtype=float).reshape(d, t),
         mask=mask,
-        hours=np.arange(t, dtype=float),
         statics=np.array([60.0, 1.0, 170.0, 75.0]),
         stay_hours=float(t),
         label=None,
@@ -173,25 +172,6 @@ class TestSampleWindow:
 
 
 class TestSparsityCheck:
-    def _split_with_obs_mask(self, obs_mask):
-        obs_mask = np.asarray(obs_mask, dtype=bool)
-        shape = obs_mask.shape
-        return sp.WindowSplit(
-            episode_id="e", t0=0, t1=shape[-1],
-            obs_values=np.zeros(shape), obs_mask=obs_mask,
-            obs_hours=np.arange(shape[-1], dtype=float),
-            forecast_values=np.zeros(shape[:2] + (2,)),
-            forecast_mask=np.zeros(shape[:2] + (2,), dtype=bool),
-            statics=np.zeros((shape[0], 4)))
-
-    def test_all_false_fails(self):
-        assert sp.sparsity_check(self._split_with_obs_mask(np.zeros((1, 3, 14)))) is False
-
-    def test_single_cell_passes(self):
-        m = np.zeros((1, 3, 14), dtype=bool)
-        m[0, 1, 5] = True
-        assert sp.sparsity_check(self._split_with_obs_mask(m)) is True
-
     def test_holds_for_all_emitted_splits_on_admission_battery_fixtures(self):
         # 10k seeded draws over random fixtures that observe something early
         rng = np.random.default_rng(10)
@@ -210,6 +190,6 @@ class TestSparsityCheck:
                 split = sp.sample_window(batch, cfg, draw)
             except sp.SamplerExhaustedError:
                 continue
-            assert sp.sparsity_check(split)
+            assert split.obs_mask.any()
             assert split.forecast_values.shape[-1] == cfg.forecast_horizon
             drawn += 1

@@ -245,7 +245,6 @@ class TestPretrain:
             mask[:, 0] = True
             episodes.append(dt.EpisodeRecord(
                 patient_id=f"c{i}", values=values, mask=mask,
-                hours=np.arange(t, dtype=float),
                 statics=np.array([60.0, 1.0, 170.0, 75.0]),
                 stay_hours=float(t), label=None))
         ds = dt.Dataset.from_episodes("const", episodes,
@@ -264,7 +263,7 @@ class TestPretrain:
             t = 8  # too short for min_obs_len 12
             episodes.append(dt.EpisodeRecord(
                 patient_id=f"s{i}", values=np.zeros((6, t)),
-                mask=np.ones((6, t), dtype=bool), hours=np.arange(t, dtype=float),
+                mask=np.ones((6, t), dtype=bool),
                 statics=np.array([50.0, 0.0, 170.0, 70.0]),
                 stay_hours=float(t), label=None))
         ds = dt.Dataset.from_episodes("short", episodes,
