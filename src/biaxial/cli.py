@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,10 +45,6 @@ def _echo_config(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with dt.open_output(os.path.join(out_dir, "config.ini")) as fh:
         fh.write(cfg.to_ini())
-
-
-def _sensors_for(cfg):
-    return dt.SENSOR_SCHEMA[:cfg["model"]["sensors_count"]]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +81,7 @@ def cmd_pretrain(cfg) -> int:
     if not paths:
         raise ConfigError("pretrain requires at least one dataset path (data.paths)")
     _echo_config(cfg, out_dir)
-    sensors = _sensors_for(cfg)
+    sensors = dt.SENSOR_SCHEMA[:cfg["model"]["sensors_count"]]
     datasets = [dt.load_dataset_dir(p, sensors=sensors) for p in paths]
     pooled = dt.apply_exclusions(dt.pool_datasets(datasets), "pretrain")
     logger.info("pooled %d episodes from %d datasets", len(pooled), len(datasets))
@@ -143,10 +140,8 @@ def cmd_finetune(cfg) -> int:
     checkpoint = tr.load_checkpoint(ckpt_path) if ckpt_path else None
     model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model_cfg()
     sensors = dt.SENSOR_SCHEMA[:model_cfg.sensors_count]
-    ds = dt.apply_exclusions(
-        dt.load_dataset_dir(paths[0], sensors=sensors), "mortality")
-    logger.info("fine-tuning dataset %s: %d episodes after exclusions",
-                ds.name, len(ds))
+    ds = dt.apply_exclusions(dt.load_dataset_dir(paths[0], sensors=sensors), "mortality")
+    logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
     rows, aggregates = tr.run_experiment_grid(
         ds, checkpoint, model_cfg, cfg.train_cfg(), grid)
     _write_rows(os.path.join(out_dir, "runs.csv"), METRIC_CSV_FIELDS, rows)
@@ -163,9 +158,7 @@ def _save_final_model(cfg, ds, checkpoint, model_cfg, variant, out_dir):
     """Train one model of the given variant on the full training pool and
     save it for cross-dataset evaluation."""
     train_cfg = cfg.train_cfg()
-    plan = dt.make_splits(ds, train_cfg.seed)
-    pool = dt.Dataset.from_episodes(
-        ds.name, dt.select_episodes(ds, plan.pool_ids()), sensors=ds.sensors)
+    pool, _ = dt.split_test(ds, train_cfg.seed)
     result = tr.train_variant(variant, checkpoint, pool, train_cfg, model_cfg,
                               cfg.grid_cfg())
     tr.save_checkpoint(
@@ -197,20 +190,12 @@ def cmd_evaluate(cfg) -> int:
         for path in paths:
             ds = dt.apply_exclusions(
                 dt.load_dataset_dir(path, sensors=sensors), "mortality")
-            plan = dt.make_splits(ds, seed)
-            test = dt.select_episodes(ds, plan.test_ids)
+            _, test = dt.split_test(ds, seed)
             test_t = dt.transform_all(test, bundle["preprocessor"])
             probs = tr.predict_probs(model, test_t, cfg["train"]["batch_size"])
             report = mt.evaluate_probs(probs, [ep.label for ep in test])
-            rows.append({
-                "checkpoint": os.path.basename(ckpt_path),
-                "dataset": ds.name,
-                "auc_roc": report.auc_roc,
-                "auc_pr": report.auc_pr,
-                "n_pos": report.n_pos,
-                "n_neg": report.n_neg,
-                "prevalence": report.prevalence,
-            })
+            rows.append({"checkpoint": os.path.basename(ckpt_path), "dataset": ds.name,
+                         **asdict(report)})
     _write_rows(os.path.join(out_dir, "evaluate.csv"), EVALUATE_FIELDS, rows)
     for row in rows:
         print(f"{row['checkpoint']} on {row['dataset']}: "
@@ -224,8 +209,9 @@ def cmd_evaluate(cfg) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--out", help="output directory (overrides output.dir)")
-    sub.add_argument("--seed", type=int, help="top-level seed (overrides train.seed)")
+    sub.add_argument("--out", dest="output.dir", metavar="DIR", help="output directory")
+    sub.add_argument("--seed", dest="train.seed", type=int, metavar="N",
+                     help="top-level seed")
     sub.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                      help="override any config value; repeatable")
 
@@ -239,61 +225,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic dataset as CSVs")
     _add_common(p)
-    p.add_argument("--n", type=int, help="number of episodes")
-    p.add_argument("--prevalence", type=float, help="positive-class fraction")
-    p.add_argument("--sparsity", type=float, help="observation thinning in [0, 1)")
-    p.add_argument("--mean-stay-hours", type=float, dest="mean_stay_hours")
-    p.add_argument("--availability-profile", type=int, dest="availability_profile")
-    p.add_argument("--sensors-count", type=int, dest="sensors_count")
-    p.add_argument("--name", help="dataset name")
+    p.add_argument("--n", dest="data.n", type=int, metavar="N", help="number of episodes")
+    p.add_argument("--prevalence", dest="data.prevalence", type=float, metavar="P",
+                   help="positive-class fraction")
+    p.add_argument("--sparsity", dest="data.sparsity", type=float, metavar="S",
+                   help="observation thinning in [0, 1)")
+    p.add_argument("--mean-stay-hours", dest="data.mean_stay_hours", type=float, metavar="H")
+    p.add_argument("--availability-profile", dest="data.availability_profile", type=int,
+                   metavar="K")
+    p.add_argument("--sensors-count", dest="model.sensors_count", type=int, metavar="D")
+    p.add_argument("--name", dest="data.name", metavar="NAME", help="dataset name")
 
     p = sub.add_parser("pretrain", help="pool datasets and pretrain by forecasting")
     _add_common(p)
-    p.add_argument("--data", action="append", default=[], metavar="DIR",
+    p.add_argument("--data", dest="data.paths", action="append", metavar="DIR",
                    help="dataset directory; repeat to pool several")
 
     p = sub.add_parser("finetune", help="run the size/seed/variant experiment grid")
     _add_common(p)
-    p.add_argument("--data", action="append", default=[], metavar="DIR")
-    p.add_argument("--checkpoint", help="pretrained checkpoint path")
-    p.add_argument("--jobs", type=int, help="parallel grid cells")
+    p.add_argument("--data", dest="data.paths", action="append", metavar="DIR")
+    p.add_argument("--checkpoint", dest="data.checkpoint", metavar="PATH",
+                   help="pretrained checkpoint path")
+    p.add_argument("--jobs", dest="grid.jobs", type=int, metavar="N",
+                   help="parallel grid cells")
 
     p = sub.add_parser("evaluate", help="evaluate checkpoints on test splits")
     _add_common(p)
-    p.add_argument("--data", action="append", default=[], metavar="DIR")
-    p.add_argument("--checkpoint", action="append", default=[], metavar="PATH")
+    p.add_argument("--data", dest="data.paths", action="append", metavar="DIR")
+    p.add_argument("--checkpoint", dest="data.checkpoint", action="append", metavar="PATH")
     return parser
 
 
 def _overrides_from_args(args) -> dict:
+    """--set pairs, then each flag given, stored under its dotted dest."""
     overrides = {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects SECTION.KEY=VALUE, got {item!r}")
         dotted, raw = item.split("=", 1)
         overrides[dotted.strip()] = raw.strip()
-    if args.out is not None:
-        overrides["output.dir"] = args.out
-    if args.seed is not None:
-        overrides["train.seed"] = str(args.seed)
-    for attr, dotted in (
-        ("n", "data.n"),
-        ("prevalence", "data.prevalence"),
-        ("sparsity", "data.sparsity"),
-        ("mean_stay_hours", "data.mean_stay_hours"),
-        ("availability_profile", "data.availability_profile"),
-        ("sensors_count", "model.sensors_count"),
-        ("name", "data.name"),
-        ("jobs", "grid.jobs"),
-    ):
-        if getattr(args, attr, None) is not None:
-            overrides[dotted] = str(getattr(args, attr))
-    data_dirs = getattr(args, "data", None)
-    if data_dirs:
-        overrides["data.paths"] = ",".join(data_dirs)
-    ckpt = getattr(args, "checkpoint", None)
-    if ckpt:
-        overrides["data.checkpoint"] = ckpt if isinstance(ckpt, str) else ",".join(ckpt)
+    for dotted, value in vars(args).items():
+        if "." in dotted and value is not None:
+            overrides[dotted] = ",".join(value) if isinstance(value, list) else str(value)
     return overrides
 
 

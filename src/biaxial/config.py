@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import os
 from dataclasses import dataclass
 
 from biaxial.model import BatConfig
@@ -77,7 +78,10 @@ SCHEMA = {
 
 
 def _parse_value(kind: str, raw: str, where: str):
-    raw = raw.strip()
+    # re-decode the UTF-8 bytes the way argv and file names are decoded: a
+    # non-ASCII value from this UTF-8 file then equals the same value given
+    # as a flag under a non-UTF-8 locale, where it arrives as surrogates
+    raw = os.fsdecode(raw.strip().encode("utf-8", "surrogateescape"))
     try:
         if kind == "int":
             return int(raw)

@@ -13,6 +13,11 @@ are MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER.
 Sensor names are lowercase with underscores for spaces; parenthesised
 qualifiers and unit symbols are folded in (e.g. "bilirubin_direct",
 "co2_partial_pressure").
+
+Every split of a cohort is made here, stratified by class alike:
+`split_test` holds out TEST_FRAC (0.2) of a cohort as its fixed test
+split, `make_splits` adds a fold rotation over the rest, and
+`stratified_split` holds out VAL_FRAC (0.2) of a training set.
 """
 
 from __future__ import annotations
@@ -105,6 +110,9 @@ MIN_AGE_YEARS = 18
 
 STD_FLOOR = 1e-6
 
+TEST_FRAC = 0.2   # of a cohort, held out as its test split
+VAL_FRAC = 0.2    # of a training set, held out for validation
+
 
 class SchemaError(ValueError):
     """A file or dataset disagrees with the feature schema."""
@@ -141,14 +149,8 @@ class EpisodeRecord:
         return self.values.shape[1]
 
     def copy(self) -> "EpisodeRecord":
-        return EpisodeRecord(
-            patient_id=self.patient_id,
-            values=self.values.copy(),
-            mask=self.mask.copy(),
-            statics=self.statics.copy(),
-            stay_hours=self.stay_hours,
-            label=self.label,
-        )
+        return replace(self, values=self.values.copy(), mask=self.mask.copy(),
+                       statics=self.statics.copy())
 
 
 @dataclass
@@ -207,9 +209,6 @@ class SplitPlan:
     test_ids: list
     folds: list = field(default_factory=list)  # [(train_ids, val_ids)] x 5
 
-    def pool_ids(self) -> list:
-        return sorted(set(self.folds[0][0]) | set(self.folds[0][1]))
-
 
 # ---------------------------------------------------------------------------
 # file ingestion
@@ -260,7 +259,8 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
     Duplicate (patient, sensor, hour) cells resolve last-write-wins with a
     logged warning; a row that moves backwards in time for the same patient
     and sensor is a parse error. labels_path may be omitted for unlabeled
-    cohorts, and an empty measurements file has no observations.
+    cohorts; if given, it labels every patient in statics exactly once.
+    An empty measurements file has no observations.
     """
     sensors = tuple(sensors)
     unknown = set(sensors) - set(SENSOR_SCHEMA)
@@ -285,7 +285,15 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
         for lineno, (pid, mortality) in read_table(labels_path, LABELS_HEADER):
             if mortality not in ("0", "1"):
                 raise ParseError(f"{labels_path}:{lineno}: mortality must be 0 or 1")
+            if pid not in statics:
+                raise SchemaError(
+                    f"{labels_path}:{lineno}: patient {pid!r} missing from statics")
+            if pid in labels:
+                raise ParseError(f"{labels_path}:{lineno}: duplicate patient_id {pid!r}")
             labels[pid] = int(mortality)
+        unlabeled = [pid for pid in order if pid not in labels]
+        if unlabeled:
+            raise SchemaError(f"{labels_path}: no label for patient {unlabeled[0]!r}")
 
     cells: dict[str, dict[tuple[int, int], float]] = {pid: {} for pid in statics}
     last_hour: dict[tuple[str, int], int] = {}
@@ -343,7 +351,8 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
 
 
 def write_dataset_csvs(ds: Dataset, out_dir) -> None:
-    """Write measurements/statics/labels CSVs; deterministic row order."""
+    """Write measurements/statics/labels CSVs; deterministic row order.
+    A dataset with labels on some stays but not all is a SchemaError."""
     def measurement_rows():
         for ep in ds.episodes:
             d_idx, t_idx = np.nonzero(ep.mask)
@@ -351,6 +360,9 @@ def write_dataset_csvs(ds: Dataset, out_dir) -> None:
                                    ep.values[d_idx, t_idx].tolist()):
                 yield ep.patient_id, t, ds.sensors[d], f"{value:.4f}"
 
+    n_labeled = sum(ep.label is not None for ep in ds.episodes)
+    if 0 < n_labeled < len(ds):
+        raise SchemaError(f"{ds.name}: {len(ds) - n_labeled} of {len(ds)} stays have no label")
     os.makedirs(out_dir, exist_ok=True)
     write_table(os.path.join(out_dir, "measurements.csv"), MEASUREMENTS_HEADER,
                 measurement_rows())
@@ -358,9 +370,9 @@ def write_dataset_csvs(ds: Dataset, out_dir) -> None:
         (ep.patient_id, f"{ep.statics[0]:.1f}", int(ep.statics[1]),
          f"{ep.statics[2]:.1f}", f"{ep.statics[3]:.1f}", int(ep.stay_hours))
         for ep in ds.episodes))
-    labeled = [(ep.patient_id, ep.label) for ep in ds.episodes if ep.label is not None]
-    if labeled:
-        write_table(os.path.join(out_dir, "labels.csv"), LABELS_HEADER, labeled)
+    if n_labeled:
+        write_table(os.path.join(out_dir, "labels.csv"), LABELS_HEADER,
+                    ((ep.patient_id, ep.label) for ep in ds.episodes))
 
 
 def load_dataset_dir(path, name: str | None = None,
@@ -405,31 +417,20 @@ def apply_exclusions(ds: Dataset, task: str) -> Dataset:
     """
     if task not in ("pretrain", "mortality"):
         raise ValueError(f"unknown task {task!r}")
+    mortality = task == "mortality"
     kept = []
     for ep in ds.episodes:
         age = ep.statics[0]
         if ep.stay_hours < 0 or ep.stay_hours < MIN_STAY_HOURS or age < MIN_AGE_YEARS:
             continue
-        if task == "mortality":
-            if ep.stay_hours < MORTALITY_MIN_STAY_HOURS:
-                continue
-            t_cut = min(ep.n_hours, MORTALITY_INPUT_HOURS)
-            if not _grid_criteria_ok(ep.mask[:, :t_cut]):
-                continue
-            out = EpisodeRecord(
-                patient_id=ep.patient_id,
-                values=ep.values[:, :t_cut].copy(),
-                mask=ep.mask[:, :t_cut].copy(),
-                statics=ep.statics.copy(),
-                stay_hours=ep.stay_hours,
-                label=ep.label,
-            )
-        else:
-            if not _grid_criteria_ok(ep.mask):
-                continue
-            out = ep.copy()
-            out.label = None
-        kept.append(out)
+        if mortality and ep.stay_hours < MORTALITY_MIN_STAY_HOURS:
+            continue
+        t_cut = min(ep.n_hours, MORTALITY_INPUT_HOURS) if mortality else ep.n_hours
+        if not _grid_criteria_ok(ep.mask[:, :t_cut]):
+            continue
+        kept.append(replace(ep, values=ep.values[:, :t_cut].copy(),
+                            mask=ep.mask[:, :t_cut].copy(), statics=ep.statics.copy(),
+                            label=ep.label if mortality else None))
     return Dataset.from_episodes(ds.name, kept, sensors=ds.sensors)
 
 
@@ -492,14 +493,8 @@ def transform(ep: EpisodeRecord, pp: PreprocessorState) -> EpisodeRecord:
     if lead.any():
         filled[lead] = np.broadcast_to(pp.tv_mean[:, None], filled.shape)[lead]
     standardized = (filled - pp.tv_mean[:, None]) / pp.tv_std[:, None]
-    return EpisodeRecord(
-        patient_id=ep.patient_id,
-        values=standardized,
-        mask=ep.mask.copy(),
-        statics=(ep.statics - pp.static_mean) / pp.static_std,
-        stay_hours=ep.stay_hours,
-        label=ep.label,
-    )
+    return replace(ep, values=standardized, mask=ep.mask.copy(),
+                   statics=(ep.statics - pp.static_mean) / pp.static_std)
 
 
 def transform_all(episodes: list, pp: PreprocessorState) -> list:
@@ -530,9 +525,8 @@ def pool_datasets(datasets: list, prefix_ids: bool = True) -> Dataset:
     seen = set()
     for ds in datasets:
         for ep in ds.episodes:
-            out = ep.copy()
-            if prefix_ids:
-                out.patient_id = f"{ds.name}/{ep.patient_id}"
+            out = replace(ep.copy(), patient_id=(f"{ds.name}/{ep.patient_id}"
+                                                 if prefix_ids else ep.patient_id))
             if out.patient_id in seen:
                 raise ValueError(
                     f"duplicate patient id {out.patient_id!r} across pooled sources"
@@ -572,6 +566,27 @@ def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Datase
     return Dataset.from_episodes(ds.name, episodes, sensors=ds.sensors)
 
 
+def _stratified_cut(labels: np.ndarray, frac: float, rng, min_class: int):
+    """Cut `frac` of the indices of `labels` off, class by class.
+
+    Each class, positives first, is permuted with `rng` and its first
+    max(1, round(frac * size)) members are cut. All indices form one group
+    when a label is not 0 or 1, or a class has fewer than `min_class`
+    members. Returns (cut, rest, stratified); each index array holds the
+    groups in turn, each in its permuted order.
+    """
+    classes = [np.nonzero(labels == 1)[0], np.nonzero(labels == 0)[0]]
+    stratified = (sum(len(c) for c in classes) == len(labels)
+                  and min(len(c) for c in classes) >= min_class)
+    cut, rest = [], []
+    for group in classes if stratified else [np.arange(len(labels))]:
+        perm = group[rng.permutation(len(group))]
+        n_cut = max(1, int(round(frac * len(perm))))
+        cut.append(perm[:n_cut])
+        rest.append(perm[n_cut:])
+    return np.concatenate(cut), np.concatenate(rest), stratified
+
+
 def make_splits(ds: Dataset, seed: int, n_folds: int = 5) -> SplitPlan:
     """Stratified 80/20 test split plus an n-fold rotation over the pool.
 
@@ -580,37 +595,35 @@ def make_splits(ds: Dataset, seed: int, n_folds: int = 5) -> SplitPlan:
     """
     if len(ds) < 10:
         raise ValueError(f"need at least 10 episodes to split, got {len(ds)}")
-    rng = substream(seed, "splits")
     labels = ds.labels()
-    ids = np.array([ep.patient_id for ep in ds.episodes])
-    labeled = not (labels < 0).any()
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    stratify = labeled and min(n_pos, n_neg) >= 2 * n_folds
-    if labeled and not stratify:
+    test, pool, stratified = _stratified_cut(
+        labels, TEST_FRAC, substream(seed, "splits"), 2 * n_folds)
+    if not stratified and (labels >= 0).all():
         logger.warning("too few samples in a class to stratify (%d pos / %d neg); "
-                       "splitting unstratified", n_pos, n_neg)
-    groups = ([np.nonzero(labels == 1)[0], np.nonzero(labels == 0)[0]]
-              if stratify else [np.arange(len(ds))])
-
-    test_parts = []
-    pool_order = []
-    for group in groups:
-        perm = group[rng.permutation(len(group))]
-        n_test = int(round(0.2 * len(perm)))
-        test_parts.append(perm[:n_test])
-        pool_order.append(perm[n_test:])
+                       "splitting unstratified", (labels == 1).sum(), (labels == 0).sum())
     # round-robin over the class-ordered pool keeps fold sizes equal and
     # each class spread within one element of even
-    pool = np.concatenate(pool_order)
+    ids = np.array([ep.patient_id for ep in ds.episodes])
     fold_ids = [ids[pool[k::n_folds]].tolist() for k in range(n_folds)]
-    test_ids = ids[np.concatenate(test_parts)].tolist()
-    folds = []
-    for k in range(n_folds):
-        val = fold_ids[k]
-        train = [pid for j in range(n_folds) if j != k for pid in fold_ids[j]]
-        folds.append((train, val))
-    return SplitPlan(test_ids=test_ids, folds=folds)
+    folds = [([pid for j in range(n_folds) if j != k for pid in fold_ids[j]], fold_ids[k])
+             for k in range(n_folds)]
+    return SplitPlan(test_ids=ids[test].tolist(), folds=folds)
+
+
+def split_test(ds: Dataset, seed: int) -> tuple[Dataset, list]:
+    """Hold out the test split of `make_splits(ds, seed)`: returns (the
+    training pool as a Dataset, the test episodes), both in cohort order."""
+    test_ids = set(make_splits(ds, seed).test_ids)
+    pool = [ep for ep in ds.episodes if ep.patient_id not in test_ids]
+    test = [ep for ep in ds.episodes if ep.patient_id in test_ids]
+    return Dataset.from_episodes(ds.name, pool, sensors=ds.sensors), test
+
+
+def stratified_split(ds: Dataset, val_frac: float, rng) -> tuple[list, list]:
+    """Per-class split of the episodes into (train, validation); one group
+    when a class has fewer than 2 members or a label is missing."""
+    val, train, _ = _stratified_cut(ds.labels(), val_frac, rng, 2)
+    return [ds.episodes[i] for i in train], [ds.episodes[i] for i in val]
 
 
 def select_episodes(ds: Dataset, ids) -> list:

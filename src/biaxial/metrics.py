@@ -88,10 +88,18 @@ def pos_weight_for(labels) -> float:
     return n_neg / n_pos
 
 
+def _binary_labels(labels) -> np.ndarray:
+    y = np.asarray(labels)
+    bad = y[~np.isin(y, (0, 1))]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+    return y
+
+
 def auc_roc(scores, labels) -> float:
     """P(score_pos > score_neg) + 0.5 * P(tie), via the rank statistic."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
+    y = _binary_labels(labels)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -119,7 +127,7 @@ def auc_pr(scores, labels) -> float:
     constant scores yield the prevalence.
     """
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
+    y = _binary_labels(labels)
     n_pos = int((y == 1).sum())
     if n_pos == 0:
         raise UndefinedMetricError("AUC-PR undefined: no positive labels")

@@ -404,22 +404,6 @@ def _freeze_set(model, mode):
     return set(model.params)
 
 
-def stratified_split(episodes, val_frac: float, rng) -> tuple[list, list]:
-    """Per-class split into (train, validation); falls back to plain
-    splitting when a class has fewer than 2 members."""
-    labels = np.array([ep.label for ep in episodes])
-    train, val = [], []
-    classes = [np.nonzero(labels == 1)[0], np.nonzero(labels == 0)[0]]
-    if min(len(c) for c in classes) < 2:
-        classes = [np.arange(len(episodes))]
-    for group in classes:
-        perm = group[rng.permutation(len(group))]
-        n_val = max(1, int(round(val_frac * len(perm))))
-        val.extend(episodes[i] for i in perm[:n_val])
-        train.extend(episodes[i] for i in perm[n_val:])
-    return train, val
-
-
 @_in_compute_dtype
 def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
              train_cfg: TrainConfig, model_cfg: BatConfig | None = None,
@@ -429,8 +413,9 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
 
     `pretrained` is a checkpoint bundle (see save_checkpoint) for the
     finetune modes and must be None for scratch. Episodes in `ds` are the
-    raw (excluded, unstandardized) training pool; validation/test default
-    to an internal split of `ds` when not supplied.
+    raw (excluded, unstandardized) training set; without `val_episodes`,
+    `dt.stratified_split` holds out dt.VAL_FRAC of it for validation (the
+    "holdout" substream). Test metrics need `test_episodes`.
     """
     if mode not in FINETUNE_MODES:
         raise ValueError(f"mode must be one of {FINETUNE_MODES}, got {mode!r}")
@@ -447,8 +432,8 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
     seed = train_cfg.seed
     train_eps = list(ds.episodes)
     if val_episodes is None:
-        train_eps, val_episodes = stratified_split(
-            train_eps, 0.2, substream(seed, "holdout"))
+        train_eps, val_episodes = dt.stratified_split(
+            ds, dt.VAL_FRAC, substream(seed, "holdout"))
     if not train_eps or not val_episodes:
         raise TrainingError("empty train or validation split")
 
@@ -554,7 +539,6 @@ def pretrained_variants(variants) -> list:
 
 def train_variant(variant: str, checkpoint: dict | None, ds: dt.Dataset,
                   train_cfg: TrainConfig, model_cfg: BatConfig, grid: GridConfig,
-                  val_episodes: list | None = None,
                   test_episodes: list | None = None) -> RunResult:
     """`finetune` one grid variant at the grid's learning rate for it; the
     checkpoint is used only by the variants that fine-tune it."""
@@ -562,8 +546,7 @@ def train_variant(variant: str, checkpoint: dict | None, ds: dt.Dataset,
     cfg = replace(train_cfg, learning_rate=grid.learning_rates.get(
         variant, train_cfg.learning_rate))
     return finetune(checkpoint if v.mode != "scratch" else None, ds, v.mode, cfg,
-                    model_cfg=model_cfg, val_episodes=val_episodes,
-                    test_episodes=test_episodes, arch=v.arch)
+                    model_cfg=model_cfg, test_episodes=test_episodes, arch=v.arch)
 
 
 def _cell_seed(base_seed: int, size: int, rep: int, variant: str) -> int:
@@ -590,19 +573,13 @@ def _run_cell(args):
 
 def _run_cell_inner(size, rep, variant):
     ctx = _GRID_CONTEXT
-    pool_ds = ctx["pool_ds"]
     cell_cfg = replace(ctx["train_cfg"],
                        seed=_cell_seed(ctx["train_cfg"].seed, size, rep, variant))
-    sub = dt.subsample_preserving_prevalence(pool_ds, size, seed=cell_cfg.seed)
-    train_eps, val_eps = stratified_split(
-        list(sub.episodes), 0.2, substream(cell_cfg.seed, "holdout"))
-    cell_train = dt.Dataset.from_episodes(pool_ds.name, train_eps,
-                                          sensors=pool_ds.sensors)
-    result = train_variant(variant, ctx["checkpoint"], cell_train, cell_cfg,
-                           ctx["model_cfg"], ctx["grid"], val_episodes=val_eps,
-                           test_episodes=ctx["test_eps"])
+    sub = dt.subsample_preserving_prevalence(ctx["pool_ds"], size, seed=cell_cfg.seed)
+    result = train_variant(variant, ctx["checkpoint"], sub, cell_cfg, ctx["model_cfg"],
+                           ctx["grid"], test_episodes=ctx["test_eps"])
     return {
-        "dataset": ctx["dataset_name"],
+        "dataset": ctx["pool_ds"].name,
         "model": GRID_VARIANTS[variant].arch,
         "mode": GRID_VARIANTS[variant].mode,
         "size": size,
@@ -626,10 +603,7 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     needs_ckpt = pretrained_variants(grid.variants)
     if needs_ckpt and checkpoint is None:
         raise ValueError(f"variants {needs_ckpt} require a checkpoint")
-    plan = dt.make_splits(ds, train_cfg.seed)
-    test_eps = dt.select_episodes(ds, plan.test_ids)
-    pool_eps = dt.select_episodes(ds, plan.pool_ids())
-    pool_ds = dt.Dataset.from_episodes(ds.name, pool_eps, sensors=ds.sensors)
+    pool_ds, test_eps = dt.split_test(ds, train_cfg.seed)
 
     cells = []
     for size in grid.sizes:
@@ -649,7 +623,6 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
         "model_cfg": model_cfg,
         "train_cfg": train_cfg,
         "grid": grid,
-        "dataset_name": ds.name,
     }
     try:
         if grid.jobs > 1:

@@ -5,7 +5,7 @@ import pytest
 
 from biaxial import autodiff as ad
 from biaxial import model as md
-from biaxial.autodiff import Tensor, backward, grad_check, tensor
+from biaxial.autodiff import backward, grad_check, tensor
 
 
 def finite_diff(f, arrays, step=1e-5):

@@ -1,10 +1,10 @@
 """End-to-end CLI tests: config handling, artifacts, determinism, exit codes."""
 
 import os
+import shutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from biaxial import cli
@@ -378,12 +378,29 @@ class TestEvaluate:
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:-1], "labels.csv: no label for patient"),
+        (lambda rows: rows + ["ghost,1"], "missing from statics"),
+        (lambda rows: rows + [rows[-1]], "duplicate patient_id"),
+    ], ids=["missing", "unknown", "duplicate"])
+    def test_labels_not_matching_statics_is_validation_error(
+            self, classifier_ckpts, small_dataset_dir, tmp_path, capsys, edit, message):
+        data = tmp_path / "synthA"
+        shutil.copytree(small_dataset_dir, data)
+        rows = (data / "labels.csv").read_text(encoding="utf-8").splitlines()
+        (data / "labels.csv").write_text("\n".join(edit(rows)) + "\n", encoding="utf-8")
+        code = run_cli("evaluate", "--checkpoint", classifier_ckpts[0], "--data", str(data),
+                       "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 def test_ascii_locale_pipeline_writes_utf8(tmp_path):
-    """generate -> pretrain -> finetune -> evaluate in subprocesses under an
-    ASCII locale, with a non-ASCII dataset name and directories. Every text
-    artifact must be UTF-8, and any open() that falls back to the locale's
-    encoding is an error (EncodingWarning)."""
+    """generate (twice: the rerun from its echoed config) -> pretrain ->
+    finetune -> evaluate in subprocesses under an ASCII locale, with a
+    non-ASCII dataset name and directories. Every text artifact must be
+    UTF-8, and any open() that falls back to the locale's encoding is an
+    error (EncodingWarning)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
     env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
@@ -402,6 +419,11 @@ def test_ascii_locale_pipeline_writes_utf8(tmp_path):
     biaxial("generate", "--n", "60", "--prevalence", "0.2", "--sensors-count", "4",
             "--name", "café", "--seed", "3", "--out", data,
             "--set", "data.mean_stay_hours=40")
+    # the echoed config names the directories in UTF-8; a rerun from it
+    # must find the same directory and rewrite the same bytes
+    first = {fn: read(data / fn) for fn in os.listdir(data)}
+    biaxial("generate", "--config", data / "config.ini")
+    assert {fn: read(data / fn) for fn in os.listdir(data)} == first
     biaxial("pretrain", "--data", data, "--out", pre, "--seed", "1",
             "--set", "model.sensors_count=4", "--set", "model.value_embed_size=8",
             "--set", "model.layers=1", "--set", "train.epochs=1",

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaxial import data as dt
 
@@ -92,6 +94,17 @@ class TestLoadDataset:
     def test_blank_lines_skipped_and_bad_row_named(self, tmp_path, table, m, s, l, fields):
         with pytest.raises(dt.ParseError, match=rf"{table}\.csv:4: {fields}"):
             dt.load_dataset(*write_csvs(tmp_path, m, s, l))
+
+    @pytest.mark.parametrize("labels, error, message", [
+        ("a,1\n", dt.SchemaError, r"labels\.csv: no label for patient 'b'"),
+        ("a,1\nb,0\nghost,1\n", dt.SchemaError,
+         r"labels\.csv:4: patient 'ghost' missing from statics"),
+        ("a,1\nb,0\na,0\n", dt.ParseError, r"labels\.csv:4: duplicate patient_id 'a'"),
+    ], ids=["missing", "unknown", "duplicate"])
+    def test_labels_name_every_stay_in_statics_once(self, tmp_path, labels, error, message):
+        with pytest.raises(error, match=message):
+            dt.load_dataset(*write_csvs(
+                tmp_path, "", "a,60,1,165,70,8\nb,45,0,180,90,6\n", labels))
 
     def test_single_cell_mapping(self, tmp_path):
         ds = dt.load_dataset(*write_csvs(
@@ -425,7 +438,7 @@ class TestSplits:
 
     def test_validation_folds_partition_the_pool(self):
         plan = dt.make_splits(self._ds(100), seed=1)
-        pool = set(plan.pool_ids())
+        pool = set(plan.folds[0][0]) | set(plan.folds[0][1])
         union = set()
         for _, val in plan.folds:
             vs = set(val)
@@ -469,6 +482,93 @@ class TestSplits:
     def test_tiny_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):
             dt.make_splits(self._ds(8), seed=0)
+
+    def test_cut_permutes_positives_then_negatives(self):
+        y = np.array([1, 0] * 10 + [0] * 20)
+        cut, rest, stratified = dt._stratified_cut(y, 0.25, np.random.default_rng(5), 2)
+        rng = np.random.default_rng(5)
+        pos = np.nonzero(y == 1)[0][rng.permutation(10)]
+        neg = np.nonzero(y == 0)[0][rng.permutation(30)]
+        assert stratified
+        # round half to even: 2.5 -> 2 positives, 7.5 -> 8 negatives
+        assert cut.tolist() == [*pos[:2], *neg[:8]]
+        assert rest.tolist() == [*pos[2:], *neg[8:]]
+
+    def test_split_test_returns_pool_and_test_in_cohort_order(self):
+        ds = self._ds(100)
+        pool, test = dt.split_test(ds, seed=3)
+        assert {ep.patient_id for ep in test} == set(dt.make_splits(ds, seed=3).test_ids)
+        assert (pool.name, pool.sensors, len(pool) + len(test)) == (ds.name, ds.sensors, 100)
+        position = {ep.patient_id: i for i, ep in enumerate(ds.episodes)}
+        for part in (pool.episodes, test):
+            idx = [position[ep.patient_id] for ep in part]
+            assert idx == sorted(idx)
+
+
+# labels as stored on episodes: None is a stay without a label
+LABELS = st.lists(st.sampled_from([0, 1, None]), max_size=60)
+FRACS = st.floats(0.0, 1.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _labeled(labels):
+    return dt.Dataset.from_episodes("x", [make_episode(pid=f"p{i}", d=1, t=2, label=lab)
+                                          for i, lab in enumerate(labels)])
+
+
+class TestStratifiedCutProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=LABELS, frac=FRACS, min_class=st.integers(1, 12), seed=SEEDS)
+    def test_cut_and_rest_cover_every_index_once(self, labels, frac, min_class, seed):
+        y = np.array([-1 if lab is None else lab for lab in labels], dtype=int)
+        cut, rest, stratified = dt._stratified_cut(
+            y, frac, np.random.default_rng(seed), min_class)
+        assert sorted(np.concatenate([cut, rest]).tolist()) == list(range(len(y)))
+        if None in labels:
+            assert not stratified
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.sampled_from([0, 1]), max_size=60), frac=FRACS,
+           min_class=st.integers(1, 12), seed=SEEDS)
+    def test_stratified_cut_takes_each_class_share(self, labels, frac, min_class, seed):
+        y = np.array(labels, dtype=int)
+        cut, _, stratified = dt._stratified_cut(
+            y, frac, np.random.default_rng(seed), min_class)
+        sizes = {c: int((y == c).sum()) for c in (0, 1)}
+        assert stratified == (min(sizes.values()) >= min_class)
+        if stratified:
+            for c, n in sizes.items():
+                assert int((y[cut] == c).sum()) == max(1, round(frac * n))
+        else:
+            assert len(cut) == min(len(y), max(1, round(frac * len(y))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=LABELS, frac=FRACS, seed=SEEDS)
+    def test_stratified_split_keeps_every_stay_once(self, labels, frac, seed):
+        ds = _labeled(labels)
+        train, val = dt.stratified_split(ds, frac, np.random.default_rng(seed))
+        assert sorted(map(id, train + val)) == sorted(map(id, ds.episodes))
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=LABELS, frac=FRACS, seed=SEEDS)
+    def test_same_seed_same_split(self, labels, frac, seed):
+        ds = _labeled(labels)
+        first = dt.stratified_split(ds, frac, np.random.default_rng(seed))
+        again = dt.stratified_split(ds, frac, np.random.default_rng(seed))
+        assert [[ep.patient_id for ep in part] for part in first] == \
+            [[ep.patient_id for ep in part] for part in again]
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.sampled_from([0, 1, None]), min_size=10, max_size=80),
+           n_folds=st.integers(2, 6), seed=st.integers(0, 10_000))
+    def test_make_splits_partitions_the_ids(self, labels, n_folds, seed):
+        ds = _labeled(labels)
+        ids = sorted(ep.patient_id for ep in ds.episodes)
+        plan = dt.make_splits(ds, seed, n_folds=n_folds)
+        folds = [pid for _, val in plan.folds for pid in val]
+        assert sorted(plan.test_ids + folds) == ids
+        for train, val in plan.folds:
+            assert sorted(plan.test_ids + train + val) == ids
 
 
 class TestGenerator:
@@ -531,6 +631,21 @@ class TestGenerator:
                                        atol=5e-5)
             np.testing.assert_allclose(got.statics, orig.statics, atol=0.05)
             assert got.label == orig.label
+
+    def test_partly_labeled_dataset_is_not_written(self, tmp_path):
+        ds = dt.generate_synthetic(10, prevalence=0.2, seed=5, n_sensors=4)
+        ds.episodes[3].label = None
+        with pytest.raises(dt.SchemaError, match="1 of 10 stays have no label"):
+            dt.write_dataset_csvs(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_unlabeled_dataset_round_trips_without_labels_file(self, tmp_path):
+        ds = dt.apply_exclusions(
+            dt.generate_synthetic(10, prevalence=0.2, seed=5, n_sensors=4), "pretrain")
+        dt.write_dataset_csvs(ds, tmp_path)
+        assert not (tmp_path / "labels.csv").exists()
+        back = dt.load_dataset_dir(tmp_path, sensors=ds.sensors)
+        assert len(back) == len(ds) and all(ep.label is None for ep in back.episodes)
 
     def test_rerun_writes_identical_bytes(self, tmp_path):
         ds = dt.generate_synthetic(10, prevalence=0.2, seed=5, n_sensors=4)

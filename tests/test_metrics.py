@@ -6,7 +6,7 @@ import pytest
 from biaxial import autodiff as ad
 from biaxial import cli
 from biaxial import metrics as m
-from biaxial.autodiff import backward, tensor
+from biaxial.autodiff import tensor
 
 
 def brute_force_auc_roc(scores, labels):
@@ -273,6 +273,15 @@ class TestAucPr:
         labels[0] = 1
         base = m.auc_pr(scores, labels)
         assert m.auc_pr(3 * scores + 7, labels) == base
+
+
+@pytest.mark.parametrize("metric", [m.auc_roc, m.auc_pr])
+@pytest.mark.parametrize("bad", [None, 2, -1, 0.5, np.nan])
+def test_label_other_than_0_or_1_is_rejected(metric, bad):
+    # a ValueError, but not UndefinedMetricError, which the grid skips
+    with pytest.raises(ValueError, match="labels must be 0 or 1") as info:
+        metric([0.9, 0.1, 0.5, 0.3], [1, 0, bad, 0])
+    assert not isinstance(info.value, m.UndefinedMetricError)
 
 
 class TestReportAndCsv:

@@ -163,10 +163,7 @@ def test_finetune_float32_matches_float64(monkeypatch):
     ds = dt.apply_exclusions(dt.generate_synthetic(240, prevalence=0.25, mean_stay_hours=40,
                                                    sparsity=0.5, seed=100, n_sensors=6),
                              "mortality")
-    plan = dt.make_splits(ds, seed=0)
-    test = dt.select_episodes(ds, plan.test_ids)
-    pool = dt.Dataset.from_episodes(ds.name, dt.select_episodes(ds, plan.pool_ids()),
-                                    sensors=ds.sensors)
+    pool, test = dt.split_test(ds, seed=0)
     run = lambda: tr.finetune(None, pool, "scratch", tiny_train_cfg(epochs=3, seed=4),
                               model_cfg=tiny_model_cfg(), test_episodes=test)
     r64 = _at_dtype(monkeypatch, np.float64, run)

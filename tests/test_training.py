@@ -351,10 +351,7 @@ class TestFinetune:
         for ep, lab in zip(shuffled, labels):
             ep.label = int(lab)
         ds = dt.Dataset.from_episodes("shuffled", shuffled, sensors=base.sensors)
-        plan = dt.make_splits(ds, seed=0)
-        test = dt.select_episodes(ds, plan.test_ids)
-        pool = dt.Dataset.from_episodes(
-            ds.name, dt.select_episodes(ds, plan.pool_ids()), sensors=ds.sensors)
+        pool, test = dt.split_test(ds, seed=0)
         result = tr.finetune(None, pool, "scratch",
                              tiny_train_cfg(epochs=3, seed=7),
                              model_cfg=tiny_model_cfg(), test_episodes=test)
