@@ -80,12 +80,13 @@ def cmd_pretrain(cfg) -> int:
     paths = cfg["data"]["paths"]
     if not paths:
         raise ConfigError("pretrain requires at least one dataset path (data.paths)")
+    model_cfg, train_cfg, sampler_cfg = cfg.model_cfg(), cfg.train_cfg(), cfg.sampler_cfg()
     _echo_config(cfg, out_dir)
     sensors = dt.SENSOR_SCHEMA[:cfg["model"]["sensors_count"]]
     datasets = [dt.load_dataset_dir(p, sensors=sensors) for p in paths]
     pooled = dt.apply_exclusions(dt.pool_datasets(datasets), "pretrain")
     logger.info("pooled %d episodes from %d datasets", len(pooled), len(datasets))
-    result = tr.pretrain(pooled, cfg.model_cfg(), cfg.train_cfg(), cfg.sampler_cfg())
+    result = tr.pretrain(pooled, model_cfg, train_cfg, sampler_cfg)
 
     for fold, run in enumerate(result.fold_results):
         with dt.open_output(os.path.join(out_dir, f"fold{fold}.log")) as fh:
@@ -105,10 +106,10 @@ def cmd_pretrain(cfg) -> int:
         os.path.join(out_dir, "checkpoint.bax"),
         selected.params,
         result.preprocessors[result.selected_fold],
-        cfg.model_cfg(),
+        model_cfg,
         meta={
             "kind": "pretrained",
-            "sampler_cfg": {k: v for k, v in cfg["sampler"].items()},
+            "sampler_cfg": asdict(sampler_cfg),
             "selected_fold": result.selected_fold,
             "best_val_masked_mse": selected.best_val,
             "pooled_from": [os.path.basename(os.path.normpath(p)) for p in paths],
@@ -125,7 +126,7 @@ def cmd_finetune(cfg) -> int:
     paths = cfg["data"]["paths"]
     if len(paths) != 1:
         raise ConfigError("finetune requires exactly one dataset path (data.paths)")
-    grid = cfg.grid_cfg()
+    grid, train_cfg = cfg.grid_cfg(), cfg.train_cfg()
     save_variant = cfg["grid"]["save_model"]
     if save_variant and save_variant not in tr.GRID_VARIANTS:
         raise ConfigError(f"grid.save_model must be one of {tuple(tr.GRID_VARIANTS)}")
@@ -143,24 +144,23 @@ def cmd_finetune(cfg) -> int:
     ds = dt.apply_exclusions(dt.load_dataset_dir(paths[0], sensors=sensors), "mortality")
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
     rows, aggregates = tr.run_experiment_grid(
-        ds, checkpoint, model_cfg, cfg.train_cfg(), grid)
+        ds, checkpoint, model_cfg, train_cfg, grid)
     _write_rows(os.path.join(out_dir, "runs.csv"), METRIC_CSV_FIELDS, rows)
     _write_rows(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")
 
     if save_variant:
-        _save_final_model(cfg, ds, checkpoint, model_cfg, save_variant, out_dir)
+        _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, save_variant,
+                          out_dir)
         print(f"model: {os.path.join(out_dir, 'model.bax')}")
     return 0
 
 
-def _save_final_model(cfg, ds, checkpoint, model_cfg, variant, out_dir):
+def _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, variant, out_dir):
     """Train one model of the given variant on the full training pool and
     save it for cross-dataset evaluation."""
-    train_cfg = cfg.train_cfg()
     pool, _ = dt.split_test(ds, train_cfg.seed)
-    result = tr.train_variant(variant, checkpoint, pool, train_cfg, model_cfg,
-                              cfg.grid_cfg())
+    result = tr.train_variant(variant, checkpoint, pool, train_cfg, model_cfg, grid)
     tr.save_checkpoint(
         os.path.join(out_dir, "model.bax"), result.params, result.preprocessor,
         model_cfg,
@@ -180,7 +180,7 @@ def cmd_evaluate(cfg) -> int:
         if not os.path.exists(p):
             raise ConfigError(f"path not found: {p}")
     _echo_config(cfg, out_dir)
-    seed = cfg["train"]["seed"]
+    train_cfg = cfg.train_cfg()
     rows = []
     for ckpt_path in ckpts:
         bundle = tr.load_checkpoint(ckpt_path)
@@ -190,9 +190,9 @@ def cmd_evaluate(cfg) -> int:
         for path in paths:
             ds = dt.apply_exclusions(
                 dt.load_dataset_dir(path, sensors=sensors), "mortality")
-            _, test = dt.split_test(ds, seed)
+            _, test = dt.split_test(ds, train_cfg.seed)
             test_t = dt.transform_all(test, bundle["preprocessor"])
-            probs = tr.predict_probs(model, test_t, cfg["train"]["batch_size"])
+            probs = tr.predict_probs(model, test_t, train_cfg.batch_size)
             report = mt.evaluate_probs(probs, [ep.label for ep in test])
             rows.append({"checkpoint": os.path.basename(ckpt_path), "dataset": ds.name,
                          **asdict(report)})

@@ -4,6 +4,13 @@ Precedence is flags > file > defaults. Unknown sections or keys are
 rejected so typos cannot silently fall back to defaults. Every command
 echoes its fully resolved config into the output directory; rerunning
 from that echo reproduces the run byte for byte.
+
+The [model], [sampler] and [train] keys are the fields of `BatConfig`,
+`SamplerConfig` and `TrainConfig`, in field order: each key's kind is
+its field's annotation and its default the field's default, so every
+setting is declared once. Two fields are not keys: `static_count`, which
+`data.STATIC_SCHEMA` fixes, and the sampler's `forecast_horizon`, which
+is always the model's. [data], [grid] and [output] are declared here.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from biaxial.model import BatConfig
 from biaxial.sampler import SamplerConfig
@@ -22,10 +29,27 @@ class ConfigError(ValueError):
     """Invalid, unknown, or inconsistent configuration input."""
 
 
-# (type, default) per key; defaults mirror the reference training setup
+KINDS = ("int", "float", "bool", "str", "int | None", "list[int]", "list[str]")
+
+
+def _keys_of(cls, omit=()) -> dict:
+    """(kind, default) per field of a dataclass, in field order; a field
+    whose annotation is not one of KINDS fails here, at import."""
+    keys = {}
+    for f in fields(cls):
+        if f.name in omit:
+            continue
+        if f.type not in KINDS:
+            raise TypeError(f"{cls.__name__}.{f.name}: annotation {f.type!r} "
+                            f"is not a config kind {KINDS}")
+        keys[f.name] = (f.type, f.default)
+    return keys
+
+
+# (kind, default) per key
 SCHEMA = {
     "data": {
-        "paths": ("strlist", []),
+        "paths": ("list[str]", []),
         "checkpoint": ("str", ""),
         "n": ("int", 1000),
         "prevalence": ("float", 0.119),
@@ -34,39 +58,13 @@ SCHEMA = {
         "availability_profile": ("int", 0),
         "name": ("str", "synthetic"),
     },
-    "model": {
-        "sensors_count": ("int", 48),
-        "value_embed_size": ("int", 128),
-        "layers": ("int", 2),
-        "heads": ("int", 1),
-        "dropout": ("float", 0.364),
-        "attn_dropout": ("float", 0.207),
-        "pooling": ("str", "max"),
-        "use_mask": ("bool", False),
-        "forecast_horizon": ("int", 2),
-    },
-    "sampler": {
-        "min_obs_len": ("int", 12),
-        "forecast_horizon": ("int", 2),
-        "max_obs": ("optint", None),
-        "max_tries": ("optint", None),
-    },
-    "train": {
-        "batch_size": ("int", 64),
-        "epochs": ("int", 200),
-        "patience": ("int", 10),
-        "min_delta": ("float", 5e-3),
-        "learning_rate": ("float", 7.781e-4),
-        "weight_decay": ("float", 1e-6),
-        "lr_gamma": ("float", 0.95),
-        "seed": ("int", 0),
-        "weighted_loss": ("bool", True),
-        "standardization": ("str", "refit"),
-    },
+    "model": _keys_of(BatConfig, omit=("static_count",)),
+    "sampler": _keys_of(SamplerConfig, omit=("forecast_horizon",)),
+    "train": _keys_of(TrainConfig),
     "grid": {
-        "sizes": ("intlist", [100, 500, 1000]),
-        "seeds": ("intlist", [0, 1, 2, 3, 4]),
-        "variants": ("strlist", list(GRID_VARIANTS)),
+        "sizes": ("list[int]", [100, 500, 1000]),
+        "seeds": ("list[int]", [0, 1, 2, 3, 4]),
+        "variants": ("list[str]", list(GRID_VARIANTS)),
         **{f"lr_{name}": ("float", v.lr) for name, v in GRID_VARIANTS.items()},
         "jobs": ("int", 1),
         "save_model": ("str", ""),
@@ -93,11 +91,11 @@ def _parse_value(kind: str, raw: str, where: str):
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "optint":
+        if kind == "int | None":
             return None if raw.lower() in ("", "none") else int(raw)
-        if kind == "intlist":
+        if kind == "list[int]":
             return [int(x) for x in raw.split(",") if x.strip()]
-        if kind == "strlist":
+        if kind == "list[str]":
             return [x.strip() for x in raw.split(",") if x.strip()]
         return raw
     except ValueError as exc:
@@ -107,9 +105,9 @@ def _parse_value(kind: str, raw: str, where: str):
 def _format_value(kind: str, value) -> str:
     if kind == "bool":
         return "true" if value else "false"
-    if kind == "optint":
+    if kind == "int | None":
         return "none" if value is None else str(value)
-    if kind in ("intlist", "strlist"):
+    if kind.startswith("list["):
         return ",".join(str(x) for x in value)
     if kind == "float":
         return repr(float(value))
@@ -138,11 +136,9 @@ class ExperimentConfig:
         return self._view("model", BatConfig)
 
     def sampler_cfg(self) -> SamplerConfig:
-        s, m = self.values["sampler"], self.values["model"]
-        if s["forecast_horizon"] != m["forecast_horizon"]:
-            raise ConfigError(
-                "sampler.forecast_horizon must equal model.forecast_horizon")
-        return self._view("sampler", SamplerConfig)
+        return self._view("sampler", SamplerConfig, dict(
+            self.values["sampler"],
+            forecast_horizon=self.values["model"]["forecast_horizon"]))
 
     def train_cfg(self) -> TrainConfig:
         return self._view("train", TrainConfig)
@@ -174,25 +170,22 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """
     values = {section: {key: default for key, (_, default) in keys.items()}
               for section, keys in SCHEMA.items()}
+    given = []  # (section, key, raw, where): the file's first, so overrides win
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path, encoding="utf-8")
-        if not read:
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"cannot read config file {path}")
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                kind = SCHEMA[section][key][0]
-                values[section][key] = _parse_value(kind, raw, f"[{section}] {key}")
+            given += [(section, key, raw, f"[{section}] {key}")
+                      for key, raw in parser.items(section)]
     for dotted, raw in (overrides or {}).items():
         if "." not in dotted:
             raise ConfigError(f"override {dotted!r} must look like section.key")
-        section, key = dotted.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        kind = SCHEMA[section][key][0]
-        values[section][key] = _parse_value(kind, str(raw), dotted)
+        given.append((*dotted.split(".", 1), str(raw), dotted))
+    for section, key, raw, where in given:
+        if key not in SCHEMA.get(section, {}):
+            raise ConfigError(f"{where}: unknown config key")
+        values[section][key] = _parse_value(SCHEMA[section][key][0], raw, where)
     return ExperimentConfig(values)

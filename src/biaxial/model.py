@@ -25,16 +25,19 @@ ATTN_MASK_FILL = -1e9
 
 @dataclass
 class BatConfig:
+    """Model shape and regularization; the defaults are the reference setup
+    (the paper's tuned dropout rates included), which the [model] config
+    section reads off these fields in this order."""
     sensors_count: int = 48          # D
     value_embed_size: int = 128      # E
     layers: int = 2
     heads: int = 1
-    dropout: float = 0.0
-    attn_dropout: float = 0.0
+    dropout: float = 0.364
+    attn_dropout: float = 0.207
     pooling: str = "max"
-    static_count: int = 4            # S
-    forecast_horizon: int = 2        # H
     use_mask: bool = False
+    forecast_horizon: int = 2        # H
+    static_count: int = 4            # S = len(data.STATIC_SCHEMA)
 
     def __post_init__(self):
         if self.value_embed_size % max(self.heads, 1) != 0:
@@ -45,8 +48,9 @@ class BatConfig:
             raise ValueError(f"pooling must be 'max' or 'mean', got {self.pooling!r}")
         if not (0 <= self.dropout < 1 and 0 <= self.attn_dropout < 1):
             raise ValueError("dropout rates must be in [0, 1)")
-        if self.layers < 0 or self.heads < 1 or self.sensors_count < 1:
-            raise ValueError("invalid layer/head/sensor counts")
+        if self.layers < 0 or min(self.heads, self.sensors_count,
+                                   self.forecast_horizon) < 1:
+            raise ValueError("invalid layer/head/sensor counts or forecast horizon")
 
     def to_dict(self) -> dict:
         return asdict(self)

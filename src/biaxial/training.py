@@ -52,9 +52,6 @@ GRID_VARIANTS = {
     "scratch_transformer": Variant("transformer", "scratch", 1.5e-3),
 }
 
-FINETUNE_MODES = tuple(dict.fromkeys(v.mode for v in GRID_VARIANTS.values()))
-
-
 class NonFiniteGradientError(RuntimeError):
     """A parameter gradient went NaN or infinite; the message names it."""
 
@@ -77,6 +74,14 @@ class TrainConfig:
     standardization: str = "refit"   # refit | inherit
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
+        for name in ("min_delta", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0 < self.lr_gamma <= 1:
             raise ValueError("lr_gamma must be in (0, 1]")
         if self.standardization not in ("refit", "inherit"):
@@ -417,17 +422,12 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
     `dt.stratified_split` holds out dt.VAL_FRAC of it for validation (the
     "holdout" substream). Test metrics need `test_episodes`.
     """
-    if mode not in FINETUNE_MODES:
-        raise ValueError(f"mode must be one of {FINETUNE_MODES}, got {mode!r}")
+    if (arch, mode) not in {(v.arch, v.mode) for v in GRID_VARIANTS.values()}:
+        raise ValueError(f"no grid variant trains arch {arch!r} in mode {mode!r}")
     if mode == "scratch" and pretrained is not None:
         raise ValueError("scratch training does not take a pretrained checkpoint")
     if mode != "scratch" and pretrained is None:
         raise ValueError(f"mode {mode!r} requires a pretrained checkpoint")
-    if arch not in ARCHS:
-        raise ValueError(f"arch must be one of {tuple(ARCHS)}, got {arch!r}")
-    # pretraining produces bi-axial weights only
-    if ARCHS[arch] is not BatModel and mode != "scratch":
-        raise ValueError("the temporal baseline is only trained from scratch")
 
     seed = train_cfg.seed
     train_eps = list(ds.episodes)

@@ -4,14 +4,16 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import dataclass, fields
 
 import pytest
 
-from biaxial import cli
+from biaxial import cli, config
 from biaxial import data as dt
 from biaxial import training as tr
-from biaxial.config import ConfigError, load_config
-from biaxial.model import BatModel, TemporalTransformer
+from biaxial.config import SCHEMA, ConfigError, load_config
+from biaxial.model import BatConfig, BatModel, TemporalTransformer
+from biaxial.sampler import SamplerConfig
 
 
 def run_cli(*argv):
@@ -62,6 +64,41 @@ def pretrain_out(small_dataset_dir, second_dataset_dir, tmp_path_factory):
     return str(out)
 
 
+# a valid value other than the default for every config key, as --set takes it
+NON_DEFAULT = {
+    "data.paths": "a,b", "data.checkpoint": "c.bax", "data.n": "10",
+    "data.prevalence": "0.3", "data.mean_stay_hours": "30.5", "data.sparsity": "0.25",
+    "data.availability_profile": "2", "data.name": "other",
+    "model.sensors_count": "6", "model.value_embed_size": "64", "model.layers": "3",
+    "model.heads": "2", "model.dropout": "0.1", "model.attn_dropout": "0.05",
+    "model.pooling": "mean", "model.use_mask": "true", "model.forecast_horizon": "3",
+    "sampler.min_obs_len": "6", "sampler.max_obs": "24", "sampler.max_tries": "5",
+    "train.batch_size": "16", "train.epochs": "3", "train.patience": "2",
+    "train.min_delta": "0.01", "train.learning_rate": "0.001", "train.weight_decay": "0.0",
+    "train.lr_gamma": "0.5", "train.seed": "7", "train.weighted_loss": "false",
+    "train.standardization": "inherit",
+    "grid.sizes": "10,20", "grid.seeds": "3", "grid.variants": "scratch_bat,finetune_head",
+    "grid.lr_finetune_full": "0.01", "grid.lr_finetune_head": "0.02",
+    "grid.lr_scratch_bat": "0.03", "grid.lr_scratch_transformer": "0.04",
+    "grid.jobs": "2", "grid.save_model": "scratch_bat",
+    "output.dir": "elsewhere",
+}
+
+
+def typed_value(cfg, dotted):
+    """The value a key reaches through its section's typed view; [data],
+    [output] and grid.save_model have no view and are read as resolved."""
+    section, key = dotted.split(".")
+    views = {"model": cfg.model_cfg, "sampler": cfg.sampler_cfg, "train": cfg.train_cfg}
+    if section in views:
+        return getattr(views[section](), key)
+    if section == "grid" and key.startswith("lr_"):
+        return cfg.grid_cfg().learning_rates[key[len("lr_"):]]
+    if section == "grid" and key != "save_model":
+        return getattr(cfg.grid_cfg(), key)
+    return cfg[section][key]
+
+
 class TestConfig:
     def test_defaults_match_reference_setup(self):
         cfg = load_config()
@@ -109,9 +146,48 @@ class TestConfig:
                                  "model.heads": "3"})
         with pytest.raises(ConfigError, match="divisible"):
             cfg.model_cfg()
-        cfg2 = load_config(None, {"sampler.forecast_horizon": "4"})
-        with pytest.raises(ConfigError, match="forecast_horizon"):
-            cfg2.sampler_cfg()
+        cfg2 = load_config(None, {"model.forecast_horizon": "4"})
+        assert cfg2.sampler_cfg().forecast_horizon == 4
+        with pytest.raises(ConfigError, match=r"\[model\] .*forecast horizon"):
+            load_config(None, {"model.forecast_horizon": "0"}).model_cfg()
+        with pytest.raises(ConfigError, match="sampler.forecast_horizon: unknown config key"):
+            load_config(None, {"sampler.forecast_horizon": "4"})
+
+    def test_default_typed_views_are_the_dataclass_defaults(self):
+        cfg = load_config()
+        assert cfg.model_cfg() == BatConfig()
+        assert cfg.sampler_cfg() == SamplerConfig()
+        assert cfg.train_cfg() == tr.TrainConfig()
+
+    def test_dataclass_sections_are_their_fields_in_order(self):
+        for section, cls, omitted in [("model", BatConfig, {"static_count"}),
+                                      ("sampler", SamplerConfig, {"forecast_horizon"}),
+                                      ("train", tr.TrainConfig, set())]:
+            assert list(SCHEMA[section]) == [
+                f.name for f in fields(cls) if f.name not in omitted]
+
+    def test_field_of_no_config_kind_is_rejected(self):
+        @dataclass
+        class Odd:
+            shape: "tuple[int, int]" = (1, 2)
+        with pytest.raises(TypeError, match="Odd.shape"):
+            config._keys_of(Odd)
+
+    def test_non_default_table_names_every_key(self):
+        assert set(NON_DEFAULT) == {f"{section}.{key}"
+                                    for section, keys in SCHEMA.items() for key in keys}
+
+    @pytest.mark.parametrize("dotted", sorted(NON_DEFAULT))
+    def test_set_value_reaches_its_view_and_round_trips(self, dotted, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["generate", "--set", f"{dotted}={NON_DEFAULT[dotted]}"])
+        cfg = load_config(args.config, cli._overrides_from_args(args))
+        section, key = dotted.split(".")
+        assert cfg[section][key] != SCHEMA[section][key][1]
+        assert typed_value(cfg, dotted) == cfg[section][key]
+        echoed = tmp_path / "echo.ini"
+        echoed.write_text(cfg.to_ini(), encoding="utf-8")
+        assert load_config(echoed).values == cfg.values
 
 
 class TestGenerate:
@@ -197,6 +273,14 @@ class TestPretrain:
         assert opened, "loader was never exercised"
         assert not any(str(held_out) in p for p in opened)
 
+    def test_zero_epochs_is_validation_error(self, small_dataset_dir, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run_cli("pretrain", "--data", small_dataset_dir, "--out", str(out),
+                       "--set", "model.sensors_count=6", "--set", "model.value_embed_size=8",
+                       "--set", "model.layers=1", "--set", "train.epochs=0") == 1
+        assert "[train] epochs" in capsys.readouterr().err
+        assert not os.path.exists(out / "checkpoint.bax")
+
 
 class TestFinetune:
     def _finetune_args(self, data_dir, ckpt, out, extra=()):
@@ -208,6 +292,20 @@ class TestFinetune:
                 "--set", "grid.seeds=0,1",
                 "--set", "grid.variants=finetune_head,scratch_bat",
                 *extra)
+
+    @pytest.mark.parametrize("setting", [
+        "batch_size=0", "batch_size=-1", "epochs=0", "patience=0", "learning_rate=0",
+        "learning_rate=-0.001", "min_delta=-0.001", "weight_decay=-1e-06"])
+    def test_bad_training_setting_is_validation_error(self, small_dataset_dir, tmp_path,
+                                                      capsys, setting):
+        out = tmp_path / "ft"
+        small = ["model.sensors_count=6", "model.value_embed_size=8", "model.layers=1",
+                 "train.epochs=1", "grid.sizes=40", "grid.seeds=0",
+                 "grid.variants=scratch_bat", f"train.{setting}"]
+        assert run_cli("finetune", "--data", small_dataset_dir, "--out", str(out),
+                       *[x for item in small for x in ("--set", item)]) == 1
+        assert f"[train] {setting.split('=')[0]}" in capsys.readouterr().err
+        assert not os.path.exists(out / "runs.csv")
 
     def test_grid_csvs(self, small_dataset_dir, pretrain_out, tmp_path):
         out = tmp_path / "ft"

@@ -1,7 +1,10 @@
-"""No module under src/ or tests/ imports a name it never uses."""
+"""No module under src/ or tests/ imports a name it never uses, or a
+third-party module that pyproject.toml does not declare."""
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -32,6 +35,41 @@ def unused_imports(source: str) -> list:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules a source imports absolutely."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def declared_requirements() -> set:
+    """Names of the dependencies and optional dependencies in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    reqs = [*project["dependencies"],
+            *(r for extra in project.get("optional-dependencies", {}).values() for r in extra)]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_") for r in reqs}
+
+
+def test_every_third_party_import_is_declared():
+    exempt = {*sys.stdlib_module_names, "biaxial",
+              *(p.stem for p in (ROOT / "tests").glob("*.py"))}
+    declared = declared_requirements()
+    undeclared = sorted(f"{path.name}: {name}" for path in MODULES
+                        for name in imported_modules(path.read_text(encoding="utf-8"))
+                        if name not in exempt and name not in declared)
+    assert not undeclared, ", ".join(undeclared)
+
+
+def test_import_lister_skips_relative_imports():
+    source = "import os.path\nimport numpy as np\nfrom a.b import c\nfrom . import d\n"
+    assert imported_modules(source) == {"os", "numpy", "a"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))

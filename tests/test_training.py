@@ -135,6 +135,16 @@ class TestAdamW:
         assert a.data[0] != 1.0
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [
+        {"batch_size": 0}, {"batch_size": -1}, {"epochs": 0}, {"patience": 0},
+        {"learning_rate": 0.0}, {"learning_rate": float("nan")}, {"min_delta": -1e-3},
+        {"weight_decay": -1e-6}])
+    def test_rejects_bad_setting(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            tr.TrainConfig(**bad)
+
+
 class TestLrSchedule:
     def test_epoch_zero_is_lr0(self):
         assert tr.lr_at_epoch(3e-4, 0.95, 0) == 3e-4
@@ -294,6 +304,17 @@ class TestFinetune:
             tr.finetune(checkpoint, mortality_ds, "scratch", tiny_train_cfg())
         with pytest.raises(ValueError, match="requires a pretrained"):
             tr.finetune(None, mortality_ds, "finetune_full", tiny_train_cfg())
+
+    def test_arch_and_mode_must_name_a_grid_variant(self, checkpoint, mortality_ds):
+        with pytest.raises(ValueError, match="no grid variant"):
+            tr.finetune(checkpoint, mortality_ds, "finetune_full", tiny_train_cfg(),
+                        arch="transformer")
+        with pytest.raises(ValueError, match="no grid variant"):
+            tr.finetune(None, mortality_ds, "zero_shot", tiny_train_cfg(),
+                        model_cfg=tiny_model_cfg())
+        with pytest.raises(ValueError, match="no grid variant"):
+            tr.finetune(None, mortality_ds, "scratch", tiny_train_cfg(),
+                        model_cfg=tiny_model_cfg(), arch="lstm")
 
     def test_inherit_standardization_uses_checkpoint_stats(self, checkpoint,
                                                            mortality_ds):
