@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The primitive set is deliberately small: elementwise arithmetic, matmul,
-softmax, layer norm, relu/gelu/sigmoid/log, dropout, shape ops and
-reductions, plus one private fused attention core. That is exactly what
-the bi-axial transformer and its two losses need, and nothing more.
-Gradients are accumulated by replaying a topologically ordered tape of
-the recorded operations.
+The primitive set is small. The bi-axial transformer and its two losses
+use elementwise arithmetic, affine, layer norm, gelu/sigmoid/log,
+dropout, shape ops and reductions, plus one private fused attention core.
+`matmul`, `softmax` and `transpose` serve only as the tests' unfused
+reference for that core, and `relu` has no caller. Gradients are
+accumulated by replaying a topologically ordered tape of the recorded
+operations. The engine reads and writes no files: `training` owns the
+checkpoint format.
 
 Memory is bounded by what one training step needs:
 
@@ -28,9 +30,7 @@ the graph. `grad_check` is the float64 oracle and refuses anything else.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
-import struct
 import warnings
 from typing import Callable, Iterable, Sequence
 
@@ -62,8 +62,6 @@ __all__ = [
     "dropout",
     "grad_check",
     "GradCheckReport",
-    "save_params",
-    "load_params",
 ]
 
 # Python floats, not NumPy float64 scalars, which would promote float32
@@ -292,11 +290,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, including stacked (leading-batch) operands.
-
-    Supports 2D @ 2D, stacked @ stacked with equal leading dims, and
-    stacked @ 2D (the 2D operand is broadcast over the stack).
-    """
+    """Matrix product with numpy's broadcasting over leading (stack) dims."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(
             f"matmul requires rank >= 2 operands, got shapes {a.shape} and {b.shape}"
@@ -305,22 +299,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
         )
-    stacked_by_2d = b.ndim == 2 and a.ndim > 2
-    if stacked_by_2d:
-        # one large 2-D product instead of a stack of tiny ones
-        k, n = b.shape
-        out_data = (a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,))
-    else:
-        out_data = a.data @ b.data
 
     def grad_fn(g):
-        if stacked_by_2d:
-            g2 = np.ascontiguousarray(g).reshape(-1, n)
-            if a.requires_grad:
-                a._accumulate((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b._accumulate(a.data.reshape(-1, k).T @ g2)
-            return
         if a.requires_grad:
             da = g @ np.swapaxes(b.data, -1, -2)
             a._accumulate(_unbroadcast(da, a.shape))
@@ -328,7 +308,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             db = np.swapaxes(a.data, -1, -2) @ g
             b._accumulate(_unbroadcast(db, b.shape))
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(a.data @ b.data, (a, b), grad_fn)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -788,68 +768,3 @@ def grad_check(f: Callable[[], Tensor], params: dict[str, Tensor],
         if bad:
             report.nonfinite[name] = bad
     return report
-
-
-# ---------------------------------------------------------------------------
-# parameter checkpoint container
-#
-# Layout: magic, little-endian uint64 header length, JSON header, then the
-# raw float64 buffers back to back. Contains no timestamps so identical
-# contents produce identical bytes.
-
-_CKPT_MAGIC = b"BAXPARMS"
-_CKPT_VERSION = 1
-
-
-def save_params(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named arrays (plus an optional JSON-able meta dict).
-
-    Values are stored as float64, so float32 arrays round-trip exactly
-    once cast back.
-    """
-    entries = []
-    buffers = []
-    offset = 0
-    for name in sorted(arrays):
-        arr = np.asarray(arrays[name], dtype=np.float64, order="C")
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "offset": offset,
-            "nbytes": arr.nbytes,
-        })
-        buffers.append(arr.tobytes())
-        offset += arr.nbytes
-    header = json.dumps(
-        {"format_version": _CKPT_VERSION, "entries": entries, "meta": meta or {}},
-        sort_keys=True, separators=(",", ":"),
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for buf in buffers:
-            fh.write(buf)
-
-
-def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint written by save_params; values round-trip exactly."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != _CKPT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint version {header.get('format_version')}"
-            )
-        blob = fh.read()
-    arrays = {}
-    for ent in header["entries"]:
-        n = int(np.prod(ent["shape"])) if ent["shape"] else 1
-        arr = np.frombuffer(
-            blob, dtype=np.float64, count=n, offset=ent["offset"]
-        ).reshape(ent["shape"])
-        arrays[ent["name"]] = arr.copy()
-    return arrays, header.get("meta", {})

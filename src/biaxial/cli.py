@@ -105,7 +105,7 @@ def cmd_pretrain(cfg) -> int:
     tr.save_checkpoint(
         os.path.join(out_dir, "checkpoint.bax"),
         selected.params,
-        result.preprocessors[result.selected_fold],
+        selected.preprocessor,
         model_cfg,
         meta={
             "kind": "pretrained",

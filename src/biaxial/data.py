@@ -184,24 +184,6 @@ class PreprocessorState:
     static_std: np.ndarray
     fitted_on: str = ""
 
-    def as_arrays(self) -> dict:
-        return {
-            "preproc/tv_mean": self.tv_mean,
-            "preproc/tv_std": self.tv_std,
-            "preproc/static_mean": self.static_mean,
-            "preproc/static_std": self.static_std,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: dict, fitted_on: str = "") -> "PreprocessorState":
-        return cls(
-            tv_mean=np.asarray(arrays["preproc/tv_mean"], dtype=np.float64),
-            tv_std=np.asarray(arrays["preproc/tv_std"], dtype=np.float64),
-            static_mean=np.asarray(arrays["preproc/static_mean"], dtype=np.float64),
-            static_std=np.asarray(arrays["preproc/static_std"], dtype=np.float64),
-            fitted_on=fitted_on,
-        )
-
 
 @dataclass
 class SplitPlan:
@@ -505,12 +487,12 @@ def transform_all(episodes: list, pp: PreprocessorState) -> list:
 # pooling, subsampling, splits
 
 
-def pool_datasets(datasets: list, prefix_ids: bool = True) -> Dataset:
+def pool_datasets(datasets: list) -> Dataset:
     """Concatenate datasets with identical schemas into one corpus.
 
     Patient ids are prefixed with the source name so disjointness holds
-    across sources; with prefixing disabled, overlapping raw ids are an
-    error.
+    across sources; two sources of the same name that share a raw id are
+    an error.
     """
     if not datasets:
         raise ValueError("nothing to pool")
@@ -525,8 +507,7 @@ def pool_datasets(datasets: list, prefix_ids: bool = True) -> Dataset:
     seen = set()
     for ds in datasets:
         for ep in ds.episodes:
-            out = replace(ep.copy(), patient_id=(f"{ds.name}/{ep.patient_id}"
-                                                 if prefix_ids else ep.patient_id))
+            out = replace(ep.copy(), patient_id=f"{ds.name}/{ep.patient_id}")
             if out.patient_id in seen:
                 raise ValueError(
                     f"duplicate patient id {out.patient_id!r} across pooled sources"

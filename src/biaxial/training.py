@@ -15,9 +15,12 @@ float32 value exactly.
 from __future__ import annotations
 
 import functools
+import json
 import logging
+import math
+import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -106,7 +109,6 @@ class RunResult:
 class PretrainResult:
     fold_results: list
     selected_fold: int
-    preprocessors: list
 
     @property
     def selected(self) -> RunResult:
@@ -380,7 +382,6 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
     """
     plan = dt.make_splits(pooled, train_cfg.seed, n_folds=n_folds)
     fold_results = []
-    preprocessors = []
     for fold, (train_ids, val_ids) in enumerate(plan.folds):
         train_eps = dt.select_episodes(pooled, train_ids)
         val_eps = dt.select_episodes(pooled, val_ids)
@@ -390,13 +391,12 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
             model_cfg, train_cfg, sampler_cfg, fold)
         logger.info("pretrain fold %d: best val masked loss %.6f at epoch %d (%s)",
                     fold, result.best_val, result.best_epoch, result.stop_reason)
+        result.preprocessor = pp
         fold_results.append(result)
-        preprocessors.append(pp)
     selected = int(np.argmin([r.best_val for r in fold_results]))
     logger.info("selected fold %d with lowest validation masked loss %.6f",
                 selected, fold_results[selected].best_val)
-    return PretrainResult(fold_results=fold_results, selected_fold=selected,
-                          preprocessors=preprocessors)
+    return PretrainResult(fold_results=fold_results, selected_fold=selected)
 
 
 # ---------------------------------------------------------------------------
@@ -487,30 +487,68 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint bundles
+# checkpoints
+#
+# A .bax file is the magic, a little-endian uint64 header length, a compact
+# sorted-key JSON header, then the float64 little-endian buffers back to
+# back. The header lists the entries in name order: the parameters under
+# "param/" and the preprocessor's statistics under "preproc/". It holds no
+# timestamps, so identical contents give identical bytes.
+
+_CKPT_MAGIC = b"BAXPARMS"
+_CKPT_VERSION = 1
+_PREPROC_ARRAYS = tuple(f.name for f in fields(dt.PreprocessorState)
+                        if f.name != "fitted_on")
 
 
 def save_checkpoint(path, params: dict, pp: dt.PreprocessorState,
                     model_cfg: BatConfig, meta: dict | None = None) -> None:
+    """Write parameters, preprocessor and model config (plus any JSON-able
+    `meta`) to one .bax file."""
     arrays = {f"param/{n}": a for n, a in params.items()}
-    arrays.update(pp.as_arrays())
-    full_meta = {"model_cfg": model_cfg.to_dict(), "fitted_on": pp.fitted_on}
-    if meta:
-        full_meta.update(meta)
-    ad.save_params(path, arrays, meta=full_meta)
+    arrays.update({f"preproc/{n}": getattr(pp, n) for n in _PREPROC_ARRAYS})
+    entries, buffers, offset = [], [], 0
+    for name in sorted(arrays):
+        buf = np.asarray(arrays[name], dtype="<f8")
+        entries.append({"name": name, "shape": list(buf.shape),
+                        "offset": offset, "nbytes": buf.nbytes})
+        buffers.append(buf.tobytes())
+        offset += buf.nbytes
+    meta = {"model_cfg": model_cfg.to_dict(), "fitted_on": pp.fitted_on, **(meta or {})}
+    header = json.dumps({"format_version": _CKPT_VERSION, "entries": entries, "meta": meta},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"".join([_CKPT_MAGIC, struct.pack("<Q", len(header)), header, *buffers]))
 
 
 def load_checkpoint(path) -> dict:
-    arrays, meta = ad.load_params(path)
-    params = {n[len("param/"):]: a for n, a in arrays.items()
-              if n.startswith("param/")}
-    pp = dt.PreprocessorState.from_arrays(arrays, fitted_on=meta.get("fitted_on", ""))
-    return {
-        "params": params,
-        "preprocessor": pp,
-        "model_cfg": BatConfig.from_dict(meta["model_cfg"]),
-        "meta": meta,
-    }
+    """Read a save_checkpoint file into its params (float64), preprocessor,
+    model_cfg and meta; a damaged file raises ValueError naming `path`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(_CKPT_MAGIC):
+        raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
+    start = len(_CKPT_MAGIC) + 8
+    try:
+        (hlen,) = struct.unpack_from("<Q", blob, len(_CKPT_MAGIC))
+        header = json.loads(blob[start:start + hlen])
+        version = header["format_version"]
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: damaged checkpoint header ({exc!r})") from None
+    if version != _CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        arrays = {e["name"]: np.frombuffer(
+            blob, "<f8", math.prod(e["shape"]), start + hlen + e["offset"]
+        ).reshape(e["shape"]).astype(np.float64) for e in header["entries"]}
+        meta = header["meta"]
+        pp = dt.PreprocessorState(**{n: arrays[f"preproc/{n}"] for n in _PREPROC_ARRAYS},
+                                  fitted_on=meta.get("fitted_on", ""))
+        model_cfg = BatConfig.from_dict(meta["model_cfg"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: damaged checkpoint ({exc!r})") from None
+    params = {n[len("param/"):]: a for n, a in arrays.items() if n.startswith("param/")}
+    return {"params": params, "preprocessor": pp, "model_cfg": model_cfg, "meta": meta}
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +565,13 @@ class GridConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("sizes", "seeds", "variants"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        if min(self.sizes) < 2:
+            raise ValueError(f"every size must be >= 2, got {min(self.sizes)}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for v in self.variants:
             if v not in GRID_VARIANTS:
                 raise ValueError(f"unknown grid variant {v!r}")

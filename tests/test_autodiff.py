@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from biaxial import autodiff as ad
+from biaxial import data as dt
 from biaxial import model as md
+from biaxial import training as tr
 from biaxial.autodiff import backward, grad_check, tensor
 
 
@@ -407,7 +409,16 @@ class TestGradCheck:
             grad_check(lambda: tensor(0.0), {}, step=0.0)
 
 
+def _preprocessor(rng):
+    return dt.PreprocessorState(
+        tv_mean=rng.standard_normal(3), tv_std=rng.uniform(0.5, 2.0, 3),
+        static_mean=rng.standard_normal(4), static_std=rng.uniform(0.5, 2.0, 4),
+        fitted_on="test")
+
+
 class TestCheckpointRoundTrip:
+    """Tape values survive training.save_checkpoint / load_checkpoint."""
+
     def test_value_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)
         arrays = {
@@ -416,25 +427,29 @@ class TestCheckpointRoundTrip:
             "scalar": np.array(3.14159),
         }
         path = tmp_path / "params.bax"
-        ad.save_params(path, arrays, meta={"kind": "test", "n": 3})
-        loaded, meta = ad.load_params(path)
-        assert meta == {"kind": "test", "n": 3}
-        assert set(loaded) == set(arrays)
+        tr.save_checkpoint(path, arrays, _preprocessor(rng), md.BatConfig(),
+                           meta={"kind": "test", "n": 3})
+        back = tr.load_checkpoint(path)
+        assert back["meta"] == {"kind": "test", "n": 3, "fitted_on": "test",
+                                "model_cfg": md.BatConfig().to_dict()}
+        assert set(back["params"]) == set(arrays)
         for name in arrays:
-            assert np.array_equal(loaded[name], np.asarray(arrays[name], dtype=np.float64))
+            assert np.array_equal(back["params"][name], arrays[name])
+            assert back["params"][name].shape == arrays[name].shape
 
     def test_identical_bytes_for_identical_content(self, tmp_path):
         arrays = {"a": np.arange(6, dtype=np.float64).reshape(2, 3)}
+        pp = _preprocessor(np.random.default_rng(0))
         p1, p2 = tmp_path / "a.bax", tmp_path / "b.bax"
-        ad.save_params(p1, arrays, meta={"x": 1})
-        ad.save_params(p2, arrays, meta={"x": 1})
+        tr.save_checkpoint(p1, arrays, pp, md.BatConfig(), meta={"x": 1})
+        tr.save_checkpoint(p2, arrays, pp, md.BatConfig(), meta={"x": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bax"
         path.write_bytes(b"NOTAPARM" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
-            ad.load_params(path)
+            tr.load_checkpoint(path)
 
 
 def unfused_attention(q, k, v, heads, axis, key_bias, p, rng, train):

@@ -307,6 +307,20 @@ class TestFinetune:
         assert f"[train] {setting.split('=')[0]}" in capsys.readouterr().err
         assert not os.path.exists(out / "runs.csv")
 
+    @pytest.mark.parametrize("args", [
+        ("--jobs", "0"), ("--jobs", "-3"), ("--set", "grid.sizes=1"),
+        ("--set", "grid.sizes=40,1"), ("--set", "grid.sizes="), ("--set", "grid.seeds="),
+        ("--set", "grid.variants=")])
+    def test_grid_that_runs_nothing_is_validation_error(self, small_dataset_dir, tmp_path,
+                                                        capsys, args):
+        out = tmp_path / "ft"
+        small = ["model.sensors_count=6", "train.epochs=1", "grid.sizes=40",
+                 "grid.seeds=0", "grid.variants=scratch_bat"]
+        assert run_cli("finetune", "--data", small_dataset_dir, "--out", str(out),
+                       *[x for item in small for x in ("--set", item)], *args) == 1
+        assert "[grid]" in capsys.readouterr().err
+        assert not os.path.exists(out / "runs.csv")
+
     def test_grid_csvs(self, small_dataset_dir, pretrain_out, tmp_path):
         out = tmp_path / "ft"
         ckpt = os.path.join(pretrain_out, "checkpoint.bax")
@@ -472,6 +486,15 @@ class TestEvaluate:
         assert loaded == [model_cls]
         rows = open(tmp_path / "ev" / "evaluate.csv").read().splitlines()
         assert len(rows) == 1 + 1
+
+    def test_cut_checkpoint_is_validation_error(self, classifier_ckpts, small_dataset_dir,
+                                                tmp_path, capsys):
+        cut = tmp_path / "cut.bax"
+        cut.write_bytes(read(classifier_ckpts[0])[:12])  # inside the length field
+        code = run_cli("evaluate", "--checkpoint", str(cut), "--data", small_dataset_dir,
+                       "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert f"{cut}: damaged checkpoint" in capsys.readouterr().err
 
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1

@@ -262,12 +262,6 @@ class TestPreprocessor:
         with pytest.raises(ValueError, match="empty"):
             dt.fit_preprocessor([])
 
-    def test_roundtrip_through_arrays(self):
-        pp = dt.fit_preprocessor([make_episode()])
-        back = dt.PreprocessorState.from_arrays(pp.as_arrays(), fitted_on="x")
-        assert np.array_equal(back.tv_mean, pp.tv_mean)
-        assert np.array_equal(back.static_std, pp.static_std)
-
 
 class TestTransform:
     def test_forward_fill_then_mean_fill(self):
@@ -336,11 +330,12 @@ class TestPooling:
         pooled = dt.pool_datasets([a, b])
         assert sorted(ep.patient_id for ep in pooled.episodes) == ["A/same", "B/same"]
 
-    def test_overlap_without_prefix_is_error(self):
-        a = dt.Dataset.from_episodes("A", [make_episode(pid="same")])
-        b = dt.Dataset.from_episodes("B", [make_episode(pid="same")])
-        with pytest.raises(ValueError, match="duplicate patient id"):
-            dt.pool_datasets([a, b], prefix_ids=False)
+    def test_same_named_sources_sharing_an_id_are_error(self):
+        # as `--data x/cohort --data y/cohort` gives: both sources are "cohort"
+        a = dt.Dataset.from_episodes("cohort", [make_episode(pid="same")])
+        b = dt.Dataset.from_episodes("cohort", [make_episode(pid="same")])
+        with pytest.raises(ValueError, match="duplicate patient id 'cohort/same'"):
+            dt.pool_datasets([a, b])
 
     def test_schema_mismatch_rejected(self):
         a = dt.Dataset.from_episodes("A", [make_episode()], sensors=dt.SENSOR_SCHEMA[:3])

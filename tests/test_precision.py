@@ -56,7 +56,7 @@ PRIMITIVES = {
 
 def test_every_public_primitive_is_covered():
     not_ops = {"Tensor", "GradientTape", "tensor", "backward", "grad_check",
-               "GradCheckReport", "save_params", "load_params"}
+               "GradCheckReport"}
     assert set(ad.__all__) - not_ops <= set(PRIMITIVES)
 
 
@@ -193,12 +193,13 @@ def test_pretrain_float32_matches_float64(monkeypatch):
 
 
 class TestCheckpointPrecision:
-    def test_float32_params_roundtrip_bitwise(self, tmp_path):
+    def test_float32_params_roundtrip_bitwise(self, tmp_path, small_mortality):
         rng = np.random.default_rng(5)
         arrays = {"w": rng.standard_normal((4, 3)).astype(np.float32),
                   "tiny": np.array([1e-40, -3.4e38, 0.1], dtype=np.float32)}
-        ad.save_params(tmp_path / "p.bax", arrays)
-        loaded, _ = ad.load_params(tmp_path / "p.bax")
+        pp = dt.fit_preprocessor(small_mortality.episodes)
+        tr.save_checkpoint(tmp_path / "p.bax", arrays, pp, tiny_model_cfg())
+        loaded = tr.load_checkpoint(tmp_path / "p.bax")["params"]
         for name, arr in arrays.items():
             assert loaded[name].dtype == np.float64
             assert loaded[name].astype(np.float32).tobytes() == arr.tobytes()
@@ -209,10 +210,9 @@ class TestCheckpointPrecision:
         model = BatModel.init(cfg, substream(1, "init"))
         pp = dt.fit_preprocessor(small_mortality.episodes)
         tr.save_checkpoint(tmp_path / "old.bax", model.state_arrays(), pp, cfg)
-        arrays, _ = ad.load_params(tmp_path / "old.bax")
-        assert arrays["param/embed/value_w"].tobytes() == \
-            model.params["embed/value_w"].data.tobytes()
         bundle = tr.load_checkpoint(tmp_path / "old.bax")
+        assert bundle["params"]["embed/value_w"].tobytes() == \
+            model.params["embed/value_w"].data.tobytes()
         assert bundle["model_cfg"] == cfg
         result = tr.finetune(bundle, small_mortality, "finetune_head",
                              tiny_train_cfg(epochs=1, learning_rate=1e-2))

@@ -1,4 +1,11 @@
-"""Optimizer, schedules, early stopping, pretraining and fine-tuning."""
+"""Optimizer, schedules, early stopping, pretraining, fine-tuning and
+checkpoint files."""
+
+import json
+import math
+import re
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +33,9 @@ def reference_stop_epoch(trace, patience, min_delta):
         if gap >= patience:
             return i
     return None
+
+
+PREPROC_ARRAYS = ("tv_mean", "tv_std", "static_mean", "static_std")
 
 
 def tiny_model_cfg(**over):
@@ -66,7 +76,7 @@ def checkpoint(pooled_pretrain_ds):
                          tiny_train_cfg(epochs=2), SamplerConfig(), n_folds=2)
     return {
         "params": result.selected.params,
-        "preprocessor": result.preprocessors[result.selected_fold],
+        "preprocessor": result.selected.preprocessor,
         "model_cfg": model_cfg,
         "meta": {},
     }
@@ -229,6 +239,8 @@ class TestPretrain:
         assert best.best_val <= min(r.best_val for r in result.fold_results)
         assert best.best_val < best.val_curve[0]
         assert best.best_val == min(best.val_curve)
+        assert [r.preprocessor.fitted_on for r in result.fold_results] == \
+            [f"{pooled_pretrain_ds.name}/fold{k}" for k in range(5)]
 
     def test_deterministic_loss_curves(self, pooled_pretrain_ds):
         kwargs = dict(model_cfg=tiny_model_cfg(), train_cfg=tiny_train_cfg(epochs=2),
@@ -389,12 +401,89 @@ class TestFinetune:
         tr.save_checkpoint(path, checkpoint["params"], checkpoint["preprocessor"],
                            checkpoint["model_cfg"], meta={"note": "x"})
         back = tr.load_checkpoint(path)
+        assert set(back) == {"params", "preprocessor", "model_cfg", "meta"}
         assert back["model_cfg"] == checkpoint["model_cfg"]
         assert back["meta"]["note"] == "x"
         for name, arr in checkpoint["params"].items():
+            assert back["params"][name].dtype == np.float64
             assert np.array_equal(back["params"][name], arr)
-        np.testing.assert_array_equal(back["preprocessor"].tv_mean,
-                                      checkpoint["preprocessor"].tv_mean)
+        pp = checkpoint["preprocessor"]
+        assert back["preprocessor"].fitted_on == pp.fitted_on
+        for name in PREPROC_ARRAYS:
+            assert np.array_equal(getattr(back["preprocessor"], name), getattr(pp, name))
+
+
+def read_bax(path):
+    """Read a .bax file from its documented layout alone: the BAXPARMS
+    magic, a little-endian u64 header length, a compact sorted-key JSON
+    header, then float64 little-endian buffers back to back, in entry
+    order, at the recorded offsets. Returns (arrays by name, meta)."""
+    blob = path.read_bytes()
+    assert blob[:8] == b"BAXPARMS"
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    raw = blob[16:16 + hlen]
+    header = json.loads(raw)
+    assert raw == json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert header["format_version"] == 1
+    names = [e["name"] for e in header["entries"]]
+    assert names == sorted(names)
+    data, offset, arrays = blob[16 + hlen:], 0, {}
+    for e in header["entries"]:
+        assert e["offset"] == offset and e["nbytes"] == 8 * math.prod(e["shape"])
+        arrays[e["name"]] = np.frombuffer(
+            data[offset:offset + e["nbytes"]], dtype="<f8").reshape(e["shape"])
+        offset += e["nbytes"]
+    assert offset == len(data)
+    return arrays, header["meta"]
+
+
+class TestCheckpointFile:
+    @pytest.fixture
+    def saved(self, checkpoint, tmp_path):
+        """A checkpoint with non-ASCII meta, as written by save_checkpoint."""
+        path = tmp_path / "ckpt.bax"
+        pp = replace(checkpoint["preprocessor"], fitted_on="données/fold0")
+        tr.save_checkpoint(path, checkpoint["params"], pp, checkpoint["model_cfg"],
+                           meta={"note": "é", "n": 3})
+        return path, pp
+
+    def test_layout_matches_an_independent_reader(self, checkpoint, saved):
+        path, pp = saved
+        arrays, meta = read_bax(path)
+        params = checkpoint["params"]
+        assert set(arrays) == ({f"param/{n}" for n in params}
+                               | {f"preproc/{n}" for n in PREPROC_ARRAYS})
+        for name, arr in params.items():
+            assert arrays[f"param/{name}"].tobytes() == np.asarray(arr, "<f8").tobytes()
+        for name in PREPROC_ARRAYS:
+            assert arrays[f"preproc/{name}"].tobytes() == \
+                np.asarray(getattr(pp, name), "<f8").tobytes()
+        assert meta == {"model_cfg": checkpoint["model_cfg"].to_dict(),
+                        "fitted_on": "données/fold0", "note": "é", "n": 3}
+
+    def test_unsupported_version_rejected(self, saved):
+        path, _ = saved
+        path.write_bytes(path.read_bytes().replace(b'"format_version":1',
+                                                   b'"format_version":2', 1))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 2"):
+            tr.load_checkpoint(path)
+
+    @pytest.mark.parametrize("damage", ["cut_in_length", "cut_in_header", "cut_in_buffers",
+                                        "garbled_header", "header_without_entries"])
+    def test_damaged_file_is_value_error_naming_the_path(self, saved, damage):
+        path, _ = saved
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        empty = b'{"format_version":1}'
+        path.write_bytes({
+            "cut_in_length": blob[:12],
+            "cut_in_header": blob[:16 + hlen // 2],
+            "cut_in_buffers": blob[:len(blob) - 4],
+            "garbled_header": blob[:16] + b"x" + blob[17:],
+            "header_without_entries": blob[:8] + struct.pack("<Q", len(empty)) + empty,
+        }[damage])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            tr.load_checkpoint(path)
 
 
 class TestExperimentGrid:
@@ -466,3 +555,13 @@ class TestExperimentGrid:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown grid variant"):
             tr.GridConfig(sizes=[10], seeds=[0], variants=["zero_shot"])
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"jobs": 0}, "jobs must be >= 1"), ({"jobs": -3}, "jobs must be >= 1"),
+        ({"sizes": [1]}, "every size must be >= 2"),
+        ({"sizes": [30, 0]}, "every size must be >= 2"),
+        ({"sizes": []}, "sizes must not be empty"), ({"seeds": []}, "seeds must not be empty"),
+        ({"variants": []}, "variants must not be empty")])
+    def test_setting_that_runs_nothing_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            tr.GridConfig(**{"sizes": [30], "seeds": [0], **setting})
