@@ -6,8 +6,14 @@ dropout, shape ops and reductions, plus one private fused attention core.
 `matmul`, `softmax` and `transpose` serve only as the tests' unfused
 reference for that core, and `relu` has no caller. Gradients are
 accumulated by replaying a topologically ordered tape of the recorded
-operations. The engine reads and writes no files: `training` owns the
-checkpoint format.
+operations. The engine needs only numpy and reads and writes no files:
+`training` owns the checkpoint format.
+
+`gelu` is the exact erf form, x * Phi(x), computed by one blocked kernel
+for both dtypes. Phi comes from the Abramowitz & Stegun 7.1.26 erf
+(|error| <= 1.5e-7), so a GELU value is within 7.5e-8 * |x| of the exact
+one, plus the dtype's rounding; the tests take `scipy.special.erf` as the
+reference.
 
 Memory is bounded by what one training step needs:
 
@@ -35,7 +41,6 @@ import warnings
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -66,8 +71,15 @@ __all__ = [
 
 # Python floats, not NumPy float64 scalars, which would promote float32
 # arrays to float64 (NEP 50).
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# GELU's normal CDF: Abramowitz & Stegun 7.1.26 in the variable x, so p is
+# scaled by 1/sqrt(2) and the a_i by -1/2 (see `_gelu_cdf`).
+_GELU_P = 0.3275911 / math.sqrt(2.0)
+_GELU_POLY = tuple(-0.5 * a for a in (0.254829592, -0.284496736, 1.421413741,
+                                      -1.453152027, 1.061405429))
+# Elements per pass of the GELU kernel: the input, output and scratch
+# blocks (plus the gradient's in backward) stay within a core's L2.
+_GELU_BLOCK = 1 << 15
 
 # Switched by `no_grad` and `compute_dtype`; per process, like the rest of
 # the tape state.
@@ -463,15 +475,69 @@ def relu(x: Tensor) -> Tensor:
     return _node(out_data, (x,), grad_fn)
 
 
+def _gelu_cdf(x: np.ndarray, cdf: np.ndarray, e: np.ndarray) -> None:
+    """Write Phi(x) into `cdf` and exp(-x^2/2) into `e`, for one block.
+
+    Abramowitz & Stegun 7.1.26: for z = |x|/sqrt(2) and t = 1/(1 + p z),
+    the upper tail q = 1 - Phi(|x|) = (a1 t + ... + a5 t^5) exp(-x^2/2) / 2,
+    within 7.5e-8 (|erf error| <= 1.5e-7). `_GELU_POLY` holds the a_i
+    times -1/2, so the polynomial times exp(-x^2/2) is -q, and
+    Phi(x) = 1/2 + copysign(1/2 - q, x).
+    """
+    np.abs(x, out=e)
+    e *= _GELU_P
+    e += 1.0
+    np.reciprocal(e, out=e)                          # t
+    np.multiply(e, _GELU_POLY[-1], out=cdf)
+    for a in _GELU_POLY[-2::-1]:                    # Horner, ending in * t
+        cdf += a
+        cdf *= e
+    np.multiply(x, -0.5, out=e)
+    e *= x
+    np.exp(e, out=e)
+    cdf *= e
+    cdf += 0.5
+    np.copysign(cdf, x, out=cdf)
+    cdf += 0.5
+
+
+def _gelu_blocks(x: np.ndarray):
+    """Yield (flat block of x, its slice, scratch block) over x in order."""
+    flat = x.reshape(-1)
+    scratch = np.empty(min(flat.size, _GELU_BLOCK), x.dtype)
+    for lo in range(0, flat.size, _GELU_BLOCK):
+        part = slice(lo, lo + _GELU_BLOCK)
+        block = flat[part]
+        yield block, part, scratch[:block.size]
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact (erf-based) GELU."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out_data = x.data * cdf
+    """Exact (erf-based) GELU, x * Phi(x), with Phi from `_gelu_cdf`.
+
+    Each block of `_GELU_BLOCK` elements goes through every pass before
+    the next block starts, so the passes run in cache. Backward keeps only
+    `x` and recomputes Phi: d/dx = Phi(x) + x * exp(-x^2/2) / sqrt(2 pi).
+    """
+    out_data = np.empty_like(x.data)
+    out_flat = out_data.reshape(-1)
+    for block, part, e in _gelu_blocks(x.data):
+        out = out_flat[part]
+        _gelu_cdf(block, out, e)
+        out *= block
 
     def grad_fn(g):
-        if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-            x._accumulate(g * (cdf + x.data * pdf))
+        if not x.requires_grad:
+            return
+        dx = np.empty_like(x.data)
+        dx_flat, g_flat = dx.reshape(-1), np.ascontiguousarray(g).reshape(-1)
+        for block, part, e in _gelu_blocks(x.data):
+            out = dx_flat[part]
+            _gelu_cdf(block, out, e)
+            e *= block
+            e *= _INV_SQRT2PI
+            out += e
+            out *= g_flat[part]
+        x._accumulate(dx)
 
     return _node(out_data, (x,), grad_fn)
 
@@ -580,7 +646,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
     if axis not in (1, 2):
         raise ValueError(f"attention runs over axis 1 or 2 of a 4-D input, got {axis}")
     b, s, e = q.shape[0], q.shape[axis], q.shape[3]
-    scale = 1.0 / math.sqrt(e // heads)             # a Python float, like _INV_SQRT2
+    scale = 1.0 / math.sqrt(e // heads)             # a Python float, like _INV_SQRT2PI
     q5, k5, v5 = (_split_heads(t.data, axis, heads) for t in (q, k, v))
 
     weights = q5 @ np.swapaxes(k5, -1, -2)          # (B, G, h, S, S)

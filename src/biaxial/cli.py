@@ -47,6 +47,17 @@ def _echo_config(cfg, out_dir):
         fh.write(cfg.to_ini())
 
 
+def _load_checkpoint(path, kind):
+    """Load the checkpoint file at `path`; its meta kind must be `kind`."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"checkpoint not found (no such file): {path}")
+    bundle = tr.load_checkpoint(path)
+    found = bundle["meta"].get("kind")
+    if found != kind:
+        raise ConfigError(f"{path} is a {found!r} checkpoint; expected a {kind!r} one")
+    return bundle
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -135,10 +146,8 @@ def cmd_finetune(cfg) -> int:
     ckpt_path = cfg["data"]["checkpoint"]
     if needs_ckpt and not ckpt_path:
         raise ConfigError(f"variants {needs_ckpt} need data.checkpoint")
-    if ckpt_path and not os.path.exists(ckpt_path):
-        raise ConfigError(f"checkpoint not found: {ckpt_path}")
+    checkpoint = _load_checkpoint(ckpt_path, "pretrained") if ckpt_path else None
     _echo_config(cfg, out_dir)
-    checkpoint = tr.load_checkpoint(ckpt_path) if ckpt_path else None
     model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model_cfg()
     sensors = dt.SENSOR_SCHEMA[:model_cfg.sensors_count]
     ds = dt.apply_exclusions(dt.load_dataset_dir(paths[0], sensors=sensors), "mortality")
@@ -176,14 +185,14 @@ def cmd_evaluate(cfg) -> int:
     ckpts = [p for p in cfg["data"]["checkpoint"].split(",") if p]
     if not paths or not ckpts:
         raise ConfigError("evaluate requires data.paths and data.checkpoint")
-    for p in list(paths) + ckpts:
+    for p in paths:
         if not os.path.exists(p):
             raise ConfigError(f"path not found: {p}")
+    bundles = [_load_checkpoint(p, "classifier") for p in ckpts]
     _echo_config(cfg, out_dir)
     train_cfg = cfg.train_cfg()
     rows = []
-    for ckpt_path in ckpts:
-        bundle = tr.load_checkpoint(ckpt_path)
+    for ckpt_path, bundle in zip(ckpts, bundles):
         model = ARCHS[bundle["meta"].get("arch", "bat")].from_arrays(
             bundle["model_cfg"], bundle["params"])
         sensors = dt.SENSOR_SCHEMA[:bundle["model_cfg"].sensors_count]

@@ -1,7 +1,10 @@
 """Tests for the autodiff engine: every primitive against central differences."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from biaxial import autodiff as ad
 from biaxial import data as dt
@@ -323,6 +326,59 @@ class TestElementwisePrimitives:
         out = ad.dropout(x, 0.4, np.random.default_rng(99), train=True)
         backward(ad.sum_reduce(ad.mul(out, out)))
         assert_close_rel(x.grad, fd)
+
+
+class TestGelu:
+    """The blocked A&S 7.1.26 kernel against scipy's erf, in both dtypes."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-7), (np.float32, 1e-6)])
+    def test_values_match_scipy_erf(self, dtype, tol):
+        x_np = np.concatenate([np.linspace(-12.0, 12.0, 48001),
+                               [0.0, -0.0, 40.0, -40.0, np.inf]]).astype(dtype)
+        with ad.compute_dtype(dtype):
+            out = ad.gelu(tensor(x_np)).data
+        x64 = x_np.astype(np.float64)
+        ref = x64 * 0.5 * (1.0 + erf(x64 / math.sqrt(2.0)))
+        finite = np.isfinite(x64)
+        np.testing.assert_array_equal(out[~finite], [np.inf])
+        err = np.abs(out[finite] - ref[finite]) / np.maximum(1.0, np.abs(x64[finite]))
+        assert err.max() <= tol, f"max scaled error {err.max()} > {tol}"
+        assert out[-4] == 0.0 and np.signbit(out[-4])        # gelu(-0.0) is -0.0
+
+    def test_gradient_vs_finite_differences_across_signs(self):
+        x_np = np.array([[-5.0, -3.2, -2.0, -1.1, -0.5, -0.2],
+                         [-1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.05],
+                         [-0.05, 0.2, 0.6, 1.3, 2.4, 4.0]])
+        w = np.random.default_rng(8).uniform(-1, 1, x_np.shape)
+
+        (fd,) = finite_diff(lambda a: float((ad.gelu(tensor(a)).data * w).sum()), [x_np])
+        x = tensor(x_np, requires_grad=True)
+        backward(ad.sum_reduce(ad.mul(ad.gelu(x), tensor(w))))
+        assert_close_rel(x.grad, fd)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [0, 100, ad._GELU_BLOCK + 3],
+                             ids=["empty", "below_one_block", "one_block_plus_3"])
+    def test_blocks_match_elementwise(self, size, dtype):
+        rng = np.random.default_rng(size)
+        x_np, g_np = rng.uniform(-6, 6, size), rng.standard_normal(size)
+        with ad.compute_dtype(dtype):
+            x = tensor(x_np, requires_grad=True)
+            out = ad.gelu(x)
+            backward(ad.sum_reduce(ad.mul(out, tensor(g_np))))
+            assert out.shape == x.grad.shape == (size,)
+            # every element of a small input; beyond one block, every element
+            # around the block edge plus a sample
+            idx = np.arange(size)
+            if size > ad._GELU_BLOCK:
+                idx = np.unique(np.r_[0:3, ad._GELU_BLOCK - 3:size,
+                                      rng.integers(0, size, 50)])
+            for i in idx:
+                xi = tensor(x_np[i:i + 1], requires_grad=True)
+                yi = ad.gelu(xi)
+                backward(ad.sum_reduce(ad.mul(yi, tensor(g_np[i:i + 1]))))
+                assert yi.data[0] == out.data[i], i
+                assert xi.grad[0] == x.grad[i], i
 
 
 class TestRandomizedPrimitiveSweep:

@@ -516,6 +516,33 @@ class TestEvaluate:
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, found, expected", [
+    ("finetune", "classifier", "pretrained"), ("evaluate", "pretrained", "classifier")])
+def test_checkpoint_of_the_other_kind_is_validation_error(
+        command, found, expected, pretrain_out, classifier_ckpts, small_dataset_dir,
+        tmp_path, capsys):
+    ckpt = (classifier_ckpts[0] if found == "classifier"
+            else os.path.join(pretrain_out, "checkpoint.bax"))
+    out = tmp_path / "out"
+    code = run_cli(command, "--data", small_dataset_dir, "--checkpoint", ckpt,
+                   "--out", str(out))
+    assert code == 1
+    assert f"{ckpt} is a '{found}' checkpoint; expected a '{expected}' one" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_directory_as_checkpoint_is_validation_error(command, small_dataset_dir,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli(command, "--data", small_dataset_dir, "--checkpoint", str(tmp_path),
+                   "--out", str(out))
+    assert code == 1
+    assert f"checkpoint not found (no such file): {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ascii_locale_pipeline_writes_utf8(tmp_path):
     """generate (twice: the rerun from its echoed config) -> pretrain ->
     finetune -> evaluate in subprocesses under an ASCII locale, with a

@@ -1,9 +1,12 @@
 """No module under src/ or tests/ imports a name it never uses, or a
-third-party module that pyproject.toml does not declare."""
+third-party module that pyproject.toml does not declare; importing the
+CLI loads no test-only dependency."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -84,3 +87,15 @@ def test_checker_flags_an_unused_name_and_not_a_used_one():
               "__all__ = ['d']\n"
               "def f() -> np.ndarray:\n    return c\n")
     assert unused_imports(source) == [(2, "os")]
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only dependency: the program must start without it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, biaxial.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
