@@ -4,7 +4,8 @@ The primitive set is small. The bi-axial transformer and its two losses
 use elementwise arithmetic, affine, layer norm, gelu/sigmoid/log,
 dropout, shape ops and reductions, plus one private fused attention core.
 `matmul`, `softmax` and `transpose` serve only as the tests' unfused
-reference for that core, and `relu` has no caller. Gradients are
+reference for that core, and `relu` has no caller. The ops are this
+module's functions; `Tensor` has no operator overloads. Gradients are
 accumulated by replaying a topologically ordered tape of the recorded
 operations. The engine needs only numpy and reads and writes no files:
 `training` owns the checkpoint format.
@@ -128,9 +129,6 @@ class Tensor:
         self.grad = None
         self._grad_owned = False
 
-    def backward(self) -> None:
-        backward(self)
-
     def _accumulate(self, g: np.ndarray) -> None:
         # The first contribution is kept by reference and never mutated
         # (it may alias another tensor's gradient or a read-only view);
@@ -144,50 +142,6 @@ class Tensor:
             self.grad = self.grad + g
             self._grad_owned = True
 
-    # Operator sugar; scalars are lifted to constant tensors.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __neg__(self):
-        return mul(self, _lift(-1.0))
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a primitive; divide by a scalar")
-        return mul(self, _lift(1.0 / float(other)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return sum_reduce(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean_reduce(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -195,10 +149,6 @@ class Tensor:
 def tensor(data, requires_grad: bool = False) -> Tensor:
     """Create a leaf tensor."""
     return Tensor(data, requires_grad=requires_grad)
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 @contextlib.contextmanager

@@ -1,10 +1,13 @@
 """Command-line entry point: generate, pretrain, finetune, evaluate.
 
 Every command resolves its configuration (flags > file > defaults),
-echoes it to <out>/config.ini before doing any work, and writes only
-deterministic artifacts, so a rerun with the same config and seed is
-byte-identical. Exit codes: 0 success, 1 validation error, 2 runtime
-failure.
+checks its input directories and checkpoints, echoes the configuration
+to <out>/config.ini before doing any work, and writes only deterministic
+artifacts, so a rerun with the same config and seed is byte-identical.
+Exit codes: 0 success, 1 validation error, 2 runtime failure.
+`evaluate` draws each test split with the `split_seed` that `finetune`
+saved in the model, not with `--seed`, so it never scores a model on the
+training pool it was fitted on.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ def _echo_config(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with dt.open_output(os.path.join(out_dir, "config.ini")) as fh:
         fh.write(cfg.to_ini())
+
+
+def _check_data_dirs(paths, labeled):
+    """Each data path must be a directory; with `labeled`, one that holds
+    labels.csv."""
+    for path in paths:
+        if not os.path.isdir(path):
+            raise ConfigError(f"data directory not found: {path}")
+        if labeled and not os.path.isfile(os.path.join(path, "labels.csv")):
+            raise ConfigError(f"{path} has no labels.csv; this command needs a labeled cohort")
 
 
 def _load_checkpoint(path, kind):
@@ -91,6 +104,7 @@ def cmd_pretrain(cfg) -> int:
     paths = cfg["data"]["paths"]
     if not paths:
         raise ConfigError("pretrain requires at least one dataset path (data.paths)")
+    _check_data_dirs(paths, labeled=False)
     model_cfg, train_cfg, sampler_cfg = cfg.model_cfg(), cfg.train_cfg(), cfg.sampler_cfg()
     _echo_config(cfg, out_dir)
     sensors = dt.SENSOR_SCHEMA[:cfg["model"]["sensors_count"]]
@@ -137,6 +151,7 @@ def cmd_finetune(cfg) -> int:
     paths = cfg["data"]["paths"]
     if len(paths) != 1:
         raise ConfigError("finetune requires exactly one dataset path (data.paths)")
+    _check_data_dirs(paths, labeled=True)
     grid, train_cfg = cfg.grid_cfg(), cfg.train_cfg()
     save_variant = cfg["grid"]["save_model"]
     if save_variant and save_variant not in tr.GRID_VARIANTS:
@@ -174,7 +189,7 @@ def _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, variant, out_d
         os.path.join(out_dir, "model.bax"), result.params, result.preprocessor,
         model_cfg,
         meta={"kind": "classifier", "arch": tr.GRID_VARIANTS[variant].arch,
-              "variant": variant, "dataset": ds.name,
+              "variant": variant, "dataset": ds.name, "split_seed": train_cfg.seed,
               "best_val_loss": result.best_val},
     )
 
@@ -185,12 +200,13 @@ def cmd_evaluate(cfg) -> int:
     ckpts = [p for p in cfg["data"]["checkpoint"].split(",") if p]
     if not paths or not ckpts:
         raise ConfigError("evaluate requires data.paths and data.checkpoint")
-    for p in paths:
-        if not os.path.exists(p):
-            raise ConfigError(f"path not found: {p}")
+    _check_data_dirs(paths, labeled=True)
     bundles = [_load_checkpoint(p, "classifier") for p in ckpts]
+    for ckpt_path, bundle in zip(ckpts, bundles):
+        if "split_seed" not in bundle["meta"]:
+            raise ConfigError(f"{ckpt_path} records no split_seed; save it again with finetune")
     _echo_config(cfg, out_dir)
-    train_cfg = cfg.train_cfg()
+    batch_size = cfg.train_cfg().batch_size
     rows = []
     for ckpt_path, bundle in zip(ckpts, bundles):
         model = ARCHS[bundle["meta"].get("arch", "bat")].from_arrays(
@@ -199,9 +215,9 @@ def cmd_evaluate(cfg) -> int:
         for path in paths:
             ds = dt.apply_exclusions(
                 dt.load_dataset_dir(path, sensors=sensors), "mortality")
-            _, test = dt.split_test(ds, train_cfg.seed)
+            _, test = dt.split_test(ds, bundle["meta"]["split_seed"])
             test_t = dt.transform_all(test, bundle["preprocessor"])
-            probs = tr.predict_probs(model, test_t, train_cfg.batch_size)
+            probs = tr.predict_probs(model, test_t, batch_size)
             report = mt.evaluate_probs(probs, [ep.label for ep in test])
             rows.append({"checkpoint": os.path.basename(ckpt_path), "dataset": ds.name,
                          **asdict(report)})
@@ -220,7 +236,7 @@ def _add_common(sub):
     sub.add_argument("--config", help="INI config file")
     sub.add_argument("--out", dest="output.dir", metavar="DIR", help="output directory")
     sub.add_argument("--seed", dest="train.seed", type=int, metavar="N",
-                     help="top-level seed")
+                     help="top-level seed; evaluate's split seed is the checkpoint's")
     sub.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                      help="override any config value; repeatable")
 

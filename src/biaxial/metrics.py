@@ -45,7 +45,7 @@ def masked_forecast_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray) -> 
         raise ValueError("masked forecast loss over an empty batch")
     diff = ad.sub(pred, ad.tensor(np.asarray(target, dtype=np.float64)))
     masked_sq = ad.mul(ad.mul(diff, diff), ad.tensor(mask.astype(np.float64)))
-    return ad.sum_reduce(masked_sq) / n
+    return ad.mul(ad.sum_reduce(masked_sq), ad.tensor(1.0 / n))
 
 
 def _clamp_probs(probs: Tensor, lo: float = PROB_CLAMP) -> Tensor:
@@ -75,7 +75,7 @@ def weighted_bce(probs: Tensor, labels: np.ndarray, pos_weight: float = 1.0) -> 
     p = _clamp_probs(probs)
     pos_term = ad.mul(ad.log(p), ad.tensor(pos_weight * y))
     neg_term = ad.mul(ad.log(ad.sub(ad.tensor(np.ones_like(y)), p)), ad.tensor(1.0 - y))
-    return ad.sum_reduce(ad.add(pos_term, neg_term)) * (-1.0 / n)
+    return ad.mul(ad.sum_reduce(ad.add(pos_term, neg_term)), ad.tensor(-1.0 / n))
 
 
 def pos_weight_for(labels) -> float:

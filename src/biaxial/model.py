@@ -11,7 +11,7 @@ pool + linear map emitting a D x H forecast grid.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,13 +51,6 @@ class BatConfig:
         if self.layers < 0 or min(self.heads, self.sensors_count,
                                    self.forecast_horizon) < 1:
             raise ValueError("invalid layer/head/sensor counts or forecast horizon")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BatConfig":
-        return cls(**d)
 
 
 def time_encoding(hours: np.ndarray, embed_size: int) -> np.ndarray:
@@ -149,9 +142,6 @@ class _ParamModel:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def param_groups(self) -> dict[str, list[str]]:
         groups = {"trunk": [], "head_cls": [], "head_for": []}

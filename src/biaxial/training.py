@@ -20,7 +20,7 @@ import logging
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -181,43 +181,6 @@ def lr_at_epoch(lr0: float, gamma: float, epoch: int) -> float:
     return lr0 * gamma ** epoch
 
 
-def early_stop_check(history, patience: int, min_delta: float) -> str:
-    """Replay the patience rule over a validation-loss history.
-
-    An epoch improves only if it undercuts the lowest loss seen so far by
-    strictly more than min_delta; the running minimum advances regardless
-    (so a slow drip of sub-min_delta gains never resets the counter).
-    Stop once `patience` consecutive epochs fail to improve.
-    """
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
-    stopper = EarlyStopper(patience, min_delta)
-    for loss in history:
-        if stopper.update(loss):
-            return "stop"
-    return "continue"
-
-
-class EarlyStopper:
-    """Incremental patience rule against the running validation minimum."""
-
-    def __init__(self, patience: int, min_delta: float):
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best = np.inf
-        self.wait = 0
-
-    def update(self, loss: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        improved = loss < self.best - self.min_delta
-        self.best = min(self.best, loss)
-        if improved:
-            self.wait = 0
-            return False
-        self.wait += 1
-        return self.wait >= self.patience
-
-
 # ---------------------------------------------------------------------------
 # the epoch loop
 
@@ -231,12 +194,18 @@ def _fit(model, optimizer: AdamW, items: list, train_cfg: TrainConfig, key: tupl
     training forward and returns the loss tensor, or None for a batch it
     skipped; the loop backpropagates and steps the optimizer at the
     epoch's decayed lr. An epoch that skips over half its batches raises
-    TrainingError. `val_loss()` is taken after every epoch without a tape;
-    training stops early by the patience rule, and the returned parameters
-    are those of the epoch with the lowest validation loss.
+    TrainingError. `val_loss()` is taken after every epoch without a tape,
+    and the returned parameters are those of the epoch with the lowest
+    validation loss.
+
+    The patience rule: an epoch improves only if its validation loss
+    undercuts the lowest loss seen so far by strictly more than
+    `min_delta`. The running minimum advances regardless, so a slow drip
+    of sub-`min_delta` gains never resets the counter. Training stops
+    once `patience` consecutive epochs fail to improve.
     """
     seed = train_cfg.seed
-    stopper = EarlyStopper(train_cfg.patience, train_cfg.min_delta)
+    wait = 0
     best_val = np.inf
     best_epoch = -1
     best_params = model.state_arrays()
@@ -266,11 +235,12 @@ def _fit(model, optimizer: AdamW, items: list, train_cfg: TrainConfig, key: tupl
         train_curve.append(float(np.mean(losses)) if losses else np.nan)
         val_curve.append(val)
         lr_curve.append(lr)
+        wait = 0 if val < best_val - train_cfg.min_delta else wait + 1
         if val < best_val:
             best_val = val
             best_epoch = epoch
             best_params = model.state_arrays()
-        if stopper.update(val):
+        if wait >= train_cfg.patience:
             stop_reason = "early_stop"
             break
     return RunResult(
@@ -295,17 +265,17 @@ def _chunks(seq, size):
 
 
 def _classification_arrays(episodes):
+    """A batch's model inputs; no labels, so unlabeled stays can be scored."""
     values, mask, statics = sp.collate(episodes)
     hours = np.arange(values.shape[2], dtype=np.float64)
-    labels = np.array([float(ep.label) for ep in episodes])
-    return values, mask, hours, statics, labels
+    return values, mask, hours, statics
 
 
 def _eval_bce(model, episodes, batch_size, pos_weight):
     total = 0.0
     for batch in _chunks(episodes, batch_size):
-        values, mask, hours, statics, labels = _classification_arrays(batch)
-        probs = model.classify(values, mask, hours, statics)
+        probs = model.classify(*_classification_arrays(batch))
+        labels = [ep.label for ep in batch]
         total += mt.weighted_bce(probs, labels, pos_weight).item() * len(batch)
     return total / len(episodes)
 
@@ -318,8 +288,7 @@ def predict_probs(model, episodes, batch_size=64) -> np.ndarray:
     probs = []
     with ad.no_grad():
         for batch in _chunks(episodes, batch_size):
-            values, mask, hours, statics, _ = _classification_arrays(batch)
-            probs.append(model.classify(values, mask, hours, statics).data)
+            probs.append(model.classify(*_classification_arrays(batch)).data)
     return np.concatenate(probs)
 
 
@@ -464,10 +433,9 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
                   if train_cfg.weighted_loss and labels_train.sum() > 0 else 1.0)
 
     def step(batch, epoch, dropout_rng):
-        values, mask, hours, statics, labels = _classification_arrays(batch)
-        probs = model.classify(values, mask, hours, statics,
+        probs = model.classify(*_classification_arrays(batch),
                                train=True, rng=dropout_rng)
-        return mt.weighted_bce(probs, labels, pos_weight)
+        return mt.weighted_bce(probs, [ep.label for ep in batch], pos_weight)
 
     result = _fit(model, optimizer, train_t, train_cfg, (), step,
                   lambda: _eval_bce(model, val_t, train_cfg.batch_size, pos_weight))
@@ -514,7 +482,7 @@ def save_checkpoint(path, params: dict, pp: dt.PreprocessorState,
                         "offset": offset, "nbytes": buf.nbytes})
         buffers.append(buf.tobytes())
         offset += buf.nbytes
-    meta = {"model_cfg": model_cfg.to_dict(), "fitted_on": pp.fitted_on, **(meta or {})}
+    meta = {"model_cfg": asdict(model_cfg), "fitted_on": pp.fitted_on, **(meta or {})}
     header = json.dumps({"format_version": _CKPT_VERSION, "entries": entries, "meta": meta},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -544,7 +512,7 @@ def load_checkpoint(path) -> dict:
         meta = header["meta"]
         pp = dt.PreprocessorState(**{n: arrays[f"preproc/{n}"] for n in _PREPROC_ARRAYS},
                                   fitted_on=meta.get("fitted_on", ""))
-        model_cfg = BatConfig.from_dict(meta["model_cfg"])
+        model_cfg = BatConfig(**meta["model_cfg"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: damaged checkpoint ({exc!r})") from None
     params = {n[len("param/"):]: a for n, a in arrays.items() if n.startswith("param/")}

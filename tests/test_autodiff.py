@@ -1,6 +1,7 @@
 """Tests for the autodiff engine: every primitive against central differences."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestMatmul:
         fd_a, fd_b = finite_diff(f, [a_np, b_np])
         a, b = tensor(a_np, requires_grad=True), tensor(b_np, requires_grad=True)
         c = ad.matmul(a, b)
-        backward(ad.sum_reduce(c) + ad.sum_reduce(ad.mul(c, c)))
+        backward(ad.add(ad.sum_reduce(c), ad.sum_reduce(ad.mul(c, c))))
         assert_close_rel(a.grad, fd_a)
         assert_close_rel(b.grad, fd_b)
 
@@ -450,7 +451,7 @@ class TestGradCheck:
     def test_float32_is_rejected(self):
         def float32_loss(w):
             with ad.compute_dtype(np.float32):
-                return ad.sum_reduce(tensor(w.data) * w.data)
+                return ad.sum_reduce(ad.mul(tensor(w.data), tensor(w.data)))
 
         with ad.compute_dtype(np.float32):
             params32 = {"w": tensor([1.0, 2.0], requires_grad=True)}
@@ -487,7 +488,7 @@ class TestCheckpointRoundTrip:
                            meta={"kind": "test", "n": 3})
         back = tr.load_checkpoint(path)
         assert back["meta"] == {"kind": "test", "n": 3, "fitted_on": "test",
-                                "model_cfg": md.BatConfig().to_dict()}
+                                "model_cfg": asdict(md.BatConfig())}
         assert set(back["params"]) == set(arrays)
         for name in arrays:
             assert np.array_equal(back["params"][name], arrays[name])
@@ -517,7 +518,8 @@ def unfused_attention(q, k, v, heads, axis, key_bias, p, rng, train):
     dk = e // heads
     split = lambda t: ad.transpose(ad.reshape(t, (b, g, s, heads, dk)), (0, 1, 3, 2, 4))
     q, k, v = split(q), split(k), split(v)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 2, 4, 3))) * (1.0 / np.sqrt(dk))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 2, 4, 3))),
+                    tensor(1.0 / np.sqrt(dk)))
     if key_bias is not None:
         scores = ad.add(scores, tensor(key_bias.reshape(b, 1, 1, 1, s)))
     weights = ad.dropout(ad.softmax(scores, axis=-1), p, rng, train)
@@ -611,16 +613,16 @@ class TestTapeRelease:
         # h feeds two losses; without the check a second backward reaching
         # h would add its stale gradient again (w.grad 9, not 3 + 3)
         w = tensor([1.0], requires_grad=True)
-        h = w * 3.0
+        h = ad.mul(w, tensor(3.0))
         backward(ad.sum_reduce(h))
         with pytest.raises(RuntimeError, match="released"):
-            backward(ad.sum_reduce(h * 1.0))
+            backward(ad.sum_reduce(ad.mul(h, tensor(1.0))))
         np.testing.assert_array_equal(w.grad, [3.0])
 
     def test_leaf_parameters_can_feed_many_graphs(self):
         w = tensor([2.0], requires_grad=True)
-        backward(ad.sum_reduce(w * 3.0))
-        backward(ad.sum_reduce(w * 3.0))
+        backward(ad.sum_reduce(ad.mul(w, tensor(3.0))))
+        backward(ad.sum_reduce(ad.mul(w, tensor(3.0))))
         np.testing.assert_array_equal(w.grad, [6.0])
 
 

@@ -496,6 +496,27 @@ class TestEvaluate:
         assert code == 1
         assert f"{cut}: damaged checkpoint" in capsys.readouterr().err
 
+    def test_test_split_seed_comes_from_the_checkpoint(self, classifier_ckpts,
+                                                       small_dataset_dir, tmp_path):
+        assert tr.load_checkpoint(classifier_ckpts[0])["meta"]["split_seed"] == 4
+        for seed in ("0", "1"):
+            assert run_cli("evaluate", "--checkpoint", classifier_ckpts[0],
+                           "--data", small_dataset_dir,
+                           "--out", str(tmp_path / seed), "--seed", seed) == 0
+        assert read(tmp_path / "0" / "evaluate.csv") == read(tmp_path / "1" / "evaluate.csv")
+
+    def test_checkpoint_without_split_seed_is_validation_error(
+            self, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
+        bundle = tr.load_checkpoint(classifier_ckpts[0])
+        old = tmp_path / "old.bax"
+        tr.save_checkpoint(old, bundle["params"], bundle["preprocessor"], bundle["model_cfg"],
+                           meta={k: v for k, v in bundle["meta"].items() if k != "split_seed"})
+        out = tmp_path / "e"
+        assert run_cli("evaluate", "--checkpoint", str(old), "--data", small_dataset_dir,
+                       "--out", str(out)) == 1
+        assert f"{old} records no split_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1
 
@@ -540,6 +561,24 @@ def test_directory_as_checkpoint_is_validation_error(command, small_dataset_dir,
                    "--out", str(out))
     assert code == 1
     assert f"checkpoint not found (no such file): {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, case", [
+    ("pretrain", "missing"), ("finetune", "missing"), ("evaluate", "missing"),
+    ("finetune", "unlabeled"), ("evaluate", "unlabeled")])
+def test_bad_data_directory_fails_before_the_config_echo(
+        command, case, pretrain_out, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
+    data = tmp_path / "cohort"
+    if case == "unlabeled":
+        shutil.copytree(small_dataset_dir, data)
+        (data / "labels.csv").unlink()
+    ckpt = {"pretrain": [],
+            "finetune": ["--checkpoint", os.path.join(pretrain_out, "checkpoint.bax")],
+            "evaluate": ["--checkpoint", classifier_ckpts[0]]}[command]
+    out = tmp_path / "out"
+    assert run_cli(command, "--data", str(data), *ckpt, "--out", str(out)) == 1
+    assert str(data) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,8 +1,10 @@
 """No module under src/ or tests/ imports a name it never uses, or a
 third-party module that pyproject.toml does not declare; importing the
-CLI loads no test-only dependency."""
+CLI loads no test-only dependency; every function and class that src/
+defines at module level is read by the program or the benchmark."""
 
 import ast
+import collections
 import os
 import pathlib
 import re
@@ -11,8 +13,11 @@ import sys
 
 import pytest
 
+from biaxial import autodiff as ad
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -99,3 +104,43 @@ def test_cli_import_loads_no_scipy():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _reads(tree) -> list:
+    """Every name a tree loads, by name or as an attribute."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+
+def unread_definitions(defining: dict, others: list) -> list:
+    """`module.name` of each module-level function or class in `defining`
+    (module name -> source) that neither those sources nor the `others`
+    read, by name or as an attribute, outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in defining.items()}
+    reads = collections.Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        reads.update(_reads(tree))
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and reads[node.name] == _reads(node).count(node.name)]
+
+
+def test_every_definition_is_read_by_the_program_or_the_benchmark():
+    """A function or class that only the tests call is API nobody uses.
+    `autodiff.__all__` is exempt: it is the benchmark's op list."""
+    exempt = {f"autodiff.{name}" for name in ad.__all__}
+    unread = unread_definitions(
+        {path.stem: path.read_text(encoding="utf-8") for path in SRC},
+        [path.read_text(encoding="utf-8") for path in sorted((ROOT / "bench").glob("*.py"))])
+    unread = [name for name in unread if name not in exempt]
+    assert not unread, ", ".join(unread)
+
+
+def test_definition_checker_flags_a_name_only_its_own_body_reads():
+    source = ("def used():\n    return 1\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class C:\n    pass\n"
+              "def entry():\n    return used() + x.C\n")
+    assert unread_definitions({"m": source}, ["import m\nm.entry()\n"]) == ["m.recursive"]
+    assert unread_definitions({"m": source}, []) == ["m.recursive", "m.entry"]

@@ -28,7 +28,7 @@ def _attention(q, k, v):
 
 
 # name -> (input shapes, op); one entry per public primitive, plus the
-# fused attention core and the operator sugar that lifts Python scalars
+# fused attention core
 PRIMITIVES = {
     "add": ([(3, 4), (4,)], ad.add),
     "sub": ([(3, 4), (3, 1)], ad.sub),
@@ -49,7 +49,6 @@ PRIMITIVES = {
     "softmax": ([(3, 4)], lambda x: ad.softmax(x, axis=-1)),
     "layer_norm": ([(3, 4), (4,), (4,)], lambda x, g, b: ad.layer_norm(x, g, b)),
     "dropout": ([(3, 4)], lambda x: ad.dropout(x, 0.5, np.random.default_rng(0), True)),
-    "scalar_sugar": ([(3, 4)], lambda x: (-x * 2.0 + 1.0 - 0.5) / 3.0),
     "_attention_core": ([(2, 3, 6, 4)] * 3, _attention),
 }
 

@@ -5,7 +5,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from biaxial import data as dt
 from biaxial import metrics as mt
 from biaxial import training as tr
 from biaxial.autodiff import Tensor
-from biaxial.model import BatConfig
+from biaxial.model import BatConfig, BatModel
 from biaxial.sampler import SamplerConfig
 
 
@@ -177,36 +177,43 @@ class TestLrSchedule:
             tr.lr_at_epoch(1e-3, 0.0, 1)
 
 
+class _UntrainedModel:
+    """All that `_fit` asks of a model when there are no items to train on."""
+
+    def zero_grad(self):
+        pass
+
+    def state_arrays(self):
+        return {}
+
+
+def fit_stop_epoch(trace, patience, min_delta):
+    """The epoch at which `tr._fit` stops early when its validation losses
+    are `trace`, or None if it runs all len(trace) epochs."""
+    losses = iter(trace)
+    cfg = tr.TrainConfig(epochs=len(trace), patience=patience, min_delta=min_delta)
+    result = tr._fit(_UntrainedModel(), None, [], cfg, (), None,
+                     lambda: float(next(losses)))
+    assert result.val_curve == [float(v) for v in trace[:result.stop_epoch]]
+    assert result.best_val == min(result.val_curve)
+    return result.stop_epoch - 1 if result.stop_reason == "early_stop" else None
+
+
 class TestEarlyStopping:
     def test_steady_improvement_never_stops(self):
         history = [1.0 - 0.01 * i for i in range(100)]
-        assert tr.early_stop_check(history, patience=10, min_delta=5e-3) == "continue"
+        assert fit_stop_epoch(history, patience=10, min_delta=5e-3) is None
 
     def test_flat_history_stops_after_patience(self):
         patience = 7
-        history = [0.5] * (patience + 1)
-        assert tr.early_stop_check(history, patience, 5e-3) == "stop"
-        assert tr.early_stop_check(history[:-1], patience, 5e-3) == "continue"
+        history = [0.5] * (patience + 2)
+        assert fit_stop_epoch(history, patience, 5e-3) == patience
 
     def test_exact_min_delta_improvement_does_not_count(self):
         # drops of exactly min_delta are not improvements
         patience = 4
-        history = [1.0 - 5e-3 * i for i in range(patience + 1)]
-        assert tr.early_stop_check(history, patience, 5e-3) == "stop"
-
-    def test_incremental_matches_replay(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            trace = rng.uniform(0, 1, int(rng.integers(1, 60)))
-            patience = int(rng.integers(1, 8))
-            stopper = tr.EarlyStopper(patience, 5e-3)
-            stopped_at = None
-            for i, loss in enumerate(trace):
-                if stopper.update(loss):
-                    stopped_at = i
-                    break
-            verdict = tr.early_stop_check(trace, patience, 5e-3)
-            assert (verdict == "stop") == (stopped_at is not None)
+        history = [1.0 - 5e-3 * i for i in range(patience + 2)]
+        assert fit_stop_epoch(history, patience, 5e-3) == patience
 
     def test_matches_independent_reference_on_random_traces(self):
         rng = np.random.default_rng(2)
@@ -217,17 +224,7 @@ class TestEarlyStopping:
             patience = int(rng.integers(1, 10))
             min_delta = float(rng.choice([0.0, 1e-3, 5e-3, 2e-2]))
             want = reference_stop_epoch(trace, patience, min_delta)
-            stopper = tr.EarlyStopper(patience, min_delta)
-            got = None
-            for i, loss in enumerate(trace):
-                if stopper.update(loss):
-                    got = i
-                    break
-            assert got == want
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            tr.early_stop_check([], 3, 1e-3)
+            assert fit_stop_epoch(trace, patience, min_delta) == want
 
 
 class TestPretrain:
@@ -367,12 +364,10 @@ class TestFinetune:
             assert result.lr_curve[0] == cfg.learning_rate
             assert result.lr_curve == [tr.lr_at_epoch(cfg.learning_rate, cfg.lr_gamma, k)
                                        for k in range(result.stop_epoch)]
-            stopped = tr.early_stop_check(result.val_curve, cfg.patience,
-                                          cfg.min_delta) == "stop"
-            assert (result.stop_reason == "early_stop") == stopped
-            if stopped and len(result.val_curve) > 1:  # stops at the first "stop"
-                assert tr.early_stop_check(result.val_curve[:-1], cfg.patience,
-                                           cfg.min_delta) == "continue"
+            stop = reference_stop_epoch(result.val_curve, cfg.patience, cfg.min_delta)
+            assert (result.stop_reason == "early_stop") == (stop is not None)
+            if stop is not None:  # stops at the first epoch the rule allows
+                assert result.stop_epoch == stop + 1
 
     def test_scratch_with_shuffled_labels_is_chance_level(self):
         base = dt.generate_synthetic(620, prevalence=0.25, mean_stay_hours=40,
@@ -395,6 +390,13 @@ class TestFinetune:
                              tiny_train_cfg(epochs=2),
                              model_cfg=tiny_model_cfg(), arch="transformer")
         assert len(result.val_curve) == 2
+
+    def test_predict_probs_needs_no_labels(self, checkpoint, mortality_ds):
+        model = BatModel.from_arrays(checkpoint["model_cfg"], checkpoint["params"])
+        labeled = dt.transform_all(mortality_ds.episodes, checkpoint["preprocessor"])
+        unlabeled = [replace(ep, label=None) for ep in labeled]
+        assert tr.predict_probs(model, unlabeled, 32).tobytes() == \
+            tr.predict_probs(model, labeled, 32).tobytes()
 
     def test_checkpoint_bundle_roundtrip(self, checkpoint, tmp_path):
         path = tmp_path / "ckpt.bax"
@@ -458,7 +460,7 @@ class TestCheckpointFile:
         for name in PREPROC_ARRAYS:
             assert arrays[f"preproc/{name}"].tobytes() == \
                 np.asarray(getattr(pp, name), "<f8").tobytes()
-        assert meta == {"model_cfg": checkpoint["model_cfg"].to_dict(),
+        assert meta == {"model_cfg": asdict(checkpoint["model_cfg"]),
                         "fitted_on": "données/fold0", "note": "é", "n": 3}
 
     def test_unsupported_version_rejected(self, saved):
