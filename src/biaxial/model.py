@@ -159,7 +159,7 @@ class _ParamModel:
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}/gain"],
-                             self.params[f"{prefix}/bias"], axis=-1)
+                             self.params[f"{prefix}/bias"])
 
     def _ffn_sublayer(self, x: Tensor, layer: int, train: bool, rng) -> Tensor:
         """Pre-LN feedforward residual: x + dropout(ffn(norm2(x)))."""

@@ -26,15 +26,12 @@ class SamplerConfig:
     min_obs_len: int = DEFAULT_MIN_OBS_LEN          # L
     forecast_horizon: int = DEFAULT_FORECAST_HORIZON  # H
     max_obs: int | None = None                       # None = unbounded, t0 = 0
-    max_tries: int | None = None                     # None = batch size
 
     def __post_init__(self):
         if self.min_obs_len < 1:
             raise ValueError("min_obs_len must be >= 1")
         if self.forecast_horizon < 1:
             raise ValueError("forecast_horizon must be >= 1")
-        if self.max_tries is not None and self.max_tries < 1:
-            raise ValueError("max_tries must be >= 1")
         if self.max_obs is not None and self.max_obs < 1:
             raise ValueError("max_obs must be >= 1 or None")
 
@@ -91,28 +88,23 @@ def sample_window(batch: list, cfg: SamplerConfig,
     """Draw a split for one batch; deterministic given the rng state.
 
     Anchors are sampled uniformly with replacement; an anchor with no
-    valid index costs one try, and the error fires after max_tries
-    (defaulting to the batch size) failed anchors.
+    valid index costs one try, and the error fires after as many failed
+    anchors as the batch has episodes.
     """
     if not batch:
         raise ValueError("sample_window requires a nonempty batch")
     values, mask, statics = collate(batch)
     b = len(batch)
-    max_tries = cfg.max_tries if cfg.max_tries is not None else b
 
-    t1 = None
-    anchor = None
-    tries = 0
-    while t1 is None and tries < max_tries:
+    for _ in range(b):
         i = int(rng.integers(0, b))
         candidates = valid_indices(mask[i].any(axis=0), cfg)
-        if not candidates:
-            tries += 1
-            continue
-        ordered = sorted(candidates)
-        t1 = ordered[int(rng.integers(0, len(ordered)))]
-        anchor = batch[i].patient_id
-    if t1 is None:
+        if candidates:
+            ordered = sorted(candidates)
+            t1 = ordered[int(rng.integers(0, len(ordered)))]
+            anchor = batch[i].patient_id
+            break
+    else:
         raise SamplerExhaustedError("no valid index found in batch")
 
     t0 = 0 if cfg.max_obs is None else max(0, t1 - cfg.max_obs)

@@ -425,6 +425,8 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
     trainable = _freeze_set(model, mode)
     frozen_before = {n: model.params[n].data.copy()
                      for n in set(model.params) - trainable}
+    for name in frozen_before:              # records no tape, gets no gradient
+        model.params[name].requires_grad = False
     optimizer = AdamW(model.params, train_cfg.learning_rate,
                       train_cfg.weight_decay, trainable=trainable)
 

@@ -140,18 +140,18 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_slice_is_zeroed(self):
         out = ad.layer_norm(tensor([5.0, 5.0, 5.0]), tensor(np.ones(3)),
-                            tensor(np.zeros(3)), axis=0, eps=1e-5)
+                            tensor(np.zeros(3)), eps=1e-5)
         np.testing.assert_allclose(out.data, [0.0, 0.0, 0.0], atol=1e-12)
 
     def test_two_point_slice(self):
         out = ad.layer_norm(tensor([1.0, 3.0]), tensor(np.ones(2)),
-                            tensor(np.zeros(2)), axis=0, eps=1e-8)
+                            tensor(np.zeros(2)), eps=1e-8)
         np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-3)
 
     def test_normalized_statistics(self):
         rng = np.random.default_rng(5)
         x = tensor(rng.uniform(-2, 2, (4, 6)))
-        out = ad.layer_norm(x, tensor(np.ones(6)), tensor(np.zeros(6)), axis=1, eps=1e-12)
+        out = ad.layer_norm(x, tensor(np.ones(6)), tensor(np.zeros(6)), eps=1e-12)
         np.testing.assert_allclose(out.data.mean(axis=1), np.zeros(4), atol=1e-6)
         np.testing.assert_allclose(out.data.var(axis=1), np.ones(4), atol=1e-6)
 
@@ -173,7 +173,7 @@ class TestLayerNorm:
         x = tensor(x_np, requires_grad=True)
         g = tensor(g_np, requires_grad=True)
         b = tensor(b_np, requires_grad=True)
-        out = ad.layer_norm(x, g, b, axis=1, eps=eps)
+        out = ad.layer_norm(x, g, b, eps=eps)
         backward(ad.sum_reduce(ad.mul(out, tensor(w))))
         assert_close_rel(x.grad, fd_x, tol=1e-4)
         assert_close_rel(g.grad, fd_g, tol=1e-4)
@@ -397,7 +397,7 @@ class TestRandomizedPrimitiveSweep:
             }
 
             def f():
-                h = ad.layer_norm(params["x"], params["g"], params["b"], axis=1)
+                h = ad.layer_norm(params["x"], params["g"], params["b"])
                 h = ad.gelu(h)
                 h = ad.softmax(h, axis=1)
                 return ad.sum_reduce(ad.mul(h, h))
@@ -433,19 +433,14 @@ class TestGradCheck:
             "g": tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True),
         }
         zeros = tensor(np.zeros(5))
-
-        def f():
-            h = ad.layer_norm(params["x"], params["g"], zeros, axis=1)
-            return ad.sum_reduce(ad.softmax(h, axis=1) * tensor(rng.standard_normal(1) * 0 + 1.0))
-
         # weight tensor must be constant across calls for FD to be valid
         w = tensor(np.random.default_rng(16).uniform(-1, 1, (2, 5)))
 
-        def f2():
-            h = ad.layer_norm(params["x"], params["g"], zeros, axis=1)
+        def f():
+            h = ad.layer_norm(params["x"], params["g"], zeros)
             return ad.sum_reduce(ad.mul(ad.softmax(h, axis=1), w))
 
-        report = grad_check(f2, params, step=1e-5, tol=1e-3)
+        report = grad_check(f, params, step=1e-5, tol=1e-3)
         assert report.passed, report
 
     def test_float32_is_rejected(self):
@@ -651,6 +646,16 @@ class TestNoGrad:
         assert ad.mul(w, w).requires_grad
 
 
+def reference_keep(rng, shape, p):
+    """The keep rule spelled out: element i takes the low (even i) or high
+    (odd i) half of raw 64-bit draw i // 2 and is kept when that 32-bit
+    word is at least round(p * 2**32)."""
+    n = math.prod(shape)
+    raw = rng.bit_generator.random_raw((n + 1) // 2)
+    words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)[:n]
+    return words.reshape(shape) >= round(p * 2 ** 32)
+
+
 class TestDropoutMask:
     def test_bitwise_equal_to_float_mask(self):
         x = np.random.default_rng(40).normal(size=(50, 7))
@@ -658,6 +663,26 @@ class TestDropoutMask:
         xt = tensor(x, requires_grad=True)
         out = ad.dropout(xt, 0.364, np.random.default_rng(42), train=True)
         backward(ad.sum_reduce(ad.mul(out, tensor(g))))
-        keep = (np.random.default_rng(42).random(x.shape) >= 0.364) / (1.0 - 0.364)
+        keep = reference_keep(np.random.default_rng(42), x.shape, 0.364) / (1.0 - 0.364)
         assert np.array_equal(out.data, x * keep)
         assert np.array_equal(xt.grad, g * keep)
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.364, 0.5, 0.9])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (33, 17), (4, 3, 5, 11), (999, 1001)])
+    def test_kept_fraction_and_repeatability(self, p, shape):
+        seed = 100 + len(shape)
+        keep, scale = ad._keep_mask(shape, p, np.random.default_rng(seed))
+        assert keep.shape == shape and keep.dtype == bool and scale == 1.0 / (1.0 - p)
+        n = keep.size
+        assert abs(keep.sum() - n * (1 - p)) <= 5 * math.sqrt(n * p * (1 - p))
+        again, _ = ad._keep_mask(shape, p, np.random.default_rng(seed))
+        assert np.array_equal(keep, again)
+        assert np.array_equal(keep, reference_keep(np.random.default_rng(seed), shape, p))
+
+    def test_threshold_at_the_ends_of_p(self):
+        rng = np.random.default_rng(7)
+        for p in (1 - 1e-12, 1 - 2 ** -34):          # round(p * 2**32) == 2**32
+            keep, _ = ad._keep_mask((1001,), p, rng)
+            assert not keep.any()
+        keep, _ = ad._keep_mask((1001,), 1e-12, rng)  # threshold 0
+        assert keep.all()

@@ -72,7 +72,7 @@ NON_DEFAULT = {
     "model.sensors_count": "6", "model.value_embed_size": "64", "model.layers": "3",
     "model.heads": "2", "model.dropout": "0.1", "model.attn_dropout": "0.05",
     "model.pooling": "mean", "model.use_mask": "true", "model.forecast_horizon": "3",
-    "sampler.min_obs_len": "6", "sampler.max_obs": "24", "sampler.max_tries": "5",
+    "sampler.min_obs_len": "6", "sampler.max_obs": "24",
     "train.batch_size": "16", "train.epochs": "3", "train.patience": "2",
     "train.min_delta": "0.01", "train.learning_rate": "0.001", "train.weight_decay": "0.0",
     "train.lr_gamma": "0.5", "train.seed": "7", "train.weighted_loss": "false",

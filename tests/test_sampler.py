@@ -36,10 +36,9 @@ class TestSamplerConfig:
         assert cfg.min_obs_len == 12
         assert cfg.forecast_horizon == 2
         assert cfg.max_obs is None
-        assert cfg.max_tries is None
 
     @pytest.mark.parametrize("kwargs", [
-        {"min_obs_len": 0}, {"forecast_horizon": 0}, {"max_tries": 0}, {"max_obs": 0},
+        {"min_obs_len": 0}, {"forecast_horizon": 0}, {"max_obs": 0},
     ])
     def test_bounds_validated(self, kwargs):
         with pytest.raises(ValueError):

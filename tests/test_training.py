@@ -10,6 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from biaxial import autodiff as ad
 from biaxial import data as dt
 from biaxial import metrics as mt
 from biaxial import training as tr
@@ -299,6 +300,39 @@ class TestFinetune:
         for name, before in checkpoint["params"].items():
             if not name.startswith("head_cls/"):
                 assert np.array_equal(result.params[name], before), name
+
+    def test_head_only_steps_give_the_trunk_no_gradient(self, checkpoint, mortality_ds,
+                                                         monkeypatch):
+        given = []
+        adamw_step = tr.AdamW.step
+
+        def recording_step(self, lr=None):
+            given.append({n for n, p in self.params.items() if p.grad is not None})
+            adamw_step(self, lr)
+
+        monkeypatch.setattr(tr.AdamW, "step", recording_step)
+        tr.finetune(checkpoint, mortality_ds, "finetune_head", tiny_train_cfg(epochs=1))
+        head = {n for n in checkpoint["params"] if n.startswith("head_cls/")}
+        assert given and all(names == head for names in given)
+
+    def test_head_gradients_do_not_depend_on_recording_the_trunk(self, checkpoint,
+                                                                 mortality_ds):
+        episodes = dt.transform_all(mortality_ds.episodes[:8], checkpoint["preprocessor"])
+        labels = [ep.label for ep in episodes]
+        grads = []
+        for record_trunk in (True, False):
+            with ad.compute_dtype(tr.COMPUTE_DTYPE):
+                model = BatModel.from_arrays(checkpoint["model_cfg"], checkpoint["params"])
+                for name, p in model.params.items():
+                    p.requires_grad = record_trunk or name.startswith("head_cls/")
+                probs = model.classify(*tr._classification_arrays(episodes), train=True,
+                                       rng=np.random.default_rng(5))
+                ad.backward(mt.weighted_bce(probs, labels, 2.0))
+            grads.append({n: p.grad for n, p in model.params.items() if p.grad is not None})
+        recorded, head_only = grads
+        assert set(head_only) == {n for n in recorded if n.startswith("head_cls/")}
+        for name, g in head_only.items():
+            assert np.array_equal(g, recorded[name]), name
 
     def test_full_finetune_moves_trunk(self, checkpoint, mortality_ds):
         result = tr.finetune(checkpoint, mortality_ds, "finetune_full",
