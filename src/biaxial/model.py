@@ -120,11 +120,9 @@ class _ParamModel:
     """A named parameter set plus the plumbing both model classes share.
 
     Subclasses draw their initial arrays, by name, in the classmethod
-    `_init_arrays(cfg, rng)`, and map the name prefix of each head's
-    parameters to its group in `HEADS`; every other parameter is trunk.
+    `_init_arrays(cfg, rng)`. Every parameter starts out requiring a
+    gradient; that flag alone decides whether training updates it.
     """
-
-    HEADS: dict[str, str]
 
     def __init__(self, cfg: BatConfig, params: dict[str, Tensor]):
         self.cfg = cfg
@@ -142,12 +140,6 @@ class _ParamModel:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def param_groups(self) -> dict[str, list[str]]:
-        groups = {"trunk": [], "head_cls": [], "head_for": []}
-        for name in self.params:
-            groups[self.HEADS.get(name.split("/", 1)[0], "trunk")].append(name)
-        return groups
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -170,8 +162,6 @@ class _ParamModel:
 
 class BatModel(_ParamModel):
     """Parameter set plus forward passes for the bi-axial transformer."""
-
-    HEADS = {"head_cls": "head_cls", "head_for": "head_for"}
 
     # Kept in the class body: bench/probes.py times zero_grad by patching
     # each model class's own __dict__.
@@ -275,8 +265,6 @@ class BatModel(_ParamModel):
 
 class TemporalTransformer(_ParamModel):
     """Vanilla temporal transformer over mean-imputed values; no mask input."""
-
-    HEADS = {"head": "head_cls"}
 
     # Kept in the class body: bench/probes.py times zero_grad by patching
     # each model class's own __dict__.

@@ -4,7 +4,11 @@ Pretraining runs five-fold cross-validation over the pooled corpus and
 keeps the fold model with the lowest validation masked loss. Fine-tuning
 supports full-model updates, head-only updates with a frozen trunk, and
 from-scratch baselines (bi-axial or mean-imputed temporal transformer).
-All randomness is derived from the run seed through named substreams.
+A parameter trains if and only if its `requires_grad` is set; head-only
+fine-tuning clears it outside the classifier head. All randomness is
+derived from the run seed through named substreams, and a grid cell's
+seed depends on its size and seed alone, so every variant of one cell
+trains on the same data.
 
 The entry points (`pretrain`, `finetune` and `predict_probs`) compute in
 float32, the precision the paper's models train in; the models they build
@@ -131,29 +135,27 @@ def _in_compute_dtype(fn):
 class AdamW:
     """Adaptive-moment optimizer with decoupled weight decay.
 
-    Only parameters listed in `trainable` (default: all) are updated;
-    frozen parameters are never touched, bitwise. The moments take each
+    Only the parameters that require a gradient when it is built are
+    updated; the others are never touched, bitwise. The moments take each
     parameter's dtype.
     """
 
     BETAS = (0.9, 0.999)
     EPS = 1e-8
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 weight_decay: float = 0.0, trainable=None):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.trainable = set(params) if trainable is None else set(trainable)
-        self.m = {n: np.zeros_like(params[n].data) for n in self.trainable}
-        self.v = {n: np.zeros_like(params[n].data) for n in self.trainable}
+        self.m = {n: np.zeros_like(p.data) for n, p in params.items() if p.requires_grad}
+        self.v = {n: np.zeros_like(a) for n, a in self.m.items()}
         self.t = 0
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
         b1, b2 = self.BETAS
         self.t += 1
-        for name in sorted(self.trainable):
+        for name in sorted(self.m):
             p = self.params[name]
             g = p.grad
             if g is None:
@@ -372,12 +374,6 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
 # fine-tuning
 
 
-def _freeze_set(model, mode):
-    if mode == "finetune_head":
-        return set(model.param_groups()["head_cls"])
-    return set(model.params)
-
-
 @_in_compute_dtype
 def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
              train_cfg: TrainConfig, model_cfg: BatConfig | None = None,
@@ -422,13 +418,12 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
             raise ValueError("scratch training requires a model config")
         model = ARCHS[arch].init(model_cfg, substream(seed, "init", arch))
 
-    trainable = _freeze_set(model, mode)
-    frozen_before = {n: model.params[n].data.copy()
-                     for n in set(model.params) - trainable}
-    for name in frozen_before:              # records no tape, gets no gradient
-        model.params[name].requires_grad = False
-    optimizer = AdamW(model.params, train_cfg.learning_rate,
-                      train_cfg.weight_decay, trainable=trainable)
+    if mode == "finetune_head":             # the trunk records no tape, gets no gradient
+        for name, p in model.params.items():
+            p.requires_grad = name.startswith("head_cls/")
+    frozen_before = {n: p.data.copy() for n, p in model.params.items()
+                     if not p.requires_grad}
+    optimizer = AdamW(model.params, train_cfg.learning_rate, train_cfg.weight_decay)
 
     labels_train = np.array([float(ep.label) for ep in train_t])
     pos_weight = (mt.pos_weight_for(labels_train)
@@ -545,6 +540,11 @@ class GridConfig:
         for v in self.variants:
             if v not in GRID_VARIANTS:
                 raise ValueError(f"unknown grid variant {v!r}")
+            if v not in self.learning_rates:
+                raise ValueError(f"no learning rate for grid variant {v!r}")
+        for v, lr in self.learning_rates.items():
+            if not lr > 0:
+                raise ValueError(f"learning rate of grid variant {v!r} must be > 0, got {lr}")
 
 
 def pretrained_variants(variants) -> list:
@@ -558,14 +558,13 @@ def train_variant(variant: str, checkpoint: dict | None, ds: dt.Dataset,
     """`finetune` one grid variant at the grid's learning rate for it; the
     checkpoint is used only by the variants that fine-tune it."""
     v = GRID_VARIANTS[variant]
-    cfg = replace(train_cfg, learning_rate=grid.learning_rates.get(
-        variant, train_cfg.learning_rate))
+    cfg = replace(train_cfg, learning_rate=grid.learning_rates[variant])
     return finetune(checkpoint if v.mode != "scratch" else None, ds, v.mode, cfg,
                     model_cfg=model_cfg, test_episodes=test_episodes, arch=v.arch)
 
 
-def _cell_seed(base_seed: int, size: int, rep: int, variant: str) -> int:
-    return zlib.crc32(f"{base_seed}/{size}/{rep}/{variant}".encode())
+def _cell_seed(base_seed: int, size: int, rep: int) -> int:
+    return zlib.crc32(f"{base_seed}/{size}/{rep}".encode())
 
 
 _GRID_CONTEXT: dict = {}
@@ -578,21 +577,16 @@ _INFEASIBLE_CELL = (TrainingError, dt.SubsampleError, mt.UndefinedMetricError)
 
 def _run_cell(args):
     size, rep, variant = args
+    ctx = _GRID_CONTEXT
+    cell_cfg = replace(ctx["train_cfg"], seed=_cell_seed(ctx["train_cfg"].seed, size, rep))
     try:
-        return _run_cell_inner(size, rep, variant)
+        sub = dt.subsample_preserving_prevalence(ctx["pool_ds"], size, seed=cell_cfg.seed)
+        result = train_variant(variant, ctx["checkpoint"], sub, cell_cfg,
+                               ctx["model_cfg"], ctx["grid"], test_episodes=ctx["test_eps"])
     except _INFEASIBLE_CELL as exc:
         logger.warning("skipping cell size=%d seed=%d variant=%s: %s",
                        size, rep, variant, exc)
         return None
-
-
-def _run_cell_inner(size, rep, variant):
-    ctx = _GRID_CONTEXT
-    cell_cfg = replace(ctx["train_cfg"],
-                       seed=_cell_seed(ctx["train_cfg"].seed, size, rep, variant))
-    sub = dt.subsample_preserving_prevalence(ctx["pool_ds"], size, seed=cell_cfg.seed)
-    result = train_variant(variant, ctx["checkpoint"], sub, cell_cfg, ctx["model_cfg"],
-                           ctx["grid"], test_episodes=ctx["test_eps"])
     return {
         "dataset": ctx["pool_ds"].name,
         "model": GRID_VARIANTS[variant].arch,
@@ -611,9 +605,13 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     """Subsample / train / evaluate every (size, seed, variant) cell.
 
     The 80/20 test split is fixed once from the full dataset; every cell
-    evaluates on it. Infeasible cells (TrainingError, SubsampleError or
-    UndefinedMetricError) are skipped with a warning; any other error
-    propagates. Returns (per-run rows, aggregate rows).
+    evaluates on it. Cells are paired: the cell seed depends on the size
+    and seed alone, so every variant at one (size, seed) trains on the
+    same subsample, holdout, batch order and dropout streams, and the
+    variants differ only in their `Variant` row. Infeasible cells
+    (TrainingError, SubsampleError or UndefinedMetricError) are skipped
+    with a warning; any other error propagates. Returns (per-run rows,
+    aggregate rows).
     """
     needs_ckpt = pretrained_variants(grid.variants)
     if needs_ckpt and checkpoint is None:

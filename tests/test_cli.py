@@ -321,6 +321,17 @@ class TestFinetune:
         assert "[grid]" in capsys.readouterr().err
         assert not os.path.exists(out / "runs.csv")
 
+    def test_bad_grid_learning_rate_fails_before_any_work(self, small_dataset_dir,
+                                                          tmp_path, capsys):
+        out = tmp_path / "ft"
+        small = ["model.sensors_count=6", "train.epochs=1", "grid.sizes=20,40",
+                 "grid.seeds=0", "grid.variants=scratch_transformer,scratch_bat",
+                 "grid.lr_scratch_bat=-1"]
+        assert run_cli("finetune", "--data", small_dataset_dir, "--out", str(out),
+                       *[x for item in small for x in ("--set", item)]) == 1
+        assert "'scratch_bat'" in capsys.readouterr().err
+        assert not (out / "config.ini").exists()
+
     def test_grid_csvs(self, small_dataset_dir, pretrain_out, tmp_path):
         out = tmp_path / "ft"
         ckpt = os.path.join(pretrain_out, "checkpoint.bax")

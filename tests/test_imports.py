@@ -1,7 +1,8 @@
 """No module under src/ or tests/ imports a name it never uses, or a
 third-party module that pyproject.toml does not declare; importing the
 CLI loads no test-only dependency; every function and class that src/
-defines at module level is read by the program or the benchmark."""
+defines at module level, and every method of those classes, is read by
+the program or the benchmark."""
 
 import ast
 import collections
@@ -113,22 +114,38 @@ def _reads(tree) -> list:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class, and
+    of each method of such a class except the dunders Python calls."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, _FUNCTIONS)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
 def unread_definitions(defining: dict, others: list) -> list:
-    """`module.name` of each module-level function or class in `defining`
-    (module name -> source) that neither those sources nor the `others`
-    read, by name or as an attribute, outside the name's own definition."""
+    """`module.name` of each definition in `defining` (module name ->
+    source; see `_definitions`) that neither those sources nor the
+    `others` read, by name or as an attribute, outside the name's own
+    definition."""
     trees = {module: ast.parse(source) for module, source in defining.items()}
     reads = collections.Counter()
     for tree in [*trees.values(), *map(ast.parse, others)]:
         reads.update(_reads(tree))
-    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and reads[node.name] == _reads(node).count(node.name)]
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name, node in _definitions(tree)
+            if reads[node.name] == _reads(node).count(node.name)]
 
 
 def test_every_definition_is_read_by_the_program_or_the_benchmark():
-    """A function or class that only the tests call is API nobody uses.
-    `autodiff.__all__` is exempt: it is the benchmark's op list."""
+    """A function, class or method that only the tests call is API nobody
+    uses. `autodiff.__all__` is exempt: it is the benchmark's op list."""
     exempt = {f"autodiff.{name}" for name in ad.__all__}
     unread = unread_definitions(
         {path.stem: path.read_text(encoding="utf-8") for path in SRC},
@@ -140,7 +157,11 @@ def test_every_definition_is_read_by_the_program_or_the_benchmark():
 def test_definition_checker_flags_a_name_only_its_own_body_reads():
     source = ("def used():\n    return 1\n"
               "def recursive(n):\n    return recursive(n - 1)\n"
-              "class C:\n    pass\n"
-              "def entry():\n    return used() + x.C\n")
-    assert unread_definitions({"m": source}, ["import m\nm.entry()\n"]) == ["m.recursive"]
-    assert unread_definitions({"m": source}, []) == ["m.recursive", "m.entry"]
+              "class C:\n"
+              "    def __init__(self):\n        self.n = 0\n"
+              "    def read(self):\n        return self.n\n"
+              "    def unread(self):\n        return self.unread()\n"
+              "def entry():\n    return used() + x.C().read()\n")
+    assert unread_definitions({"m": source}, ["import m\nm.entry()\n"]) == [
+        "m.recursive", "m.C.unread"]
+    assert unread_definitions({"m": source}, []) == ["m.recursive", "m.C.unread", "m.entry"]

@@ -24,6 +24,15 @@ def param_count(model):
     return sum(p.size for p in model.params.values())
 
 
+def param_groups(model):
+    """A BatModel's parameter names by part: the two heads and the trunk."""
+    groups = {"trunk": [], "head_cls": [], "head_for": []}
+    for name in model.params:
+        part = name.split("/", 1)[0]
+        groups[part if part in groups else "trunk"].append(name)
+    return groups
+
+
 def random_batch(cfg, b=2, t=10, seed=0, obs_rate=0.6):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(b, cfg.sensors_count, t))
@@ -313,7 +322,7 @@ class TestParamCount:
         def trunk_params(layers):
             cfg = small_cfg(layers=layers)
             model = md.BatModel.init(cfg, substream(40, "init"))
-            groups = model.param_groups()
+            groups = param_groups(model)
             return (sum(model.params[n].size for n in groups["trunk"]),
                     sum(model.params[n].size for n in groups["head_cls"])
                     + sum(model.params[n].size for n in groups["head_for"]))
@@ -343,7 +352,7 @@ class TestNoDeadParameters:
         model = md.BatModel.init(cfg, substream(45, "init"))
         values, mask, hours, statics = random_batch(cfg, b=3, t=10, seed=46)
         labels = np.array([1.0, 0.0, 1.0])
-        groups = model.param_groups()
+        groups = param_groups(model)
 
         probs = model.classify(values, mask, hours, statics)
         backward(mt.weighted_bce(probs, labels))

@@ -137,12 +137,12 @@ class TestAdamW:
 
     def test_frozen_params_never_touched(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
-        b = Tensor(np.array([2.0]), requires_grad=True)
-        opt = tr.AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.5, trainable={"a"})
+        b = Tensor(np.array([2.0]), requires_grad=False)
+        opt = tr.AdamW({"a": a, "b": b}, lr=0.1, weight_decay=0.5)
         a.grad = np.array([1.0])
-        b.grad = np.array([1.0])
+        b.grad = np.array([1.0])      # a stray gradient and weight decay still leave b alone
         opt.step()
-        assert b.data[0] == 2.0
+        assert b.data.tobytes() == np.array([2.0]).tobytes()
         assert a.data[0] != 1.0
 
 
@@ -560,9 +560,9 @@ class TestExperimentGrid:
                                        mt.UndefinedMetricError("no positive labels")])
     def test_infeasible_cell_skipped_with_warning(self, mortality_ds, monkeypatch,
                                                   caplog, error):
-        def infeasible(size, rep, variant):
+        def infeasible(*args, **kwargs):
             raise error
-        monkeypatch.setattr(tr, "_run_cell_inner", infeasible)
+        monkeypatch.setattr(tr, "train_variant", infeasible)
         grid = tr.GridConfig(sizes=[30], seeds=[0, 1], variants=["scratch_bat"])
         with caplog.at_level("WARNING"):
             rows, _ = tr.run_experiment_grid(
@@ -574,9 +574,9 @@ class TestExperimentGrid:
                                        TypeError("gelu computed in float64"),
                                        ZeroDivisionError("division by zero")])
     def test_other_cell_errors_fail_the_grid(self, mortality_ds, monkeypatch, error):
-        def buggy(size, rep, variant):
+        def buggy(*args, **kwargs):
             raise error
-        monkeypatch.setattr(tr, "_run_cell_inner", buggy)
+        monkeypatch.setattr(tr, "train_variant", buggy)
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"])
         with pytest.raises(type(error), match=str(error)):
             tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
@@ -601,3 +601,55 @@ class TestExperimentGrid:
     def test_setting_that_runs_nothing_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
             tr.GridConfig(**{"sizes": [30], "seeds": [0], **setting})
+
+    @pytest.mark.parametrize("variant, lr", [
+        ("scratch_bat", -1.0), ("scratch_bat", 0.0), ("finetune_head", float("nan"))])
+    def test_bad_learning_rate_rejected_by_variant(self, variant, lr):
+        rates = {**tr.GridConfig(sizes=[30], seeds=[0]).learning_rates, variant: lr}
+        with pytest.raises(ValueError, match=f"learning rate of grid variant '{variant}'"):
+            tr.GridConfig(sizes=[30], seeds=[0], learning_rates=rates)
+
+    def test_variant_without_learning_rate_rejected(self):
+        with pytest.raises(ValueError, match="no learning rate for grid variant 'scratch_bat'"):
+            tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"],
+                          learning_rates={"finetune_full": 1e-3})
+
+    def test_variants_at_one_size_and_seed_share_their_data(self, mortality_ds, checkpoint,
+                                                            monkeypatch):
+        """Cells are paired: every variant at one (size, seed) trains on the
+        same subsample and holdout, at its own rate; seeds draw apart."""
+        finetune, stratified_split = tr.finetune, dt.stratified_split
+        calls, holdouts = [], []
+
+        def recording_finetune(pretrained, ds, mode, train_cfg, **kwargs):
+            calls.append((kwargs["arch"], mode, train_cfg, ds))
+            return finetune(pretrained, ds, mode, train_cfg, **kwargs)
+
+        def recording_split(ds, val_frac, rng):
+            train, val = stratified_split(ds, val_frac, rng)
+            holdouts.append(sorted(ep.patient_id for ep in val))
+            return train, val
+
+        monkeypatch.setattr(tr, "finetune", recording_finetune)
+        monkeypatch.setattr(dt, "stratified_split", recording_split)
+        rates = {name: 1e-3 * (k + 1) for k, name in enumerate(tr.GRID_VARIANTS)}
+        grid = tr.GridConfig(sizes=[30, 40], seeds=[0, 1], learning_rates=rates)
+        rows, _ = tr.run_experiment_grid(mortality_ds, checkpoint, tiny_model_cfg(),
+                                         tiny_train_cfg(epochs=1), grid)
+        assert len(rows) == len(calls) == len(holdouts) == 2 * 2 * len(tr.GRID_VARIANTS)
+
+        cells = {}   # (size, cell seed) -> {variant: (training ids, holdout ids)}
+        for (arch, mode, cfg, ds), holdout in zip(calls, holdouts):
+            variant = next(n for n, v in tr.GRID_VARIANTS.items()
+                           if (v.arch, v.mode) == (arch, mode))
+            assert cfg.learning_rate == rates[variant]
+            ids = tuple(sorted(ep.patient_id for ep in ds.episodes))
+            cells.setdefault((len(ids), cfg.seed), {})[variant] = (ids, tuple(holdout))
+        assert sorted(size for size, _ in cells) == [30, 30, 40, 40]
+        for variants in cells.values():
+            assert sorted(variants) == sorted(tr.GRID_VARIANTS)
+            assert len(set(variants.values())) == 1
+        for size in (30, 40):
+            subsamples = [next(iter(v.values()))[0]
+                          for (n, _), v in cells.items() if n == size]
+            assert subsamples[0] != subsamples[1]
