@@ -3,6 +3,9 @@
 The primitive set is small. The bi-axial transformer and its two losses
 use elementwise arithmetic, affine, layer norm, gelu/sigmoid/log,
 dropout, shape ops and reductions, plus one private fused attention core.
+The reductions take only the forms the program uses: `sum_reduce(x)`
+sums every element, and `mean_reduce(x, axis)` and `max_reduce(x, axis)`
+drop one int axis.
 `matmul`, `softmax` and `transpose` serve only as the tests' unfused
 reference for that core, and `relu` has no caller. The ops are this
 module's functions; `Tensor` has no operator overloads. Gradients are
@@ -336,54 +339,37 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(out_data, parts, grad_fn)
 
 
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        return (axis % ndim,)
-    return tuple(a % ndim for a in axis)
-
-
-def sum_reduce(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis_t = _norm_axis(axis, x.ndim)
-    out_data = x.data.sum(axis=axis_t, keepdims=keepdims)
+def sum_reduce(x: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
+    out_data = x.data.sum()
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return
-        if axis_t is not None and not keepdims:
-            g = np.expand_dims(g, axis_t)
-        x._accumulate(np.broadcast_to(g, x.shape))
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(g, x.shape))
 
     return _node(out_data, (x,), grad_fn)
 
 
-def mean_reduce(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axis_t = _norm_axis(axis, x.ndim)
-    out_data = x.data.mean(axis=axis_t, keepdims=keepdims)
-    count = x.size if axis_t is None else math.prod(x.shape[a] for a in axis_t)
+def mean_reduce(x: Tensor, axis: int) -> Tensor:
+    axis %= x.ndim
+    out_data = x.data.mean(axis=axis)
+    count = x.shape[axis]
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return
-        if axis_t is not None and not keepdims:
-            g = np.expand_dims(g, axis_t)
-        x._accumulate(np.broadcast_to(g, x.shape) / count)
+        if x.requires_grad:
+            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape) / count)
 
     return _node(out_data, (x,), grad_fn)
 
 
-def max_reduce(x: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    axis = axis % x.ndim
-    out_data = x.data.max(axis=axis, keepdims=keepdims)
+def max_reduce(x: Tensor, axis: int) -> Tensor:
+    axis %= x.ndim
+    out_data = x.data.max(axis=axis)
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return
-        expanded = out_data if keepdims else np.expand_dims(out_data, axis)
-        mask = (x.data == expanded)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        x._accumulate(mask * gg)
+        if x.requires_grad:
+            mask = x.data == np.expand_dims(out_data, axis)
+            x._accumulate(mask * np.expand_dims(g, axis))
 
     return _node(out_data, (x,), grad_fn)
 

@@ -1,16 +1,17 @@
-"""The bi-axial transformer and the mean-imputed temporal baseline.
+"""The bi-axial transformer (BAT) and the temporal baseline.
 
-Input cells are embedded from (value, observed-flag, sensor identity,
-continuous-time encoding); each trunk layer runs self-attention along the
-time axis (independently per sensor) and along the sensor axis
-(independently per time step) in parallel inside one residual block,
-followed by a feedforward sublayer. Two heads share the trunk: a global
-pool + statics fusion + sigmoid classifier, and a per-sensor temporal
-pool + linear map emitting a D x H forecast grid.
+Both archs share the trunk layer and the classifier head (pool, statics
+fusion, sigmoid). A trunk layer runs its attention branches in parallel
+inside one pre-LN residual block, then a feedforward sublayer. The BAT
+embeds (value, observed-flag, sensor identity, time encoding) per cell of
+a (B, D, T, E) grid and attends along time and along sensors; its forecast
+head pools each sensor over time and maps it to H hours. The baseline is
+a one-branch trunk over a (B, 1, T, E) grid, one embedding per hour.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,9 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
     return rng.uniform(-bound, bound, shape or (fan_in, fan_out))
 
 
-def _attention(x: Tensor, p: dict, prefix: str, heads: int,
+def _attention(x: Tensor, p: dict, prefix: str, axis: int, heads: int,
                attn_dropout: float, rng, train: bool,
-               key_mask: np.ndarray | None = None, axis: int = -2) -> Tensor:
+               key_mask: np.ndarray | None = None) -> Tensor:
     """Multi-head self-attention along `axis` (1 or 2) of a 4-D input.
 
     x is (B, N1, N2, E): attention runs over `axis` independently for
@@ -94,35 +95,19 @@ def _ffn(x: Tensor, p: dict, prefix: str) -> Tensor:
     return ad.affine(h, p[f"{prefix}/w2"], p[f"{prefix}/b2"])
 
 
-def _layer_arrays(rng: np.random.Generator, layer: int, e: int,
-                  attentions: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Initial arrays of one pre-LN trunk layer: each named attention
-    block, two layer norms and the FFN, drawn from `rng` in this order."""
-    p = {}
-    for branch in attentions:
-        base = f"layer{layer}/{branch}"
-        for mat in ("wq", "wk", "wv", "wo"):
-            p[f"{base}/{mat}"] = _xavier(rng, e, e)
-        for vec in ("bq", "bk", "bv", "bo"):
-            p[f"{base}/{vec}"] = np.zeros(e)
-    for norm in ("norm1", "norm2"):
-        p[f"layer{layer}/{norm}/gain"] = np.ones(e)
-        p[f"layer{layer}/{norm}/bias"] = np.zeros(e)
-    w = e * FFN_WIDTH_FACTOR
-    p[f"layer{layer}/ffn/w1"] = _xavier(rng, e, w)
-    p[f"layer{layer}/ffn/b1"] = np.zeros(w)
-    p[f"layer{layer}/ffn/w2"] = _xavier(rng, w, e)
-    p[f"layer{layer}/ffn/b2"] = np.zeros(e)
-    return p
-
-
 class _ParamModel:
-    """A named parameter set plus the plumbing both model classes share.
+    """A named parameter set and the trunk and classifier both archs share.
 
-    Subclasses draw their initial arrays, by name, in the classmethod
-    `_init_arrays(cfg, rng)`. Every parameter starts out requiring a
-    gradient; that flag alone decides whether training updates it.
+    Subclasses draw their initial arrays, by name, in `_init_arrays(cfg,
+    rng)`, embed their input as a (B, N, T, E) grid in `embed`, and list a
+    trunk layer's attention branches as (parameter block, grid axis) in
+    `BRANCHES`. With `MASK_KEYS`, `use_mask` gives them key masks. Every
+    parameter starts out requiring a gradient; that flag alone decides
+    whether training updates it.
     """
+
+    BRANCHES: tuple[tuple[str, int], ...]
+    MASK_KEYS = False
 
     def __init__(self, cfg: BatConfig, params: dict[str, Tensor]):
         self.cfg = cfg
@@ -137,6 +122,28 @@ class _ParamModel:
         return cls(cfg, {n: Tensor(np.array(a), requires_grad=True)
                          for n, a in arrays.items()})
 
+    @classmethod
+    def _trunk_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
+        """Initial arrays of each trunk layer: each branch's attention block,
+        two layer norms and the FFN, drawn from `rng` in this order."""
+        e = cfg.value_embed_size
+        w, p = e * FFN_WIDTH_FACTOR, {}
+        for layer in range(cfg.layers):
+            for branch, _ in cls.BRANCHES:
+                base = f"layer{layer}/{branch}"
+                for mat in ("wq", "wk", "wv", "wo"):
+                    p[f"{base}/{mat}"] = _xavier(rng, e, e)
+                for vec in ("bq", "bk", "bv", "bo"):
+                    p[f"{base}/{vec}"] = np.zeros(e)
+            for norm in ("norm1", "norm2"):
+                p[f"layer{layer}/{norm}/gain"] = np.ones(e)
+                p[f"layer{layer}/{norm}/bias"] = np.zeros(e)
+            p[f"layer{layer}/ffn/w1"] = _xavier(rng, e, w)
+            p[f"layer{layer}/ffn/b1"] = np.zeros(w)
+            p[f"layer{layer}/ffn/w2"] = _xavier(rng, w, e)
+            p[f"layer{layer}/ffn/b2"] = np.zeros(e)
+        return p
+
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -146,26 +153,67 @@ class _ParamModel:
 
     def _pool(self, x: Tensor, axis: int) -> Tensor:
         if self.cfg.pooling == "max":
-            return ad.max_reduce(x, axis=axis)
-        return ad.mean_reduce(x, axis=axis)
+            return ad.max_reduce(x, axis)
+        return ad.mean_reduce(x, axis)
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}/gain"],
                              self.params[f"{prefix}/bias"])
 
-    def _ffn_sublayer(self, x: Tensor, layer: int, train: bool, rng) -> Tensor:
-        """Pre-LN feedforward residual: x + dropout(ffn(norm2(x)))."""
+    # -- forward passes ------------------------------------------------
+
+    def _layer(self, x: Tensor, layer: int, mask: np.ndarray | None,
+               train: bool, rng) -> Tensor:
+        """x + the sum of dropout(branch attention over norm1(x)), then
+        x + dropout(ffn(norm2(x))). Every branch attends before the first
+        dropout draw; a branch along grid axis a takes mask.any(axis=3 - a)
+        as its key mask."""
+        cfg = self.cfg
+        normed = self._norm(x, f"layer{layer}/norm1")
+        attended = [_attention(normed, self.params, f"layer{layer}/{branch}", axis,
+                               cfg.heads, cfg.attn_dropout, rng, train,
+                               key_mask=None if mask is None else mask.any(axis=3 - axis))
+                    for branch, axis in self.BRANCHES]
+        dropped = [ad.dropout(a, cfg.dropout, rng, train) for a in attended]
+        x = ad.add(x, functools.reduce(ad.add, dropped))
         ffn_out = _ffn(self._norm(x, f"layer{layer}/norm2"), self.params,
                        f"layer{layer}/ffn")
-        return ad.add(x, ad.dropout(ffn_out, self.cfg.dropout, rng, train))
+        return ad.add(x, ad.dropout(ffn_out, cfg.dropout, rng, train))
+
+    def trunk(self, values: np.ndarray, mask: np.ndarray, hours: np.ndarray,
+              train: bool = False, rng=None) -> Tensor:
+        x = self.embed(values, mask, hours)
+        key_mask = mask if self.MASK_KEYS and self.cfg.use_mask else None
+        for layer in range(self.cfg.layers):
+            x = self._layer(x, layer, key_mask, train, rng)
+        return x
+
+    def pool_and_fuse(self, x: Tensor, statics: np.ndarray) -> Tensor:
+        """Reduce over sensors and time, then append the static features."""
+        pooled = self._pool(self._pool(x, 1), 1)
+        return ad.concat([pooled, ad.tensor(statics)], axis=1)
+
+    def classify(self, values, mask, hours, statics,
+                 train: bool = False, rng=None) -> Tensor:
+        """Mortality probability per batch element, in (0, 1)."""
+        x = self.trunk(values, mask, hours, train=train, rng=rng)
+        fused = self.pool_and_fuse(x, statics)
+        logits = ad.affine(fused, self.params["head_cls/w"], self.params["head_cls/b"])
+        return ad.sigmoid(ad.reshape(logits, (values.shape[0],)))
 
 
 class BatModel(_ParamModel):
     """Parameter set plus forward passes for the bi-axial transformer."""
 
-    # Kept in the class body: bench/probes.py times zero_grad by patching
-    # each model class's own __dict__.
+    BRANCHES = (("time_attn", 2), ("feat_attn", 1))
+    MASK_KEYS = True
+
+    # Kept in the class body: bench/probes.py times and scopes these by
+    # patching each model class's own __dict__.
     zero_grad = _ParamModel.zero_grad
+    classify = _ParamModel.classify
+    _layer = _ParamModel._layer
+    pool_and_fuse = _ParamModel.pool_and_fuse
 
     @classmethod
     def _init_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
@@ -176,16 +224,13 @@ class BatModel(_ParamModel):
             "embed/missing": rng.normal(0.0, 0.2, (d, e)),
             "embed/identity": rng.normal(0.0, 0.2, (d, e)),
         }
-        for layer in range(cfg.layers):
-            p.update(_layer_arrays(rng, layer, e, ("time_attn", "feat_attn")))
+        p.update(cls._trunk_arrays(cfg, rng))
         p["head_cls/w"] = _xavier(rng, e + s, 1)
         p["head_cls/b"] = np.zeros(1)
         p["head_for/w"] = _xavier(rng, e, cfg.forecast_horizon,
                                   (e, cfg.forecast_horizon))
         p["head_for/b"] = np.zeros(cfg.forecast_horizon)
         return p
-
-    # -- forward passes ------------------------------------------------
 
     def embed(self, values: np.ndarray, mask: np.ndarray,
               hours: np.ndarray) -> Tensor:
@@ -213,43 +258,6 @@ class BatModel(_ParamModel):
         gated = ad.add(ad.mul(proj, m), ad.mul(missing, inv_m))
         return ad.add(ad.add(gated, ident), enc)
 
-    def _layer(self, x: Tensor, layer: int, mask: np.ndarray | None,
-               train: bool, rng) -> Tensor:
-        cfg = self.cfg
-        p = self.params
-        normed = self._norm(x, f"layer{layer}/norm1")
-        key_time = key_feat = None
-        if cfg.use_mask and mask is not None:
-            key_time = mask.any(axis=1)   # (B, T)
-            key_feat = mask.any(axis=2)   # (B, D)
-        a_time = _attention(normed, p, f"layer{layer}/time_attn", cfg.heads,
-                            cfg.attn_dropout, rng, train, key_mask=key_time, axis=2)
-        a_feat = _attention(normed, p, f"layer{layer}/feat_attn", cfg.heads,
-                            cfg.attn_dropout, rng, train, key_mask=key_feat, axis=1)
-        x = ad.add(x, ad.add(ad.dropout(a_time, cfg.dropout, rng, train),
-                             ad.dropout(a_feat, cfg.dropout, rng, train)))
-        return self._ffn_sublayer(x, layer, train, rng)
-
-    def trunk(self, values: np.ndarray, mask: np.ndarray, hours: np.ndarray,
-              train: bool = False, rng=None) -> Tensor:
-        x = self.embed(values, mask, hours)
-        for layer in range(self.cfg.layers):
-            x = self._layer(x, layer, mask, train, rng)
-        return x
-
-    def pool_and_fuse(self, x: Tensor, statics: np.ndarray) -> Tensor:
-        """Reduce over sensors and time, then append the static features."""
-        pooled = self._pool(self._pool(x, axis=1), axis=1)
-        return ad.concat([pooled, ad.tensor(statics)], axis=1)
-
-    def classify(self, values, mask, hours, statics,
-                 train: bool = False, rng=None) -> Tensor:
-        """Mortality probability per batch element, in (0, 1)."""
-        x = self.trunk(values, mask, hours, train=train, rng=rng)
-        fused = self.pool_and_fuse(x, statics)
-        logits = ad.affine(fused, self.params["head_cls/w"], self.params["head_cls/b"])
-        return ad.sigmoid(ad.reshape(logits, (values.shape[0],)))
-
     def forecast(self, values, mask, hours, statics=None,
                  train: bool = False, rng=None) -> Tensor:
         """Standardized-scale forecast grid (B, D, H) for the next H hours.
@@ -259,16 +267,20 @@ class BatModel(_ParamModel):
         already make them distinguishable).
         """
         x = self.trunk(values, mask, hours, train=train, rng=rng)
-        pooled = self._pool(x, axis=2)     # (B, D, E)
+        pooled = self._pool(x, 2)     # (B, D, E)
         return ad.affine(pooled, self.params["head_for/w"], self.params["head_for/b"])
 
 
 class TemporalTransformer(_ParamModel):
-    """Vanilla temporal transformer over mean-imputed values; no mask input."""
+    """Temporal transformer over forward-filled, mean-imputed values; it
+    never reads the mask."""
 
-    # Kept in the class body: bench/probes.py times zero_grad by patching
+    BRANCHES = (("attn", 2),)
+
+    # Kept in the class body: bench/probes.py times these by patching
     # each model class's own __dict__.
     zero_grad = _ParamModel.zero_grad
+    classify = _ParamModel.classify
 
     @classmethod
     def _init_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
@@ -277,34 +289,20 @@ class TemporalTransformer(_ParamModel):
             "embed/w": _xavier(rng, d, e),
             "embed/b": np.zeros(e),
         }
-        for layer in range(cfg.layers):
-            p.update(_layer_arrays(rng, layer, e, ("attn",)))
-        p["head/w"] = _xavier(rng, e + s, 1)
-        p["head/b"] = np.zeros(1)
+        p.update(cls._trunk_arrays(cfg, rng))
+        p["head_cls/w"] = _xavier(rng, e + s, 1)
+        p["head_cls/b"] = np.zeros(1)
         return p
 
-    def classify(self, values, mask, hours, statics,
-                 train: bool = False, rng=None) -> Tensor:
-        """Probability from mean-imputed values; `mask` is accepted for
-        interface parity and ignored."""
+    def embed(self, values: np.ndarray, mask: np.ndarray,
+              hours: np.ndarray) -> Tensor:
+        """(B, D, T) values to a (B, 1, T, E) grid: one affine map of each
+        hour's D-vector plus the time encoding; `mask` is ignored."""
         del mask
-        b, d, t = values.shape
-        e = self.cfg.value_embed_size
-        # per-time-step linear embedding of the D-vector
-        x = ad.affine(ad.tensor(values.transpose(0, 2, 1)),
+        t, e = values.shape[2], self.cfg.value_embed_size
+        x = ad.affine(ad.tensor(values.transpose(0, 2, 1)[:, None]),
                       self.params["embed/w"], self.params["embed/b"])
-        x = ad.add(x, ad.tensor(time_encoding(hours, e).reshape(1, t, e)))
-        x = ad.reshape(x, (b, 1, t, e))
-        for layer in range(self.cfg.layers):
-            att = _attention(self._norm(x, f"layer{layer}/norm1"), self.params,
-                             f"layer{layer}/attn", self.cfg.heads,
-                             self.cfg.attn_dropout, rng, train)
-            x = ad.add(x, ad.dropout(att, self.cfg.dropout, rng, train))
-            x = self._ffn_sublayer(x, layer, train, rng)
-        pooled = self._pool(ad.reshape(x, (b, t, e)), axis=1)
-        fused = ad.concat([pooled, ad.tensor(statics)], axis=1)
-        logits = ad.affine(fused, self.params["head/w"], self.params["head/b"])
-        return ad.sigmoid(ad.reshape(logits, (b,)))
+        return ad.add(x, ad.tensor(time_encoding(hours, e).reshape(1, 1, t, e)))
 
 
 # checkpoint `meta["arch"]` and `finetune(arch=...)` name -> model class

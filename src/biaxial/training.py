@@ -513,6 +513,15 @@ def load_checkpoint(path) -> dict:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: damaged checkpoint ({exc!r})") from None
     params = {n[len("param/"):]: a for n, a in arrays.items() if n.startswith("param/")}
+    arch = meta.get("arch", "bat")          # pretrained checkpoints are BAT
+    if arch not in ARCHS:
+        raise ValueError(f"{path}: unknown model arch {arch!r}; expected one of {tuple(ARCHS)}")
+    expected = ARCHS[arch]._init_arrays(model_cfg, np.random.default_rng(0))
+    for name in sorted(expected.keys() | params.keys()):
+        want, got = (a[name].shape if name in a else "absent" for a in (expected, params))
+        if want != got:
+            raise ValueError(f"{path}: parameter {name!r} is {got} here, but {want} "
+                             f"in a {arch!r} model of this config")
     return {"params": params, "preprocessor": pp, "model_cfg": model_cfg, "meta": meta}
 
 

@@ -281,14 +281,14 @@ class TestElementwisePrimitives:
 
         def f(x_arr):
             y = x_arr.transpose(1, 0, 2).reshape(3, 8)
-            return float(y.max(axis=1).sum() + y.mean() + y.sum(axis=0).sum())
+            return float(y.max(axis=1).sum() + y.mean(axis=0).sum() + y.sum())
 
         (fd,) = finite_diff(f, [x_np])
         x = tensor(x_np, requires_grad=True)
         y = ad.reshape(ad.transpose(x, (1, 0, 2)), (3, 8))
         loss = ad.add(ad.add(ad.sum_reduce(ad.max_reduce(y, axis=1)),
-                             ad.mean_reduce(y)),
-                      ad.sum_reduce(ad.sum_reduce(y, axis=0)))
+                             ad.sum_reduce(ad.mean_reduce(y, axis=0))),
+                      ad.sum_reduce(y))
         backward(loss)
         assert_close_rel(x.grad, fd)
 
@@ -473,17 +473,15 @@ class TestCheckpointRoundTrip:
 
     def test_value_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)
-        arrays = {
-            "layer0/w": rng.standard_normal((4, 5)),
-            "layer0/b": rng.standard_normal(5),
-            "scalar": np.array(3.14159),
-        }
+        cfg = md.BatConfig(sensors_count=3, value_embed_size=4, layers=1)
+        arrays = {n: rng.standard_normal(a.shape)
+                  for n, a in md.BatModel._init_arrays(cfg, rng).items()}
         path = tmp_path / "params.bax"
-        tr.save_checkpoint(path, arrays, _preprocessor(rng), md.BatConfig(),
+        tr.save_checkpoint(path, arrays, _preprocessor(rng), cfg,
                            meta={"kind": "test", "n": 3})
         back = tr.load_checkpoint(path)
         assert back["meta"] == {"kind": "test", "n": 3, "fitted_on": "test",
-                                "model_cfg": asdict(md.BatConfig())}
+                                "model_cfg": asdict(cfg)}
         assert set(back["params"]) == set(arrays)
         for name in arrays:
             assert np.array_equal(back["params"][name], arrays[name])

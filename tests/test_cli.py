@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
 import pytest
 
 from biaxial import cli, config
@@ -527,6 +528,27 @@ class TestEvaluate:
                        "--out", str(out)) == 1
         assert f"{old} records no split_seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("arch, message", [
+        ("lstm", "unknown model arch 'lstm'"),
+        ("transformer", "parameter 'head/b' is (1,) here, but absent in a 'transformer'"),
+    ], ids=["unknown_arch", "old_head_names"])
+    def test_checkpoint_not_fitting_its_arch_fails_before_any_work(
+            self, classifier_ckpts, small_dataset_dir, tmp_path, capsys, arch, message):
+        bundle = tr.load_checkpoint(classifier_ckpts[0])
+        params = bundle["params"]
+        if arch == "transformer":           # a baseline saved under the old head names
+            params = TemporalTransformer.init(bundle["model_cfg"],
+                                              np.random.default_rng(0)).state_arrays()
+            params = {n.replace("head_cls/", "head/"): a for n, a in params.items()}
+        ckpt = tmp_path / "model.bax"
+        tr.save_checkpoint(ckpt, params, bundle["preprocessor"], bundle["model_cfg"],
+                           meta={**bundle["meta"], "arch": arch})
+        out = tmp_path / "e"
+        assert run_cli("evaluate", "--checkpoint", str(ckpt), "--data", small_dataset_dir,
+                       "--out", str(out)) == 1
+        assert f"{ckpt}: {message}" in capsys.readouterr().err
+        assert not (out / "config.ini").exists()
 
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1

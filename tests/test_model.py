@@ -25,7 +25,7 @@ def param_count(model):
 
 
 def param_groups(model):
-    """A BatModel's parameter names by part: the two heads and the trunk."""
+    """A model's parameter names by part: the heads and the trunk."""
     groups = {"trunk": [], "head_cls": [], "head_for": []}
     for name in model.params:
         part = name.split("/", 1)[0]
@@ -349,25 +349,24 @@ class TestParamCount:
 class TestNoDeadParameters:
     def test_every_parameter_gets_gradient_from_some_loss(self):
         cfg = small_cfg()
-        model = md.BatModel.init(cfg, substream(45, "init"))
         values, mask, hours, statics = random_batch(cfg, b=3, t=10, seed=46)
         labels = np.array([1.0, 0.0, 1.0])
-        groups = param_groups(model)
-
-        probs = model.classify(values, mask, hours, statics)
-        backward(mt.weighted_bce(probs, labels))
-        for name in groups["trunk"] + groups["head_cls"]:
-            grad = model.params[name].grad
-            assert grad is not None and np.any(grad != 0), name
-
-        model.zero_grad()
         target = np.random.default_rng(47).normal(size=(3, cfg.sensors_count, 2))
         fmask = np.ones((3, cfg.sensors_count, 2), dtype=bool)
-        pred = model.forecast(values, mask, hours, statics)
-        backward(mt.masked_forecast_loss(pred, target, fmask))
-        for name in groups["trunk"] + groups["head_for"]:
-            grad = model.params[name].grad
-            assert grad is not None and np.any(grad != 0), name
+        for arch, model_cls in md.ARCHS.items():
+            model = model_cls.init(cfg, substream(45, "init"))
+            groups = param_groups(model)
+            losses = [(lambda: mt.weighted_bce(
+                model.classify(values, mask, hours, statics), labels), "head_cls")]
+            if groups["head_for"]:          # the baseline has no forecast head
+                losses.append((lambda: mt.masked_forecast_loss(
+                    model.forecast(values, mask, hours, statics), target, fmask), "head_for"))
+            for loss, head in losses:
+                model.zero_grad()
+                backward(loss())
+                for name in groups["trunk"] + groups[head]:
+                    grad = model.params[name].grad
+                    assert grad is not None and np.any(grad != 0), (arch, name)
 
 
 class TestBaselineTransformer:
@@ -379,13 +378,13 @@ class TestBaselineTransformer:
         assert ((probs > 0) & (probs < 1)).all()
 
     def test_invariant_to_mask_channel(self):
-        cfg = small_cfg()
-        model = md.TemporalTransformer.init(cfg, substream(50, "init"))
-        values, mask, hours, statics = random_batch(cfg, seed=51)
-        other_mask = ~mask
-        a = model.classify(values, mask, hours, statics).data
-        b = model.classify(values, other_mask, hours, statics).data
-        assert np.array_equal(a, b)
+        for use_mask in (False, True):
+            cfg = small_cfg(use_mask=use_mask)
+            model = md.TemporalTransformer.init(cfg, substream(50, "init"))
+            values, mask, hours, statics = random_batch(cfg, seed=51)
+            a = model.classify(values, mask, hours, statics).data
+            b = model.classify(values, ~mask, hours, statics).data
+            assert np.array_equal(a, b), use_mask
 
     def test_gradients_match_finite_differences(self):
         cfg = md.BatConfig(sensors_count=3, value_embed_size=4, layers=1, heads=1,
@@ -400,3 +399,38 @@ class TestBaselineTransformer:
 
         report = ad.grad_check(f, model.params, step=1e-5, tol=1e-3)
         assert report.passed, report
+
+    def test_train_classify_is_the_explicit_composition(self):
+        """Train-mode classify equals, bitwise, the baseline written out in
+        ad ops: per-hour affine plus time encoding; per layer, attention
+        over time and the FFN, each pre-LN with dropout and a residual add;
+        then max over time, the statics, the head affine and the sigmoid.
+        One dropout stream serves the whole forward, in that order."""
+        cfg = small_cfg(dropout=0.3, attn_dropout=0.2)
+        model = md.TemporalTransformer.init(cfg, substream(54, "init"))
+        values, mask, hours, statics = random_batch(cfg, b=3, t=7, seed=55)
+        b, d, t = values.shape
+        e = cfg.value_embed_size
+        p = model.params
+
+        def norm(x, prefix):
+            return ad.layer_norm(x, p[f"{prefix}/gain"], p[f"{prefix}/bias"])
+
+        rng = np.random.default_rng(56)
+        x = ad.affine(ad.tensor(values.transpose(0, 2, 1)), p["embed/w"], p["embed/b"])
+        x = ad.add(x, ad.tensor(md.time_encoding(hours, e).reshape(1, t, e)))
+        x = ad.reshape(x, (b, 1, t, e))
+        for layer in range(cfg.layers):
+            att = md._attention(norm(x, f"layer{layer}/norm1"), p, f"layer{layer}/attn",
+                                2, cfg.heads, cfg.attn_dropout, rng, True)
+            x = ad.add(x, ad.dropout(att, cfg.dropout, rng, True))
+            ffn = md._ffn(norm(x, f"layer{layer}/norm2"), p, f"layer{layer}/ffn")
+            x = ad.add(x, ad.dropout(ffn, cfg.dropout, rng, True))
+        pooled = ad.max_reduce(ad.reshape(x, (b, t, e)), axis=1)
+        fused = ad.concat([pooled, ad.tensor(statics)], axis=1)
+        logits = ad.affine(fused, p["head_cls/w"], p["head_cls/b"])
+        want = ad.sigmoid(ad.reshape(logits, (b,))).data
+
+        got = model.classify(values, mask, hours, statics, train=True,
+                             rng=np.random.default_rng(56)).data
+        assert np.array_equal(got, want)

@@ -39,7 +39,7 @@ PRIMITIVES = {
     "reshape": ([(3, 4)], lambda x: ad.reshape(x, (2, 6))),
     "transpose": ([(2, 3, 4)], lambda x: ad.transpose(x, (2, 0, 1))),
     "concat": ([(2, 3), (2, 2)], lambda a, b: ad.concat([a, b], axis=1)),
-    "sum_reduce": ([(3, 4)], lambda x: ad.sum_reduce(x, axis=1)),
+    "sum_reduce": ([(3, 4)], ad.sum_reduce),
     "mean_reduce": ([(3, 4)], lambda x: ad.mean_reduce(x, axis=0)),
     "max_reduce": ([(3, 4)], lambda x: ad.max_reduce(x, axis=1)),
     "log": ([(3, 4)], ad.log),
@@ -194,10 +194,12 @@ def test_pretrain_float32_matches_float64(monkeypatch):
 class TestCheckpointPrecision:
     def test_float32_params_roundtrip_bitwise(self, tmp_path, small_mortality):
         rng = np.random.default_rng(5)
-        arrays = {"w": rng.standard_normal((4, 3)).astype(np.float32),
-                  "tiny": np.array([1e-40, -3.4e38, 0.1], dtype=np.float32)}
+        cfg = tiny_model_cfg()
+        arrays = {n: rng.standard_normal(a.shape).astype(np.float32)
+                  for n, a in BatModel._init_arrays(cfg, rng).items()}
+        arrays["head_for/b"] = np.array([1e-40, -3.4e38], dtype=np.float32)
         pp = dt.fit_preprocessor(small_mortality.episodes)
-        tr.save_checkpoint(tmp_path / "p.bax", arrays, pp, tiny_model_cfg())
+        tr.save_checkpoint(tmp_path / "p.bax", arrays, pp, cfg)
         loaded = tr.load_checkpoint(tmp_path / "p.bax")["params"]
         for name, arr in arrays.items():
             assert loaded[name].dtype == np.float64
