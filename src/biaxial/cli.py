@@ -1,9 +1,10 @@
 """Command-line entry point: generate, pretrain, finetune, evaluate.
 
 Every command resolves its configuration (flags > file > defaults),
-checks its input directories and checkpoints, echoes the configuration
-to <out>/config.ini before doing any work, and writes only deterministic
-artifacts, so a rerun with the same config and seed is byte-identical.
+checks its input directories, has `training.load_checkpoint` check its
+checkpoints, echoes the configuration to <out>/config.ini before doing
+any work, and writes only deterministic artifacts, so a rerun with the
+same config and seed is byte-identical.
 Exit codes: 0 success, 1 validation error, 2 runtime failure.
 `evaluate` draws each test split with the `split_seed` that `finetune`
 saved in the model, not with `--seed`, so it never scores a model on the
@@ -58,17 +59,6 @@ def _check_data_dirs(paths, labeled):
             raise ConfigError(f"data directory not found: {path}")
         if labeled and not os.path.isfile(os.path.join(path, "labels.csv")):
             raise ConfigError(f"{path} has no labels.csv; this command needs a labeled cohort")
-
-
-def _load_checkpoint(path, kind):
-    """Load the checkpoint file at `path`; its meta kind must be `kind`."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"checkpoint not found (no such file): {path}")
-    bundle = tr.load_checkpoint(path)
-    found = bundle["meta"].get("kind")
-    if found != kind:
-        raise ConfigError(f"{path} is a {found!r} checkpoint; expected a {kind!r} one")
-    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +146,10 @@ def cmd_finetune(cfg) -> int:
     save_variant = cfg["grid"]["save_model"]
     if save_variant and save_variant not in tr.GRID_VARIANTS:
         raise ConfigError(f"grid.save_model must be one of {tuple(tr.GRID_VARIANTS)}")
-    needs_ckpt = tr.pretrained_variants(
-        [*grid.variants, save_variant] if save_variant else grid.variants)
     ckpt_path = cfg["data"]["checkpoint"]
-    if needs_ckpt and not ckpt_path:
-        raise ConfigError(f"variants {needs_ckpt} need data.checkpoint")
-    checkpoint = _load_checkpoint(ckpt_path, "pretrained") if ckpt_path else None
+    checkpoint = tr.load_checkpoint(ckpt_path, "pretrained") if ckpt_path else None
+    tr.check_variants([*grid.variants, save_variant] if save_variant else grid.variants,
+                      checkpoint, train_cfg)
     _echo_config(cfg, out_dir)
     model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model_cfg()
     sensors = dt.SENSOR_SCHEMA[:model_cfg.sensors_count]
@@ -201,16 +189,12 @@ def cmd_evaluate(cfg) -> int:
     if not paths or not ckpts:
         raise ConfigError("evaluate requires data.paths and data.checkpoint")
     _check_data_dirs(paths, labeled=True)
-    bundles = [_load_checkpoint(p, "classifier") for p in ckpts]
-    for ckpt_path, bundle in zip(ckpts, bundles):
-        if "split_seed" not in bundle["meta"]:
-            raise ConfigError(f"{ckpt_path} records no split_seed; save it again with finetune")
+    bundles = [tr.load_checkpoint(p, "classifier") for p in ckpts]
     _echo_config(cfg, out_dir)
     batch_size = cfg.train_cfg().batch_size
     rows = []
     for ckpt_path, bundle in zip(ckpts, bundles):
-        model = ARCHS[bundle["meta"].get("arch", "bat")].from_arrays(
-            bundle["model_cfg"], bundle["params"])
+        model = ARCHS[bundle["arch"]].from_arrays(bundle["model_cfg"], bundle["params"])
         sensors = dt.SENSOR_SCHEMA[:bundle["model_cfg"].sensors_count]
         for path in paths:
             ds = dt.apply_exclusions(

@@ -79,12 +79,14 @@ def weighted_bce(probs: Tensor, labels: np.ndarray, pos_weight: float = 1.0) -> 
 
 
 def pos_weight_for(labels) -> float:
-    """n_neg / n_pos of a training split (the weighted-loss default)."""
+    """n_neg / n_pos of a training split (the weighted-loss default);
+    undefined unless the split holds both classes."""
     y = np.asarray(labels)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
-    if n_pos == 0:
-        raise UndefinedMetricError("cannot derive pos_weight: no positive labels")
+    if n_pos == 0 or n_neg == 0:
+        missing = "positive" if n_pos == 0 else "negative"
+        raise UndefinedMetricError(f"cannot derive pos_weight: no {missing} labels")
     return n_neg / n_pos
 
 

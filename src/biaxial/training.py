@@ -19,9 +19,12 @@ float32 value exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
+import operator
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -178,8 +181,6 @@ class AdamW:
 
 def lr_at_epoch(lr0: float, gamma: float, epoch: int) -> float:
     """Exponential decay: lr0 * gamma ** epoch."""
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must be in (0, 1]")
     return lr0 * gamma ** epoch
 
 
@@ -486,9 +487,15 @@ def save_checkpoint(path, params: dict, pp: dt.PreprocessorState,
         fh.write(b"".join([_CKPT_MAGIC, struct.pack("<Q", len(header)), header, *buffers]))
 
 
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path, kind: str | None = None) -> dict:
     """Read a save_checkpoint file into its params (float64), preprocessor,
-    model_cfg and meta; a damaged file raises ValueError naming `path`."""
+    model_cfg, meta and arch (meta "arch"; "bat" if absent, as in pretrained
+    checkpoints). The one check of a checkpoint file: a ValueError naming
+    `path` unless it is a regular file of this format and version whose
+    parameter names and shapes fit its arch at its config; given a `kind`,
+    meta "kind" must be it, and a classifier must record its `split_seed`."""
+    if not os.path.isfile(path):
+        raise ValueError(f"checkpoint not found (no such file): {path}")
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_CKPT_MAGIC):
@@ -513,7 +520,7 @@ def load_checkpoint(path) -> dict:
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: damaged checkpoint ({exc!r})") from None
     params = {n[len("param/"):]: a for n, a in arrays.items() if n.startswith("param/")}
-    arch = meta.get("arch", "bat")          # pretrained checkpoints are BAT
+    arch = meta.get("arch", "bat")
     if arch not in ARCHS:
         raise ValueError(f"{path}: unknown model arch {arch!r}; expected one of {tuple(ARCHS)}")
     expected = ARCHS[arch]._init_arrays(model_cfg, np.random.default_rng(0))
@@ -522,7 +529,12 @@ def load_checkpoint(path) -> dict:
         if want != got:
             raise ValueError(f"{path}: parameter {name!r} is {got} here, but {want} "
                              f"in a {arch!r} model of this config")
-    return {"params": params, "preprocessor": pp, "model_cfg": model_cfg, "meta": meta}
+    if kind is not None and (found := meta.get("kind")) != kind:
+        raise ValueError(f"{path} is a {found!r} checkpoint; expected a {kind!r} one")
+    if kind == "classifier" and "split_seed" not in meta:
+        raise ValueError(f"{path} records no split_seed; save it again with finetune")
+    return {"params": params, "preprocessor": pp, "model_cfg": model_cfg, "meta": meta,
+            "arch": arch}
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +568,17 @@ class GridConfig:
                 raise ValueError(f"learning rate of grid variant {v!r} must be > 0, got {lr}")
 
 
-def pretrained_variants(variants) -> list:
-    """The given variants that need a pretrained checkpoint, sorted."""
-    return sorted({v for v in variants if GRID_VARIANTS[v].mode != "scratch"})
+def check_variants(variants, checkpoint: dict | None, train_cfg: TrainConfig) -> None:
+    """Raise ValueError naming the variants that cannot run: those that
+    fine-tune, without a checkpoint; those that train from scratch, under
+    standardization='inherit', which takes a checkpoint's statistics."""
+    scratch = sorted({v for v in variants if GRID_VARIANTS[v].mode == "scratch"})
+    tuned = sorted(set(variants) - set(scratch))
+    if tuned and checkpoint is None:
+        raise ValueError(f"variants {tuned} require a checkpoint")
+    if scratch and train_cfg.standardization == "inherit":
+        raise ValueError(f"standardization='inherit' requires a checkpoint, and variants "
+                         f"{scratch} train from scratch; run them with 'refit'")
 
 
 def train_variant(variant: str, checkpoint: dict | None, ds: dt.Dataset,
@@ -620,12 +640,15 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     variants differ only in their `Variant` row. Infeasible cells
     (TrainingError, SubsampleError or UndefinedMetricError) are skipped
     with a warning; any other error propagates. Returns (per-run rows,
-    aggregate rows).
+    aggregate rows). Before any cell trains, `check_variants` must pass,
+    and a test split without both classes raises UndefinedMetricError.
     """
-    needs_ckpt = pretrained_variants(grid.variants)
-    if needs_ckpt and checkpoint is None:
-        raise ValueError(f"variants {needs_ckpt} require a checkpoint")
+    check_variants(grid.variants, checkpoint, train_cfg)
     pool_ds, test_eps = dt.split_test(ds, train_cfg.seed)
+    labels = [ep.label for ep in test_eps]
+    if 0 not in labels or 1 not in labels:
+        raise mt.UndefinedMetricError(f"the test split of cohort {ds.name!r} lacks a class: "
+                                      f"{labels.count(1)} positive, {labels.count(0)} negative")
 
     cells = []
     for size in grid.sizes:
@@ -664,27 +687,18 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
 def aggregate_rows(rows: list) -> list:
     """Mean and population sd per (size, model, mode), ranked by AUC-PR
     within each size (1 = best)."""
-    keys = sorted({(r["size"], r["model"], r["mode"]) for r in rows})
+    key = operator.itemgetter("size", "model", "mode")
     aggregates = []
-    for size, model_name, mode in keys:
-        cell = [r for r in rows
-                if (r["size"], r["model"], r["mode"]) == (size, model_name, mode)]
+    for (size, model_name, mode), group in itertools.groupby(sorted(rows, key=key), key):
+        cell = list(group)
         pr = np.array([r["auc_pr"] for r in cell])
         roc = np.array([r["auc_roc"] for r in cell])
         aggregates.append({
-            "dataset": cell[0]["dataset"],
-            "model": model_name,
-            "mode": mode,
-            "size": size,
+            "dataset": cell[0]["dataset"], "model": model_name, "mode": mode, "size": size,
             "n_seeds": len(cell),
-            "mean_auc_pr": float(pr.mean()),
-            "sd_auc_pr": float(pr.std()),
-            "mean_auc_roc": float(roc.mean()),
-            "sd_auc_roc": float(roc.std()),
-        })
-    for size in sorted({a["size"] for a in aggregates}):
-        ranked = sorted([a for a in aggregates if a["size"] == size],
-                        key=lambda a: -a["mean_auc_pr"])
-        for rank, agg in enumerate(ranked, start=1):
+            "mean_auc_pr": float(pr.mean()), "sd_auc_pr": float(pr.std()),
+            "mean_auc_roc": float(roc.mean()), "sd_auc_roc": float(roc.std())})
+    for _, group in itertools.groupby(aggregates, lambda a: a["size"]):
+        for rank, agg in enumerate(sorted(group, key=lambda a: -a["mean_auc_pr"]), start=1):
             agg["rank_auc_pr"] = rank
     return aggregates

@@ -391,6 +391,42 @@ class TestFinetune:
         assert not (out / "runs.csv").exists()
         assert not (out / "config.ini").exists()
 
+    @pytest.mark.parametrize("grid, scratch", [
+        ([], "['scratch_bat', 'scratch_transformer']"),
+        (["grid.variants=finetune_head", "grid.save_model=scratch_bat"], "['scratch_bat']"),
+    ], ids=["default_variants", "saved_scratch_model"])
+    def test_inherit_with_a_scratch_variant_fails_before_any_work(
+            self, small_dataset_dir, pretrain_out, tmp_path, capsys, grid, scratch):
+        out = tmp_path / "ft"
+        small = ["train.epochs=1", "train.standardization=inherit", "grid.sizes=40",
+                 "grid.seeds=0", *grid]
+        assert run_cli("finetune", "--data", small_dataset_dir,
+                       "--checkpoint", os.path.join(pretrain_out, "checkpoint.bax"),
+                       "--out", str(out), *[x for item in small for x in ("--set", item)]) == 1
+        assert f"variants {scratch} train from scratch" in capsys.readouterr().err
+        assert not (out / "config.ini").exists()
+
+    def test_inherit_runs_the_finetuning_variants(self, small_dataset_dir, pretrain_out,
+                                                  tmp_path):
+        out = tmp_path / "ft"
+        assert run_cli(*self._finetune_args(
+            small_dataset_dir, os.path.join(pretrain_out, "checkpoint.bax"), out,
+            ("--set", "train.standardization=inherit",
+             "--set", "grid.variants=finetune_full,finetune_head"))) == 0
+        assert len(open(out / "runs.csv").read().splitlines()) == 1 + 4
+
+    def test_test_split_without_a_class_fails_before_any_cell(self, tmp_path, capsys):
+        data, out = tmp_path / "rare", tmp_path / "ft"
+        assert run_cli("generate", "--n", "60", "--prevalence", "0.05",
+                       "--sensors-count", "4", "--seed", "1", "--out", str(data)) == 0
+        small = ["model.sensors_count=4", "model.value_embed_size=8", "model.layers=1",
+                 "train.epochs=1", "grid.sizes=20", "grid.seeds=0,1",
+                 "grid.variants=scratch_bat,scratch_transformer"]
+        assert run_cli("finetune", "--data", str(data), "--out", str(out),
+                       *[x for item in small for x in ("--set", item)]) == 2
+        assert "lacks a class: 0 positive, 9 negative" in capsys.readouterr().err
+        assert not (out / "runs.csv").exists()
+
     def test_two_jobs_write_the_same_csvs_as_one(self, small_dataset_dir,
                                                   pretrain_out, tmp_path):
         ckpt = os.path.join(pretrain_out, "checkpoint.bax")

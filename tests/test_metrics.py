@@ -156,8 +156,10 @@ class TestWeightedBce:
 
     def test_default_pos_weight_helper(self):
         assert m.pos_weight_for([1, 0, 0, 0]) == 3.0
-        with pytest.raises(m.UndefinedMetricError):
+        with pytest.raises(m.UndefinedMetricError, match="no positive labels"):
             m.pos_weight_for([0, 0])
+        with pytest.raises(m.UndefinedMetricError, match="no negative labels"):
+            m.pos_weight_for([1, 1])
 
 
 def tie_loop_auc_roc(scores, labels):

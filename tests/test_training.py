@@ -9,6 +9,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biaxial import autodiff as ad
 from biaxial import data as dt
@@ -150,7 +152,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         {"batch_size": 0}, {"batch_size": -1}, {"epochs": 0}, {"patience": 0},
         {"learning_rate": 0.0}, {"learning_rate": float("nan")}, {"min_delta": -1e-3},
-        {"weight_decay": -1e-6}])
+        {"weight_decay": -1e-6}, {"lr_gamma": 0.0}, {"lr_gamma": 1.5},
+        {"standardization": "zscore"}])
     def test_rejects_bad_setting(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             tr.TrainConfig(**bad)
@@ -172,10 +175,6 @@ class TestLrSchedule:
             lr0 = float(rng.uniform(1e-5, 1e-1))
             k = int(rng.integers(0, 200))
             assert abs(tr.lr_at_epoch(lr0, 0.95, k) - lr0 * 0.95 ** k) <= 1e-12
-
-    def test_gamma_bounds(self):
-        with pytest.raises(ValueError):
-            tr.lr_at_epoch(1e-3, 0.0, 1)
 
 
 class _UntrainedModel:
@@ -437,7 +436,8 @@ class TestFinetune:
         tr.save_checkpoint(path, checkpoint["params"], checkpoint["preprocessor"],
                            checkpoint["model_cfg"], meta={"note": "x"})
         back = tr.load_checkpoint(path)
-        assert set(back) == {"params", "preprocessor", "model_cfg", "meta"}
+        assert set(back) == {"params", "preprocessor", "model_cfg", "meta", "arch"}
+        assert back["arch"] == "bat"            # a checkpoint without an arch is a BAT
         assert back["model_cfg"] == checkpoint["model_cfg"]
         assert back["meta"]["note"] == "x"
         for name, arr in checkpoint["params"].items():
@@ -521,8 +521,79 @@ class TestCheckpointFile:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             tr.load_checkpoint(path)
 
+    @pytest.mark.parametrize("meta, message", [
+        (None, "checkpoint not found (no such file): {path}"),
+        ({"kind": "pretrained"}, "{path} is a 'pretrained' checkpoint; expected a "
+                                 "'classifier' one"),
+        ({"kind": "classifier", "arch": "bat"}, "{path} records no split_seed"),
+    ], ids=["directory", "other_kind", "no_split_seed"])
+    def test_file_unfit_for_its_kind_is_value_error_naming_the_path(
+            self, checkpoint, tmp_path, meta, message):
+        path = tmp_path
+        if meta is not None:
+            path = tmp_path / "ckpt.bax"
+            tr.save_checkpoint(path, checkpoint["params"], checkpoint["preprocessor"],
+                               checkpoint["model_cfg"], meta=meta)
+        with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
+            tr.load_checkpoint(path, "classifier")
+
+    @pytest.mark.parametrize("meta", [{"kind": "pretrained"},
+                                      {"kind": "classifier", "split_seed": 4}])
+    def test_without_a_kind_either_kind_loads(self, checkpoint, tmp_path, meta):
+        path = tmp_path / "ckpt.bax"
+        tr.save_checkpoint(path, checkpoint["params"], checkpoint["preprocessor"],
+                           checkpoint["model_cfg"], meta=meta)
+        bundle = tr.load_checkpoint(path)
+        assert bundle["meta"]["kind"] == meta["kind"] and bundle["arch"] == "bat"
+        assert tr.load_checkpoint(path, meta["kind"])["meta"] == bundle["meta"]
+
+
+def head_aggregate_rows(rows):
+    """`aggregate_rows` as it was before it grouped sorted rows: one filter
+    over all rows per (size, model, mode) key, then one per size to rank."""
+    keys = sorted({(r["size"], r["model"], r["mode"]) for r in rows})
+    aggregates = []
+    for size, model_name, mode in keys:
+        cell = [r for r in rows
+                if (r["size"], r["model"], r["mode"]) == (size, model_name, mode)]
+        pr = np.array([r["auc_pr"] for r in cell])
+        roc = np.array([r["auc_roc"] for r in cell])
+        aggregates.append({
+            "dataset": cell[0]["dataset"],
+            "model": model_name,
+            "mode": mode,
+            "size": size,
+            "n_seeds": len(cell),
+            "mean_auc_pr": float(pr.mean()),
+            "sd_auc_pr": float(pr.std()),
+            "mean_auc_roc": float(roc.mean()),
+            "sd_auc_roc": float(roc.std()),
+        })
+    for size in sorted({a["size"] for a in aggregates}):
+        ranked = sorted([a for a in aggregates if a["size"] == size],
+                        key=lambda a: -a["mean_auc_pr"])
+        for rank, agg in enumerate(ranked, start=1):
+            agg["rank_auc_pr"] = rank
+    return aggregates
+
+
+# few distinct AUC values, so groups often tie on mean_auc_pr
+GRID_ROWS = st.lists(st.tuples(
+    st.sampled_from([10, 30, 60]), st.sampled_from(list(tr.GRID_VARIANTS.values())),
+    st.integers(0, 4), st.sampled_from([0.1, 0.25, 1 / 3, 0.5]),
+    st.floats(0.0, 1.0)), max_size=40)
+
 
 class TestExperimentGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(cells=GRID_ROWS, order=st.randoms(use_true_random=False))
+    def test_aggregate_rows_matches_the_filtering_oracle(self, cells, order):
+        rows = [{"dataset": "d", "model": v.arch, "mode": v.mode, "size": size,
+                 "seed": seed, "fold": 0, "auc_roc": roc, "auc_pr": pr}
+                for size, v, seed, pr, roc in cells]
+        order.shuffle(rows)
+        assert repr(tr.aggregate_rows(rows)) == repr(head_aggregate_rows(rows))
+
     def test_grid_shape_and_fixed_test_split(self, mortality_ds, checkpoint):
         ds, model_cfg = mortality_ds, checkpoint["model_cfg"]
         grid = tr.GridConfig(sizes=[30, 60], seeds=[0, 1],
@@ -581,6 +652,55 @@ class TestExperimentGrid:
         with pytest.raises(type(error), match=str(error)):
             tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
                                    tiny_train_cfg(epochs=1), grid)
+
+    @pytest.mark.parametrize("inherit", [False, True])
+    @pytest.mark.parametrize("with_checkpoint", [False, True])
+    def test_check_variants_rejects_exactly_the_variants_that_cannot_run(
+            self, checkpoint, with_checkpoint, inherit):
+        cfg = tiny_train_cfg(standardization="inherit" if inherit else "refit")
+        ckpt = checkpoint if with_checkpoint else None
+        for k in range(1, 1 << len(tr.GRID_VARIANTS)):
+            variants = [v for i, v in enumerate(tr.GRID_VARIANTS) if k >> i & 1]
+            modes = {tr.GRID_VARIANTS[v].mode for v in variants}
+            fails = (ckpt is None and modes != {"scratch"}) or (inherit and "scratch" in modes)
+            if fails:
+                with pytest.raises(ValueError, match=r"variants \['"):
+                    tr.check_variants(variants, ckpt, cfg)
+            else:
+                tr.check_variants(variants, ckpt, cfg)
+
+    def test_inherit_with_a_scratch_variant_fails_before_any_cell(
+            self, mortality_ds, checkpoint, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tr, "train_variant", lambda *args, **kwargs: calls.append(args))
+        grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_head", "scratch_bat"])
+        with pytest.raises(ValueError, match=r"variants \['scratch_bat'\] train from scratch"):
+            tr.run_experiment_grid(mortality_ds, checkpoint, checkpoint["model_cfg"],
+                                   tiny_train_cfg(standardization="inherit"), grid)
+        assert calls == []
+
+    def test_test_split_without_a_class_fails_before_any_cell(self, monkeypatch):
+        ds = dt.apply_exclusions(dt.generate_synthetic(60, prevalence=0.05, seed=1,
+                                                       n_sensors=4), "mortality")
+        calls = []
+        monkeypatch.setattr(tr, "train_variant", lambda *args, **kwargs: calls.append(args))
+        grid = tr.GridConfig(sizes=[20], seeds=[0, 1],
+                             variants=["scratch_bat", "scratch_transformer"])
+        with pytest.raises(mt.UndefinedMetricError,
+                           match=re.escape(f"{ds.name!r} lacks a class: 0 positive, 9 negative")):
+            tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
+                                   tiny_train_cfg(epochs=1), grid)
+        assert calls == []
+
+    def test_training_split_without_negatives_skips_its_cell(self, caplog):
+        ds = dt.apply_exclusions(dt.generate_synthetic(200, prevalence=0.9, seed=1,
+                                                       n_sensors=4), "mortality")
+        grid = tr.GridConfig(sizes=[5, 20], seeds=[0, 1, 2, 3], variants=["scratch_bat"])
+        with caplog.at_level("WARNING"):
+            rows, _ = tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
+                                             tiny_train_cfg(epochs=1), grid)
+        skipped = [rec for rec in caplog.records if "no negative labels" in rec.message]
+        assert (len(skipped), len(rows)) == (7, 1)
 
     def test_missing_checkpoint_for_finetune_variant(self, mortality_ds):
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_full"])
