@@ -520,8 +520,9 @@ def pool_datasets(datasets: list) -> Dataset:
 
 def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Dataset:
     """Class-stratified subsample: positives = round(size * prevalence),
-    at least 1; uniform without replacement within each class. A size
-    that cannot be drawn raises SubsampleError."""
+    at least 1 and at most size - 1, so each class keeps one stay; uniform
+    without replacement within each class. A size that cannot be drawn
+    raises SubsampleError."""
     if size < 2:
         raise SubsampleError(f"subsample size must be >= 2, got {size}")
     if size > len(ds):
@@ -532,7 +533,7 @@ def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Datase
     pos_idx = np.nonzero(labels == 1)[0]
     neg_idx = np.nonzero(labels == 0)[0]
     prevalence = len(pos_idx) / len(ds)
-    n_pos = max(1, int(np.floor(size * prevalence + 0.5)))
+    n_pos = min(max(1, int(np.floor(size * prevalence + 0.5))), size - 1)
     n_neg = size - n_pos
     if n_pos > len(pos_idx):
         raise SubsampleError(f"positive class exhausted: need {n_pos}, have {len(pos_idx)}")
@@ -571,14 +572,14 @@ def _stratified_cut(labels: np.ndarray, frac: float, rng, min_class: int):
 def make_splits(ds: Dataset, seed: int, n_folds: int = 5) -> SplitPlan:
     """Stratified 80/20 test split plus an n-fold rotation over the pool.
 
-    Falls back to unstratified splitting (with a warning) when a class is
-    too small to spread over the folds.
+    Falls back to unstratified splitting (with a warning) when a class has
+    fewer than 2 stays, one for the test split and one for the pool.
     """
     if len(ds) < 10:
         raise ValueError(f"need at least 10 episodes to split, got {len(ds)}")
     labels = ds.labels()
     test, pool, stratified = _stratified_cut(
-        labels, TEST_FRAC, substream(seed, "splits"), 2 * n_folds)
+        labels, TEST_FRAC, substream(seed, "splits"), 2)
     if not stratified and (labels >= 0).all():
         logger.warning("too few samples in a class to stratify (%d pos / %d neg); "
                        "splitting unstratified", (labels == 1).sum(), (labels == 0).sum())

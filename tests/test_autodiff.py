@@ -1,6 +1,7 @@
 """Tests for the autodiff engine: every primitive against central differences."""
 
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -329,8 +330,37 @@ class TestElementwisePrimitives:
         assert_close_rel(x.grad, fd)
 
 
+def _copysign_cdf(x):
+    """`ad._gelu_cdf` as it was with np.copysign setting the sign: the same
+    passes in the same order, so its values are the kernel's own."""
+    e = np.abs(x)
+    e *= ad._GELU_P
+    e += 1.0
+    np.reciprocal(e, out=e)
+    cdf = np.multiply(e, ad._GELU_POLY[-1])
+    for a in ad._GELU_POLY[-2::-1]:
+        cdf += a
+        cdf *= e
+    e = np.multiply(x, -0.5)
+    e *= x
+    np.exp(e, out=e)
+    cdf *= e
+    cdf += 0.5
+    np.copysign(cdf, x, out=cdf)
+    cdf += 0.5
+    return cdf
+
+
+def _gelu_grad(x_np, g_np):
+    x = tensor(x_np, requires_grad=True)
+    backward(ad.sum_reduce(ad.mul(ad.gelu(x), tensor(g_np))))
+    return x.grad
+
+
 class TestGelu:
-    """The blocked A&S 7.1.26 kernel against scipy's erf, in both dtypes."""
+    """The blocked A&S 7.1.26 kernel against scipy's erf, in both dtypes, and
+    against the kernel it replaced: the np.copysign sign pass and a backward
+    that recomputed Phi."""
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-7), (np.float32, 1e-6)])
     def test_values_match_scipy_erf(self, dtype, tol):
@@ -380,6 +410,45 @@ class TestGelu:
                 backward(ad.sum_reduce(ad.mul(yi, tensor(g_np[i:i + 1]))))
                 assert yi.data[0] == out.data[i], i
                 assert xi.grad[0] == x.grad[i], i
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bitwise_equals_copysign_kernel(self, dtype):
+        fi = np.finfo(dtype)
+        specials = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+                    fi.tiny / 4, -fi.tiny / 4, fi.tiny, -fi.tiny, 1e-35, -1e-35,
+                    np.inf, -np.inf, np.nan, -np.nan, fi.max, -fi.max]
+        x_np = np.concatenate([np.linspace(-40.0, 40.0, 8001), specials,
+                               np.random.default_rng(3).standard_normal(2000)]
+                              ).astype(dtype)
+        bits = f"u{x_np.itemsize}"
+        with ad.compute_dtype(dtype), np.errstate(all="ignore"):
+            out = ad.gelu(tensor(x_np)).data
+            ref = _copysign_cdf(x_np) * x_np
+        np.testing.assert_array_equal(out.view(bits), ref.view(bits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_is_half_g_at_tiny_x(self, dtype):
+        x_np = np.array([0.0, -0.0, np.finfo(dtype).smallest_subnormal,
+                         1e-35, -1e-35], dtype)
+        g_np = np.array([1.0, -3.0, 0.7, 5.0, -0.25], dtype)
+        with ad.compute_dtype(dtype), warnings.catch_warnings():
+            warnings.simplefilter("error")                # 0 / 0 warns nothing
+            grad = _gelu_grad(x_np, g_np)
+        np.testing.assert_array_equal(grad, g_np / 2)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 4 * np.finfo(np.float32).eps),
+                                            (np.float64, 1e-9)])
+    def test_backward_matches_recomputed_cdf(self, dtype, tol):
+        # tol is per unit |g|; Phi <= 1, so float32's 4 eps is 4 ulps of 1
+        x_np = np.linspace(-12.0, 12.0, 24001).astype(dtype)
+        g_np = np.random.default_rng(5).uniform(-2, 2, x_np.size).astype(dtype)
+        with ad.compute_dtype(dtype):
+            grad = _gelu_grad(x_np, g_np)
+            x_pdf = np.exp(x_np * -0.5 * x_np) * x_np * ad._INV_SQRT2PI
+            ref = (_copysign_cdf(x_np) + x_pdf) * g_np
+        assert grad.dtype == dtype
+        err = np.abs(grad - ref) / np.abs(g_np)
+        assert err.max() <= tol, f"max error per unit |g| {err.max()} > {tol}"
 
 
 class TestRandomizedPrimitiveSweep:

@@ -417,7 +417,8 @@ class TestFinetune:
 
     def test_test_split_without_a_class_fails_before_any_cell(self, tmp_path, capsys):
         data, out = tmp_path / "rare", tmp_path / "ft"
-        assert run_cli("generate", "--n", "60", "--prevalence", "0.05",
+        # 45 stays with 1 positive, which the unstratified test cut leaves out
+        assert run_cli("generate", "--n", "60", "--prevalence", "0.02",
                        "--sensors-count", "4", "--seed", "1", "--out", str(data)) == 0
         small = ["model.sensors_count=4", "model.value_embed_size=8", "model.layers=1",
                  "train.epochs=1", "grid.sizes=20", "grid.seeds=0,1",

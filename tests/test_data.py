@@ -401,6 +401,21 @@ class TestSubsample:
         out = dt.subsample_preserving_prevalence(ds, 20, seed=0)
         assert int((out.labels() == 1).sum()) == 1
 
+    def test_minimum_one_negative(self):
+        # 154 stays after exclusions, 143 positive: round(5 * 0.93) = 5 leaves
+        # no negative without the floor
+        ds = dt.apply_exclusions(
+            dt.generate_synthetic(200, prevalence=0.9, seed=1, n_sensors=4), "mortality")
+        for seed in range(4):
+            out = dt.subsample_preserving_prevalence(ds, 5, seed=seed)
+            assert len(out) == 5 and int((out.labels() == 0).sum()) >= 1, seed
+
+    def test_no_negatives_is_an_exhausted_class(self):
+        all_pos = dt.Dataset.from_episodes(
+            "y", [make_episode(pid=f"p{i}", d=1, t=4, label=1) for i in range(10)])
+        with pytest.raises(dt.SubsampleError, match="negative class exhausted"):
+            dt.subsample_preserving_prevalence(all_pos, 5, seed=0)
+
     def test_size_too_small_rejected(self):
         with pytest.raises(dt.SubsampleError, match=">= 2"):
             dt.subsample_preserving_prevalence(self._labeled_dataset(n=50), 1, seed=0)
@@ -468,11 +483,21 @@ class TestSplits:
             assert abs(prev(val) - 0.02 - 0.1) <= 0.04  # loose sanity on val too
 
     def test_too_few_positives_falls_back_with_warning(self, caplog):
-        ds = self._ds(60, prevalence=0.05)  # 3 positives < 2 * folds
+        ds = self._ds(60, prevalence=1 / 60)  # 1 positive: test or pool, not both
         with caplog.at_level("WARNING"):
             plan = dt.make_splits(ds, seed=4)
         assert any("unstratified" in rec.message for rec in caplog.records)
         assert len(plan.test_ids) == 12
+
+    def test_three_positives_stratify_the_test_cut(self, caplog):
+        ds = self._ds(60, prevalence=0.05)  # 3 positives, fewer than the 5 folds
+        positives = {ep.patient_id for ep in ds.episodes if ep.label == 1}
+        for seed in range(4):
+            with caplog.at_level("WARNING"):
+                plan = dt.make_splits(ds, seed=seed)
+            assert len(positives & set(plan.test_ids)) == 1
+            assert len(plan.test_ids) == 12                 # 1 of 3 + 11 of 57
+        assert not any("unstratified" in rec.message for rec in caplog.records)
 
     def test_tiny_dataset_rejected(self):
         with pytest.raises(ValueError, match="at least 10"):

@@ -680,7 +680,8 @@ class TestExperimentGrid:
         assert calls == []
 
     def test_test_split_without_a_class_fails_before_any_cell(self, monkeypatch):
-        ds = dt.apply_exclusions(dt.generate_synthetic(60, prevalence=0.05, seed=1,
+        # 45 stays with 1 positive, which the unstratified test cut leaves out
+        ds = dt.apply_exclusions(dt.generate_synthetic(60, prevalence=0.02, seed=1,
                                                        n_sensors=4), "mortality")
         calls = []
         monkeypatch.setattr(tr, "train_variant", lambda *args, **kwargs: calls.append(args))
@@ -700,7 +701,9 @@ class TestExperimentGrid:
             rows, _ = tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
                                              tiny_train_cfg(epochs=1), grid)
         skipped = [rec for rec in caplog.records if "no negative labels" in rec.message]
-        assert (len(skipped), len(rows)) == (7, 1)
+        # every subsample holds exactly one negative, and an unstratified
+        # validation cut (a class of 1 < min_class 2) takes it at 5 of 8 cells
+        assert (len(skipped), len(rows)) == (5, 3)
 
     def test_missing_checkpoint_for_finetune_variant(self, mortality_ds):
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_full"])
