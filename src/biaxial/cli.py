@@ -219,7 +219,7 @@ def cmd_evaluate(cfg) -> int:
 def _add_common(sub):
     sub.add_argument("--config", help="INI config file")
     sub.add_argument("--out", dest="output.dir", metavar="DIR", help="output directory")
-    sub.add_argument("--seed", dest="train.seed", type=int, metavar="N",
+    sub.add_argument("--seed", dest="train.seed", metavar="N",
                      help="top-level seed; evaluate's split seed is the checkpoint's")
     sub.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                      help="override any config value; repeatable")
@@ -234,15 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic dataset as CSVs")
     _add_common(p)
-    p.add_argument("--n", dest="data.n", type=int, metavar="N", help="number of episodes")
-    p.add_argument("--prevalence", dest="data.prevalence", type=float, metavar="P",
+    p.add_argument("--n", dest="data.n", metavar="N", help="number of episodes")
+    p.add_argument("--prevalence", dest="data.prevalence", metavar="P",
                    help="positive-class fraction")
-    p.add_argument("--sparsity", dest="data.sparsity", type=float, metavar="S",
+    p.add_argument("--sparsity", dest="data.sparsity", metavar="S",
                    help="observation thinning in [0, 1)")
-    p.add_argument("--mean-stay-hours", dest="data.mean_stay_hours", type=float, metavar="H")
-    p.add_argument("--availability-profile", dest="data.availability_profile", type=int,
-                   metavar="K")
-    p.add_argument("--sensors-count", dest="model.sensors_count", type=int, metavar="D")
+    p.add_argument("--mean-stay-hours", dest="data.mean_stay_hours", metavar="H")
+    p.add_argument("--availability-profile", dest="data.availability_profile", metavar="K")
+    p.add_argument("--sensors-count", dest="model.sensors_count", metavar="D")
     p.add_argument("--name", dest="data.name", metavar="NAME", help="dataset name")
 
     p = sub.add_parser("pretrain", help="pool datasets and pretrain by forecasting")
@@ -255,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", dest="data.paths", action="append", metavar="DIR")
     p.add_argument("--checkpoint", dest="data.checkpoint", metavar="PATH",
                    help="pretrained checkpoint path")
-    p.add_argument("--jobs", dest="grid.jobs", type=int, metavar="N",
-                   help="parallel grid cells")
+    p.add_argument("--jobs", dest="grid.jobs", metavar="N", help="parallel grid cells")
 
     p = sub.add_parser("evaluate", help="evaluate checkpoints on test splits")
     _add_common(p)

@@ -18,6 +18,10 @@ Every split of a cohort is made here, stratified by class alike:
 `split_test` holds out TEST_FRAC (0.2) of a cohort as its fixed test
 split, `make_splits` adds a fold rotation over the rest, and
 `stratified_split` holds out VAL_FRAC (0.2) of a training set.
+
+Stays are frozen, and no code writes their arrays, so every Dataset that
+holds a stay shares them; a changed field makes a new record (`replace`).
+Only a stay cut to its first 24 hours gets new arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -130,9 +135,9 @@ class CalibrationError(RuntimeError):
     """The synthetic generator could not hit the requested prevalence."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeRecord:
-    """One ICU stay on an hourly grid."""
+    """One ICU stay on an hourly grid; frozen, its arrays shared, never written."""
     patient_id: str
     values: np.ndarray          # (D, T) float64
     mask: np.ndarray            # (D, T) bool, true = observed
@@ -147,10 +152,6 @@ class EpisodeRecord:
     @property
     def n_hours(self) -> int:
         return self.values.shape[1]
-
-    def copy(self) -> "EpisodeRecord":
-        return replace(self, values=self.values.copy(), mask=self.mask.copy(),
-                       statics=self.statics.copy())
 
 
 @dataclass
@@ -277,9 +278,8 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
         if unlabeled:
             raise SchemaError(f"{labels_path}: no label for patient {unlabeled[0]!r}")
 
-    cells: dict[str, dict[tuple[int, int], float]] = {pid: {} for pid in statics}
-    last_hour: dict[tuple[str, int], int] = {}
-    max_hour: dict[str, int] = {}
+    # (patient, sensor index) -> (hours, values), hours strictly increasing
+    series: dict[tuple[str, int], tuple[list, list]] = defaultdict(lambda: ([], []))
     for lineno, (pid, hour_s, sensor, value_s) in read_table(
             measurements_path, MEASUREMENTS_HEADER, empty_ok=True):
         if sensor not in sensor_index:
@@ -297,30 +297,29 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
             raise SchemaError(
                 f"{measurements_path}:{lineno}: patient {pid!r} missing from statics"
             )
-        d = sensor_index[sensor]
-        key = (pid, d)
-        prev = last_hour.get(key)
-        if prev is not None and hour < prev:
-            raise ParseError(
-                f"{measurements_path}:{lineno}: non-monotone timestamp for "
-                f"({pid}, {sensor}): hour {hour} after hour {prev}"
-            )
-        if prev is not None and hour == prev:
+        hours, vals = series[pid, sensor_index[sensor]]
+        if hours and hour <= hours[-1]:
+            if hour < hours[-1]:
+                raise ParseError(
+                    f"{measurements_path}:{lineno}: non-monotone timestamp for "
+                    f"({pid}, {sensor}): hour {hour} after hour {hours[-1]}")
             logger.warning("%s:%d: duplicate cell (%s, %s, %d); keeping the later value",
                            measurements_path, lineno, pid, sensor, hour)
-        last_hour[key] = hour
-        cells[pid][(d, hour)] = value
-        max_hour[pid] = max(max_hour.get(pid, -1), hour)
+            vals[-1] = value
+        else:
+            hours.append(hour)
+            vals.append(value)
 
     episodes = []
     for pid in order:
         stat_vec, stay = statics[pid]
-        t_len = max(int(np.ceil(max(stay, 0.0))), max_hour.get(pid, -1) + 1, 1)
+        rows = [(d, series[pid, d]) for d in range(len(sensors)) if (pid, d) in series]
+        t_len = max(int(np.ceil(max(stay, 0.0))), 1, *(hours[-1] + 1 for _, (hours, _) in rows))
         values = np.zeros((len(sensors), t_len))
         mask = np.zeros((len(sensors), t_len), dtype=bool)
-        for (d, hour), value in cells[pid].items():
-            values[d, hour] = value
-            mask[d, hour] = True
+        for d, (hours, vals) in rows:
+            values[d, hours] = vals
+            mask[d, hours] = True
         episodes.append(EpisodeRecord(
             patient_id=pid,
             values=values,
@@ -410,9 +409,9 @@ def apply_exclusions(ds: Dataset, task: str) -> Dataset:
         t_cut = min(ep.n_hours, MORTALITY_INPUT_HOURS) if mortality else ep.n_hours
         if not _grid_criteria_ok(ep.mask[:, :t_cut]):
             continue
-        kept.append(replace(ep, values=ep.values[:, :t_cut].copy(),
-                            mask=ep.mask[:, :t_cut].copy(), statics=ep.statics.copy(),
-                            label=ep.label if mortality else None))
+        if t_cut < ep.n_hours:
+            ep = replace(ep, values=ep.values[:, :t_cut].copy(), mask=ep.mask[:, :t_cut].copy())
+        kept.append(ep if mortality else replace(ep, label=None))
     return Dataset.from_episodes(ds.name, kept, sensors=ds.sensors)
 
 
@@ -475,8 +474,7 @@ def transform(ep: EpisodeRecord, pp: PreprocessorState) -> EpisodeRecord:
     if lead.any():
         filled[lead] = np.broadcast_to(pp.tv_mean[:, None], filled.shape)[lead]
     standardized = (filled - pp.tv_mean[:, None]) / pp.tv_std[:, None]
-    return replace(ep, values=standardized, mask=ep.mask.copy(),
-                   statics=(ep.statics - pp.static_mean) / pp.static_std)
+    return replace(ep, values=standardized, statics=(ep.statics - pp.static_mean) / pp.static_std)
 
 
 def transform_all(episodes: list, pp: PreprocessorState) -> list:
@@ -507,7 +505,7 @@ def pool_datasets(datasets: list) -> Dataset:
     seen = set()
     for ds in datasets:
         for ep in ds.episodes:
-            out = replace(ep.copy(), patient_id=f"{ds.name}/{ep.patient_id}")
+            out = replace(ep, patient_id=f"{ds.name}/{ep.patient_id}")
             if out.patient_id in seen:
                 raise ValueError(
                     f"duplicate patient id {out.patient_id!r} across pooled sources"
@@ -544,8 +542,7 @@ def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Datase
     take_neg = rng.choice(neg_idx, size=n_neg, replace=False)
     chosen = np.concatenate([take_pos, take_neg])
     chosen = chosen[rng.permutation(len(chosen))]
-    episodes = [ds.episodes[i].copy() for i in chosen]
-    return Dataset.from_episodes(ds.name, episodes, sensors=ds.sensors)
+    return Dataset.from_episodes(ds.name, [ds.episodes[i] for i in chosen], sensors=ds.sensors)
 
 
 def _stratified_cut(labels: np.ndarray, frac: float, rng, min_class: int):
@@ -602,10 +599,14 @@ def split_test(ds: Dataset, seed: int) -> tuple[Dataset, list]:
 
 
 def stratified_split(ds: Dataset, val_frac: float, rng) -> tuple[list, list]:
-    """Per-class split of the episodes into (train, validation); one group
-    when a class has fewer than 2 members or a label is missing."""
-    val, train, _ = _stratified_cut(ds.labels(), val_frac, rng, 2)
-    return [ds.episodes[i] for i in train], [ds.episodes[i] for i in val]
+    """Per-class split of the episodes into (train, validation). The lone
+    member of a class trains, and validation is cut from the others, which
+    form one group when a class has no member or a label is missing."""
+    labels = ds.labels()
+    lone = [m[0] for m in (np.nonzero(labels == c)[0] for c in (1, 0)) if len(m) == 1]
+    rest = np.setdiff1d(np.arange(len(labels)), lone)
+    val, train, _ = _stratified_cut(labels[rest], val_frac, rng, 2)
+    return [ds.episodes[i] for i in [*lone, *rest[train]]], [ds.episodes[i] for i in rest[val]]
 
 
 def select_episodes(ds: Dataset, ids) -> list:
@@ -723,5 +724,5 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
         )
     top = np.argsort(-severity_scores, kind="mergesort")[:k]
     for i in top:
-        episodes[i].label = 1
+        episodes[i] = replace(episodes[i], label=1)
     return Dataset.from_episodes(name, episodes, sensors=SENSOR_SCHEMA[:n_sensors])

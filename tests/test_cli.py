@@ -634,6 +634,25 @@ def test_directory_as_checkpoint_is_validation_error(command, small_dataset_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, key", [
+    ("generate", "--n", "data.n"), ("generate", "--prevalence", "data.prevalence"),
+    ("generate", "--sparsity", "data.sparsity"),
+    ("generate", "--mean-stay-hours", "data.mean_stay_hours"),
+    ("generate", "--availability-profile", "data.availability_profile"),
+    ("generate", "--sensors-count", "model.sensors_count"),
+    ("pretrain", "--seed", "train.seed"), ("finetune", "--jobs", "grid.jobs")])
+def test_typed_flag_is_parsed_by_the_config_schema(command, flag, key, tmp_path, capsys):
+    """A bad value is a validation error (exit 1) with the message --set
+    gives, not argparse's usage error (exit 2), and no config is echoed."""
+    out = tmp_path / "out"
+    assert run_cli(command, flag, "abc", "--out", str(out)) == 1
+    via_flag = capsys.readouterr().err
+    assert run_cli(command, "--set", f"{key}=abc", "--out", str(out)) == 1
+    assert via_flag == capsys.readouterr().err
+    assert via_flag.startswith(f"error: {key}: ") and "'abc'" in via_flag
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, case", [
     ("pretrain", "missing"), ("finetune", "missing"), ("evaluate", "missing"),
     ("finetune", "unlabeled"), ("evaluate", "unlabeled")])

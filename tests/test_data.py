@@ -1,11 +1,17 @@
 """Data model, ingestion, preprocessing, pooling, splits and the generator."""
 
+import logging
+import os
+import tempfile
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biaxial import data as dt
+from biaxial.rng import substream
 
 
 def make_episode(pid="p0", d=3, t=10, stay=None, age=50.0, label=0,
@@ -149,6 +155,134 @@ class TestLoadDataset:
             "a,60,1,165,70,8\nb,50,0,170,75,9\n", "a,1\nb,0\n"))
         assert ds.prevalence == 0.5
         assert ds.labels().mean() == ds.prevalence
+
+
+def _per_cell_load(measurements_path, statics_path, sensors):
+    """The loader as it was before its series dict, kept as the oracle:
+    one dict entry per cell, a last hour per (patient, sensor), a maximum
+    hour per patient, and a fill loop over the cells. Statics are read
+    without checks and labels are left out; that code did not change."""
+    sensor_index = {s: i for i, s in enumerate(sensors)}
+    statics = {pid: (np.array([float(x) for x in fields[:4]]), float(fields[4]))
+               for _, (pid, *fields) in dt.read_table(statics_path, dt.STATICS_HEADER)}
+    cells = {pid: {} for pid in statics}
+    last_hour = {}
+    max_hour = {}
+    for lineno, (pid, hour_s, sensor, value_s) in dt.read_table(
+            measurements_path, dt.MEASUREMENTS_HEADER, empty_ok=True):
+        if sensor not in sensor_index:
+            raise dt.SchemaError(f"{measurements_path}:{lineno}: unknown sensor {sensor!r}")
+        try:
+            hour = int(hour_s)
+            value = float(value_s)
+        except ValueError as exc:
+            raise dt.ParseError(f"{measurements_path}:{lineno}: {exc}") from None
+        if hour < 0:
+            raise dt.ParseError(f"{measurements_path}:{lineno}: negative hour {hour}")
+        if pid not in statics:
+            raise dt.SchemaError(
+                f"{measurements_path}:{lineno}: patient {pid!r} missing from statics")
+        d = sensor_index[sensor]
+        key = (pid, d)
+        prev = last_hour.get(key)
+        if prev is not None and hour < prev:
+            raise dt.ParseError(
+                f"{measurements_path}:{lineno}: non-monotone timestamp for "
+                f"({pid}, {sensor}): hour {hour} after hour {prev}")
+        if prev is not None and hour == prev:
+            dt.logger.warning("%s:%d: duplicate cell (%s, %s, %d); keeping the later value",
+                              measurements_path, lineno, pid, sensor, hour)
+        last_hour[key] = hour
+        cells[pid][(d, hour)] = value
+        max_hour[pid] = max(max_hour.get(pid, -1), hour)
+
+    episodes = []
+    for pid, (stat_vec, stay) in statics.items():
+        t_len = max(int(np.ceil(max(stay, 0.0))), max_hour.get(pid, -1) + 1, 1)
+        values = np.zeros((len(sensors), t_len))
+        mask = np.zeros((len(sensors), t_len), dtype=bool)
+        for (d, hour), value in cells[pid].items():
+            values[d, hour] = value
+            mask[d, hour] = True
+        episodes.append(dt.EpisodeRecord(pid, values, mask, stat_vec, stay))
+    return episodes
+
+
+class _Warnings(logging.Handler):
+    """Collects the messages `data` logs while it is installed."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        dt.logger.addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        dt.logger.removeHandler(self)
+
+
+def _outcome(load):
+    """(episodes or the error raised, warnings logged) of one load."""
+    with _Warnings() as messages:
+        try:
+            result = load()
+        except ValueError as exc:
+            result = (type(exc), str(exc))
+    return result, messages
+
+
+# one measurement row: patient, sensor, hours after the series' last row
+# (0 repeats its hour: a duplicate cell), value
+ROWS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 5),
+                          st.floats(allow_nan=False, width=64)), max_size=40)
+
+
+class TestLoaderOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(stays=st.lists(st.sampled_from([0.0, 1.0, 2.5, 6.0, 19.0, 40.0]),
+                          min_size=1, max_size=5),
+           rows=ROWS, backward_at=st.integers(-1, 40), zero_byte=st.booleans())
+    def test_matches_the_per_cell_loader(self, stays, rows, backward_at, zero_byte):
+        """Interleaved patients, duplicate cells, patients with no rows,
+        stays longer than their last row, an empty or zero-byte measurements
+        file and, at `backward_at`, a row that goes back in time: the arrays
+        are bitwise equal, and the warnings and errors word for word."""
+        sensors = dt.SENSOR_SCHEMA[:3]
+        last, lines = {}, []
+        for i, (p, d, step, value) in enumerate(rows):
+            p %= len(stays)
+            hour = last.get((p, d), 0) + step
+            if i == backward_at and last.get((p, d), 0) > 0:
+                hour = last[p, d] - 1
+            last[p, d] = hour
+            lines.append(f"p{p},{hour},{sensors[d]},{value!r}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            mpath = os.path.join(tmp, "measurements.csv")
+            spath = os.path.join(tmp, "statics.csv")
+            with open(mpath, "w") as fh:
+                if lines or not zero_byte:
+                    fh.write("patient_id,hour,sensor,value\n" + "".join(lines))
+            with open(spath, "w") as fh:
+                fh.write("patient_id,age,female,height_cm,weight_kg,stay_hours\n" + "".join(
+                    f"p{p},{40 + p},1,170,70,{stay!r}\n" for p, stay in enumerate(stays)))
+            want, want_warnings = _outcome(lambda: _per_cell_load(mpath, spath, sensors))
+            got, got_warnings = _outcome(
+                lambda: dt.load_dataset(mpath, spath, sensors=sensors).episodes)
+        assert got_warnings == want_warnings
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert [ep.patient_id for ep in got] == [ep.patient_id for ep in want]
+        for g, w in zip(got, want):
+            for field in ("values", "mask", "statics"):
+                a, b = getattr(g, field), getattr(w, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert (g.stay_hours, g.label) == (w.stay_hours, w.label)
 
 
 class TestExclusions:
@@ -366,6 +500,49 @@ class TestPooling:
         assert pooled.prevalence == pytest.approx(0.060, abs=0.001)
 
 
+class TestSharing:
+    """Stays are frozen, so every dataset that holds one shares its arrays."""
+
+    @staticmethod
+    def _shares(a, b):
+        return all(np.shares_memory(getattr(a, f), getattr(b, f))
+                   for f in ("values", "mask", "statics"))
+
+    def test_pooling_shares_the_source_arrays(self):
+        eps = [make_episode(pid=f"p{i}") for i in range(3)]
+        pooled = dt.pool_datasets([dt.Dataset.from_episodes("A", eps)])
+        assert all(self._shares(a, b) for a, b in zip(eps, pooled.episodes))
+
+    def test_subsample_shares_the_source_arrays(self):
+        eps = [make_episode(pid=f"p{i}", label=int(i < 3)) for i in range(10)]
+        sub = dt.subsample_preserving_prevalence(dt.Dataset.from_episodes("A", eps), 5, 0)
+        by_id = {ep.patient_id: ep for ep in eps}
+        assert all(self._shares(by_id[ep.patient_id], ep) for ep in sub.episodes)
+
+    def test_pretrain_exclusions_share_the_source_arrays(self):
+        ep = make_episode(t=40, label=1)
+        (kept,) = dt.apply_exclusions(dt.Dataset.from_episodes("A", [ep]), "pretrain").episodes
+        assert self._shares(ep, kept) and kept.label is None and ep.label == 1
+
+    def test_mortality_cut_gets_its_own_arrays(self):
+        ep = make_episode(t=40, label=1)
+        (kept,) = dt.apply_exclusions(dt.Dataset.from_episodes("A", [ep]), "mortality").episodes
+        assert kept.n_hours == dt.MORTALITY_INPUT_HOURS
+        assert not np.shares_memory(kept.values, ep.values)
+        assert not np.shares_memory(kept.mask, ep.mask)
+
+    def test_transform_shares_the_mask(self):
+        ep = make_episode()
+        out = dt.transform(ep, dt.fit_preprocessor([ep]))
+        assert np.shares_memory(out.mask, ep.mask)
+
+    def test_a_stay_cannot_be_relabeled_in_place(self):
+        ep = make_episode(label=0)
+        with pytest.raises(FrozenInstanceError):
+            ep.label = 1
+        assert replace(ep, label=1).label == 1 and ep.label == 0
+
+
 class TestSubsample:
     def _labeled_dataset(self, n=2000, prevalence=0.119):
         n_pos = int(round(n * prevalence))
@@ -569,6 +746,14 @@ class TestStratifiedCutProperties:
         train, val = dt.stratified_split(ds, frac, np.random.default_rng(seed))
         assert sorted(map(id, train + val)) == sorted(map(id, ds.episodes))
 
+    @pytest.mark.parametrize("lone", [0, 1])
+    def test_lone_member_of_a_class_always_trains(self, lone):
+        ds = _labeled([1 - lone] * 9 + [lone])
+        for seed in range(200):
+            train, val = dt.stratified_split(ds, dt.VAL_FRAC, substream(seed, "holdout"))
+            assert [ep.label for ep in train].count(lone) == 1
+            assert [ep.label for ep in val] == [1 - lone] * 2
+
     @settings(max_examples=100, deadline=None)
     @given(labels=LABELS, frac=FRACS, seed=SEEDS)
     def test_same_seed_same_split(self, labels, frac, seed):
@@ -654,7 +839,7 @@ class TestGenerator:
 
     def test_partly_labeled_dataset_is_not_written(self, tmp_path):
         ds = dt.generate_synthetic(10, prevalence=0.2, seed=5, n_sensors=4)
-        ds.episodes[3].label = None
+        ds.episodes[3] = replace(ds.episodes[3], label=None)
         with pytest.raises(dt.SchemaError, match="1 of 10 stays have no label"):
             dt.write_dataset_csvs(ds, tmp_path / "out")
         assert not (tmp_path / "out").exists()

@@ -407,10 +407,8 @@ class TestFinetune:
                                      sparsity=0.5, seed=110, n_sensors=6)
         base = dt.apply_exclusions(base, "mortality")
         rng = np.random.default_rng(42)
-        shuffled = [ep.copy() for ep in base.episodes]
-        labels = rng.permutation([ep.label for ep in shuffled])
-        for ep, lab in zip(shuffled, labels):
-            ep.label = int(lab)
+        labels = rng.permutation([ep.label for ep in base.episodes])
+        shuffled = [replace(ep, label=int(lab)) for ep, lab in zip(base.episodes, labels)]
         ds = dt.Dataset.from_episodes("shuffled", shuffled, sensors=base.sensors)
         pool, test = dt.split_test(ds, seed=0)
         result = tr.finetune(None, pool, "scratch",
@@ -693,7 +691,7 @@ class TestExperimentGrid:
                                    tiny_train_cfg(epochs=1), grid)
         assert calls == []
 
-    def test_training_split_without_negatives_skips_its_cell(self, caplog):
+    def test_lone_negative_trains_so_no_cell_skips(self, caplog):
         ds = dt.apply_exclusions(dt.generate_synthetic(200, prevalence=0.9, seed=1,
                                                        n_sensors=4), "mortality")
         grid = tr.GridConfig(sizes=[5, 20], seeds=[0, 1, 2, 3], variants=["scratch_bat"])
@@ -701,9 +699,9 @@ class TestExperimentGrid:
             rows, _ = tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
                                              tiny_train_cfg(epochs=1), grid)
         skipped = [rec for rec in caplog.records if "no negative labels" in rec.message]
-        # every subsample holds exactly one negative, and an unstratified
-        # validation cut (a class of 1 < min_class 2) takes it at 5 of 8 cells
-        assert (len(skipped), len(rows)) == (5, 3)
+        # every subsample holds exactly one negative; the holdout keeps it
+        # for training, so no cell lacks a negative
+        assert (len(skipped), len(rows)) == (0, 8)
 
     def test_missing_checkpoint_for_finetune_variant(self, mortality_ds):
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_full"])
