@@ -5,7 +5,9 @@ use elementwise arithmetic, affine, layer norm, gelu/sigmoid/log,
 dropout, shape ops and reductions, plus one private fused attention core.
 The reductions take only the forms the program uses: `sum_reduce(x)`
 sums every element, and `mean_reduce(x, axis)` and `max_reduce(x, axis)`
-drop one int axis.
+drop one int axis. Row sums use `np.einsum`; so do column sums, and the
+softmax max uses `np.maximum.reduceat`, both in numpy's own order, so
+they stay bitwise equal to `np.sum` and `max` at less overhead.
 `matmul`, `softmax` and `transpose` serve only as the tests' unfused
 reference for that core, and `relu` has no caller. The ops are this
 module's functions; `Tensor` has no operator overloads. Gradients are
@@ -203,16 +205,17 @@ def _node(data, parents: Iterable[Tensor], grad_fn: Callable) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
+    """Sum gradient over axes that numpy broadcasting expanded, in one einsum."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    kept = [i for i in range(extra, g.ndim) if shape[i - extra] != 1 or g.shape[i] == 1]
+    return np.einsum(g, range(g.ndim), kept).reshape(shape)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    # np.sum(a, axis=0) bitwise: rows in turn for n > 1, pairwise for one column
+    return np.einsum("ij->j", a) if a.shape[1] > 1 else a.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +300,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             w._accumulate(x.data.reshape(-1, k).T @ g2)
         if b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
+            b._accumulate(_column_sums(g2))
 
     return _node(out_data, (x, w, b), grad_fn)
 
@@ -501,11 +504,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift.
-
-    Row sums use `np.einsum`, faster than `.sum(-1)` on short rows; the
-    gain and bias gradients keep `np.sum`'s pairwise column sums.
-    """
+    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     n = x.shape[-1]
     if gain.size != n or bias.size != n:
         raise ValueError(
@@ -519,11 +518,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_data += bias.data
 
     def grad_fn(g):
-        other = tuple(range(x.ndim - 1))
         if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=other))
+            gain._accumulate(_column_sums((g * xhat).reshape(-1, n)))
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=other))
+            bias._accumulate(_column_sums(g.reshape(-1, n)))
         if x.requires_grad:
             dx = g * gain.data
             m1 = np.einsum("...i->...", dx) / n
@@ -604,7 +602,8 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
     weights *= scale
     if key_bias is not None:
         weights += key_bias.astype(weights.dtype).reshape(b, 1, 1, 1, s)
-    weights -= weights.max(axis=-1, keepdims=True)
+    row_max = np.maximum.reduceat(weights.reshape(-1), np.arange(0, weights.size, s))
+    weights -= row_max.reshape(weights.shape[:-1] + (1,))
     np.exp(weights, out=weights)
     weights /= np.einsum("...i->...", weights)[..., None]
     keep = drop_scale = None

@@ -5,7 +5,7 @@ checks its input directories, has `training.load_checkpoint` check its
 checkpoints, echoes the configuration to <out>/config.ini before doing
 any work, and writes only deterministic artifacts, so a rerun with the
 same config and seed is byte-identical.
-Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Exit codes: 0 success, 1 validation error (usage errors included), 2 runtime failure.
 `evaluate` draws each test split with the `split_seed` that `finetune`
 saved in the model, not with `--seed`, so it never scores a model on the
 training pool it was fitted on.
@@ -277,19 +277,17 @@ def _overrides_from_args(args) -> dict:
     return overrides
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "evaluate": cmd_evaluate,
-}
+COMMANDS = {"generate": cmd_generate, "pretrain": cmd_pretrain,
+            "finetune": cmd_finetune, "evaluate": cmd_evaluate}
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:           # a usage error is an input error; --help exits 0
+        return 1 if exc.code == 2 else exc.code
     try:
         cfg = load_config(args.config, _overrides_from_args(args))
         return COMMANDS[args.command](cfg)

@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from biaxial import autodiff as ad
@@ -647,6 +649,162 @@ class TestAttentionCore:
         q = tensor(np.zeros(self.SHAPE))
         with pytest.raises(ValueError, match="axis"):
             ad._attention_core(q, q, q, 1, 0, None, 0.0, None, False)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(f"u{a.itemsize}")
+
+
+def _two_sum_unbroadcast(g, shape):
+    """`ad._unbroadcast` as it was: one np.sum over the leading axes, then
+    one over the expanded size-1 axes."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def _sums_rows_in_turn(g_shape, shape):
+    """Whether `_two_sum_unbroadcast` adds whole rows in turn, the order of
+    one einsum: it sums in one step, and the innermost axis of g longer
+    than 1 is kept. Otherwise np.sum sums a contiguous run pairwise, or
+    associates its two steps differently."""
+    extra = len(g_shape) - len(shape)
+    if extra and any(s == 1 and gs != 1 for s, gs in zip(shape, g_shape[extra:])):
+        return False
+    long_axes = [i for i, n in enumerate(g_shape) if n > 1]
+    return not long_axes or (long_axes[-1] >= extra and shape[long_axes[-1] - extra] != 1)
+
+
+def _max_attention(q, k, v, g, heads, axis, key_bias, p, rng):
+    """`ad._attention_core`'s forward and backward as they were, with the
+    softmax max from max(axis=-1); returns (ctx, dq, dk, dv) for output
+    gradient g."""
+    def split(a):
+        return ad._split_heads(a, axis, heads)
+
+    q5, k5, v5, g5 = map(split, (q, k, v, g))
+    scale = 1.0 / math.sqrt(q.shape[3] // heads)
+    w = q5 @ np.swapaxes(k5, -1, -2)
+    w *= scale
+    if key_bias is not None:
+        w += key_bias.astype(w.dtype).reshape(q.shape[0], 1, 1, 1, -1)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.einsum("...i->...", w)[..., None]
+    keep, drop_scale = ad._keep_mask(w.shape, p, rng) if p else (None, None)
+    dropped = w if keep is None else ad._apply_keep(w, keep, drop_scale)
+    ctx, dq, dk, dv = (np.empty_like(a) for a in (q, q, k, v))
+    np.matmul(dropped, v5, out=split(ctx))
+    np.matmul(np.swapaxes(dropped, -1, -2), g5, out=split(dv))
+    ds = g5 @ np.swapaxes(v5, -1, -2)
+    if keep is not None:
+        ds = ad._apply_keep(ds, keep, drop_scale)
+    ds -= np.einsum("...i,...i->...", ds, w)[..., None]
+    ds *= w
+    ds *= scale
+    np.matmul(ds, k5, out=split(dq))
+    np.matmul(np.swapaxes(ds, -1, -2), q5, out=split(dk))
+    return ctx, dq, dk, dv
+
+
+@st.composite
+def _broadcast_shapes(draw):
+    """(gradient shape, operand shape) pairs that numpy broadcasting makes."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), max_size=4)))
+    lead = tuple(draw(st.lists(st.integers(1, 9), max_size=2)))
+    grown = tuple(draw(st.integers(1, 9)) if n == 1 else n for n in shape)
+    return lead + grown, shape
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestReductionsBitwise:
+    """The einsum column sums and the reduceat softmax max against the
+    np.sum and max(axis=-1) formulas they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("x_shape, n", [((64, 12, 24, 16), 16), ((1536, 32), 32),
+                                            ((64, 1, 20), 1), ((8, 17), 1), ((7, 3, 5), 2)])
+    def test_affine_bias_gradient(self, dtype, x_shape, n):
+        rng = np.random.default_rng(n)
+        g_np = rng.standard_normal(x_shape[:-1] + (n,)).astype(dtype)
+        with ad.compute_dtype(dtype):
+            x = tensor(rng.standard_normal(x_shape))
+            b = tensor(np.zeros(n), requires_grad=True)
+            out = ad.affine(x, tensor(rng.standard_normal((x_shape[-1], n))), b)
+            backward(ad.sum_reduce(ad.mul(out, tensor(g_np))))
+        np.testing.assert_array_equal(_bits(b.grad), _bits(g_np.reshape(-1, n).sum(axis=0)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(64, 12, 24, 16), (8, 48, 24, 128), (5, 7, 2), (9, 1)])
+    def test_layer_norm_gain_and_bias_gradients(self, dtype, shape):
+        rng = np.random.default_rng(len(shape))
+        g_np = rng.standard_normal(shape).astype(dtype)
+        n = shape[-1]
+        with ad.compute_dtype(dtype):
+            gain = tensor(np.ones(n), requires_grad=True)
+            bias = tensor(np.zeros(n), requires_grad=True)
+            out = ad.layer_norm(tensor(rng.standard_normal(shape)), gain, bias)
+            backward(ad.sum_reduce(ad.mul(out, tensor(g_np))))
+        other = tuple(range(len(shape) - 1))
+        xhat = out.data                     # gain 1 and bias 0 leave xhat as it is
+        np.testing.assert_array_equal(_bits(gain.grad), _bits((g_np * xhat).sum(axis=other)))
+        np.testing.assert_array_equal(_bits(bias.grad), _bits(g_np.sum(axis=other)))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("g_shape, shape", [
+        ((64, 12, 24, 16), (16,)), ((64, 12, 24, 16), (1, 12, 1, 16)),
+        ((8, 48, 24, 128), (128,)), ((8, 48, 24, 128), (1, 48, 1, 128))])
+    def test_unbroadcast_embedding_shapes(self, dtype, g_shape, shape):
+        g = np.random.default_rng(3).standard_normal(g_shape).astype(dtype)
+        np.testing.assert_array_equal(_bits(ad._unbroadcast(g, shape)),
+                                      _bits(_two_sum_unbroadcast(g, shape)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(shapes=_broadcast_shapes(), dtype=st.sampled_from(DTYPES), seed=st.integers(0, 99))
+    def test_unbroadcast_sweep(self, shapes, dtype, seed):
+        g_shape, shape = shapes
+        g = np.random.default_rng(seed).standard_normal(g_shape).astype(dtype)
+        out, ref = ad._unbroadcast(g, shape), _two_sum_unbroadcast(g, shape)
+        assert out.shape == shape and out.dtype == dtype
+        if _sums_rows_in_turn(g_shape, shape):
+            np.testing.assert_array_equal(_bits(out), _bits(ref))
+        else:           # the same sum in another order: within its rounding
+            bound = 4 * np.finfo(dtype).eps * math.prod(g_shape) * np.abs(g).max(initial=0)
+            assert np.abs(out - ref).max(initial=0) <= bound
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape, heads, axis", [
+        ((2, 3, 5, 4), 1, 2), ((2, 7, 3, 4), 2, 1), ((3, 1, 4, 6), 2, 1),
+        ((3, 4, 1, 6), 1, 2), ((2, 3, 24, 16), 1, 2), ((2, 12, 3, 16), 2, 1)])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_attention_core_with_row_max(self, dtype, shape, heads, axis, masked, p):
+        rng = np.random.default_rng(shape[axis])
+        s = shape[axis]
+        qkv = [rng.uniform(-3, 3, shape).astype(dtype) for _ in range(3)]
+        g_np = rng.standard_normal(shape).astype(dtype)
+        key_bias = None
+        if masked:
+            keys = rng.random((shape[0], s)) < 0.5
+            keys[-1, 0] = True
+            keys[0] = s == 1                # batch 0 masks every key when S > 1
+            key_bias = np.where(keys, 0.0, -1e9)
+        with ad.compute_dtype(dtype):
+            q, k, v = (tensor(a, requires_grad=True) for a in qkv)
+            out = ad._attention_core(q, k, v, heads, axis, key_bias, p,
+                                     np.random.default_rng(5), p > 0)
+            backward(ad.sum_reduce(ad.mul(out, tensor(g_np))))
+            ref = _max_attention(*qkv, g_np, heads, axis, key_bias, p,
+                                 np.random.default_rng(5))
+        for got, want in zip((out.data, q.grad, k.grad, v.grad), ref):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 class TestTapeRelease:

@@ -671,6 +671,18 @@ def test_bad_data_directory_fails_before_the_config_echo(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--bogus"], ["--n"]],
+                         ids=["unknown_flag", "flag_without_value"])
+def test_usage_error_is_validation_error(flags, tmp_path, capsys):
+    """argparse's usage errors exit 1, like any bad input, before the
+    config echo; --help still exits 0."""
+    out = tmp_path / "out"
+    assert run_cli("generate", "--out", str(out), *flags) == 1
+    assert "usage: biaxial" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("generate", "--help") == 0
+
+
 def test_ascii_locale_pipeline_writes_utf8(tmp_path):
     """generate (twice: the rerun from its echoed config) -> pretrain ->
     finetune -> evaluate in subprocesses under an ASCII locale, with a
