@@ -16,8 +16,9 @@ qualifiers and unit symbols are folded in (e.g. "bilirubin_direct",
 
 Every split of a cohort is made here, stratified by class alike:
 `split_test` holds out TEST_FRAC (0.2) of a cohort as its fixed test
-split, `make_splits` adds a fold rotation over the rest, and
-`stratified_split` holds out VAL_FRAC (0.2) of a training set.
+split, `folds` rotates validation folds over the rest, and
+`stratified_split` holds out VAL_FRAC (0.2) of a training set. Splits
+pick stays by their index in the cohort and keep its order.
 
 Stays are frozen, and no code writes their arrays, so every Dataset that
 holds a stay shares them; a changed field makes a new record (`replace`).
@@ -30,7 +31,7 @@ import csv
 import logging
 import os
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,13 +185,6 @@ class PreprocessorState:
     static_mean: np.ndarray
     static_std: np.ndarray
     fitted_on: str = ""
-
-
-@dataclass
-class SplitPlan:
-    """An 80/20 test split plus a five-fold rotation over the 80% pool."""
-    test_ids: list
-    folds: list = field(default_factory=list)  # [(train_ids, val_ids)] x 5
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +560,11 @@ def _stratified_cut(labels: np.ndarray, frac: float, rng, min_class: int):
     return np.concatenate(cut), np.concatenate(rest), stratified
 
 
-def make_splits(ds: Dataset, seed: int, n_folds: int = 5) -> SplitPlan:
-    """Stratified 80/20 test split plus an n-fold rotation over the pool.
+def _test_cut(ds: Dataset, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified TEST_FRAC cut of the cohort: returns the indices of (the
+    test split, the pool), each in its permuted class order.
 
-    Falls back to unstratified splitting (with a warning) when a class has
+    Falls back to an unstratified cut (with a warning) when a class has
     fewer than 2 stays, one for the test split and one for the pool.
     """
     if len(ds) < 10:
@@ -580,22 +575,30 @@ def make_splits(ds: Dataset, seed: int, n_folds: int = 5) -> SplitPlan:
     if not stratified and (labels >= 0).all():
         logger.warning("too few samples in a class to stratify (%d pos / %d neg); "
                        "splitting unstratified", (labels == 1).sum(), (labels == 0).sum())
-    # round-robin over the class-ordered pool keeps fold sizes equal and
-    # each class spread within one element of even
-    ids = np.array([ep.patient_id for ep in ds.episodes])
-    fold_ids = [ids[pool[k::n_folds]].tolist() for k in range(n_folds)]
-    folds = [([pid for j in range(n_folds) if j != k for pid in fold_ids[j]], fold_ids[k])
-             for k in range(n_folds)]
-    return SplitPlan(test_ids=ids[test].tolist(), folds=folds)
+    return test, pool
 
 
 def split_test(ds: Dataset, seed: int) -> tuple[Dataset, list]:
-    """Hold out the test split of `make_splits(ds, seed)`: returns (the
-    training pool as a Dataset, the test episodes), both in cohort order."""
-    test_ids = set(make_splits(ds, seed).test_ids)
-    pool = [ep for ep in ds.episodes if ep.patient_id not in test_ids]
-    test = [ep for ep in ds.episodes if ep.patient_id in test_ids]
-    return Dataset.from_episodes(ds.name, pool, sensors=ds.sensors), test
+    """Hold out the test split: returns (the training pool as a Dataset,
+    the test episodes), both in cohort order."""
+    test, pool = (np.sort(idx) for idx in _test_cut(ds, seed))
+    return (Dataset.from_episodes(ds.name, [ds.episodes[i] for i in pool], sensors=ds.sensors),
+            [ds.episodes[i] for i in test])
+
+
+def folds(ds: Dataset, seed: int, n_folds: int = 5) -> list:
+    """An n-fold rotation over the pool of `split_test(ds, seed)`: returns
+    [(train episodes, validation episodes)] per fold, each in cohort order.
+
+    The stays of the test split are in no fold, so a caller of `folds`
+    never reads them.
+    """
+    _, pool = _test_cut(ds, seed)
+    # round-robin over the class-ordered pool keeps fold sizes equal and
+    # each class spread within one element of even
+    vals = [np.sort(pool[k::n_folds]) for k in range(n_folds)]
+    return [([ds.episodes[i] for i in np.setdiff1d(pool, val)], [ds.episodes[i] for i in val])
+            for val in vals]
 
 
 def stratified_split(ds: Dataset, val_frac: float, rng) -> tuple[list, list]:
@@ -607,11 +610,6 @@ def stratified_split(ds: Dataset, val_frac: float, rng) -> tuple[list, list]:
     rest = np.setdiff1d(np.arange(len(labels)), lone)
     val, train, _ = _stratified_cut(labels[rest], val_frac, rng, 2)
     return [ds.episodes[i] for i in [*lone, *rest[train]]], [ds.episodes[i] for i in rest[val]]
-
-
-def select_episodes(ds: Dataset, ids) -> list:
-    wanted = set(ids)
-    return [ep for ep in ds.episodes if ep.patient_id in wanted]
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ class WindowSplit:
     statics: np.ndarray         # (B, S)
 
 
-def valid_indices(time_mask: np.ndarray, cfg: SamplerConfig) -> set:
-    """Split indices surviving the three filters, possibly empty.
+def valid_indices(time_mask: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
+    """Split indices surviving the three filters, ascending, possibly empty.
 
     Filters: the hour is observed (any sensor), it is at least
     min_obs_len into the series, and it leaves a full horizon before the
@@ -63,10 +63,8 @@ def valid_indices(time_mask: np.ndarray, cfg: SamplerConfig) -> set:
     valid = np.nonzero(time_mask)[0]
     valid = valid[valid >= cfg.min_obs_len]
     if valid.size == 0:
-        return set()
-    max_index = int(valid.max())
-    valid = valid[valid <= max_index - cfg.forecast_horizon]
-    return set(int(t) for t in valid)
+        return valid
+    return valid[valid <= valid[-1] - cfg.forecast_horizon]
 
 
 def collate(episodes: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,10 +96,9 @@ def sample_window(batch: list, cfg: SamplerConfig,
 
     for _ in range(b):
         i = int(rng.integers(0, b))
-        candidates = valid_indices(mask[i].any(axis=0), cfg)
-        if candidates:
-            ordered = sorted(candidates)
-            t1 = ordered[int(rng.integers(0, len(ordered)))]
+        c = valid_indices(mask[i].any(axis=0), cfg)
+        if c.size:
+            t1 = int(c[rng.integers(0, c.size)])
             anchor = batch[i].patient_id
             break
     else:

@@ -352,11 +352,8 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
     Each fold fits its own preprocessor on its training split. The fold
     with the lowest best validation masked loss is selected.
     """
-    plan = dt.make_splits(pooled, train_cfg.seed, n_folds=n_folds)
     fold_results = []
-    for fold, (train_ids, val_ids) in enumerate(plan.folds):
-        train_eps = dt.select_episodes(pooled, train_ids)
-        val_eps = dt.select_episodes(pooled, val_ids)
+    for fold, (train_eps, val_eps) in enumerate(dt.folds(pooled, train_cfg.seed, n_folds)):
         pp = dt.fit_preprocessor(train_eps, fitted_on=f"{pooled.name}/fold{fold}")
         result = _train_one_fold(
             dt.transform_all(train_eps, pp), dt.transform_all(val_eps, pp),
@@ -388,12 +385,12 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
     `dt.stratified_split` holds out dt.VAL_FRAC of it for validation (the
     "holdout" substream). Test metrics need `test_episodes`.
     """
-    if (arch, mode) not in {(v.arch, v.mode) for v in GRID_VARIANTS.values()}:
+    variant = {(v.arch, v.mode): name for name, v in GRID_VARIANTS.items()}.get((arch, mode))
+    if variant is None:
         raise ValueError(f"no grid variant trains arch {arch!r} in mode {mode!r}")
     if mode == "scratch" and pretrained is not None:
         raise ValueError("scratch training does not take a pretrained checkpoint")
-    if mode != "scratch" and pretrained is None:
-        raise ValueError(f"mode {mode!r} requires a pretrained checkpoint")
+    check_variants([variant], pretrained, train_cfg)
 
     seed = train_cfg.seed
     train_eps = list(ds.episodes)
@@ -404,8 +401,6 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
         raise TrainingError("empty train or validation split")
 
     if train_cfg.standardization == "inherit":
-        if pretrained is None:
-            raise ValueError("standardization='inherit' requires a checkpoint")
         pp = pretrained["preprocessor"]
     else:
         pp = dt.fit_preprocessor(train_eps, fitted_on=f"{ds.name}/finetune")
@@ -427,8 +422,7 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
     optimizer = AdamW(model.params, train_cfg.learning_rate, train_cfg.weight_decay)
 
     labels_train = np.array([float(ep.label) for ep in train_t])
-    pos_weight = (mt.pos_weight_for(labels_train)
-                  if train_cfg.weighted_loss and labels_train.sum() > 0 else 1.0)
+    pos_weight = mt.pos_weight_for(labels_train) if train_cfg.weighted_loss else 1.0
 
     def step(batch, epoch, dropout_rng):
         probs = model.classify(*_classification_arrays(batch),

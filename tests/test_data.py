@@ -609,6 +609,28 @@ class TestSubsample:
             dt.subsample_preserving_prevalence(self._labeled_dataset(n=50), 51, seed=0)
 
 
+def _ids(episodes):
+    return [ep.patient_id for ep in episodes]
+
+
+def _reference_rotation(ds, seed, n_folds):
+    """The id-based splits that `folds` replaced: the test cut and the
+    round-robin folds as patient-id lists, each fold's ids then selected
+    from the cohort in its order. Returns (test ids, [(train, val)])."""
+    labels = ds.labels()
+    test, pool, _ = dt._stratified_cut(labels, dt.TEST_FRAC, substream(seed, "splits"), 2)
+    ids = np.array(_ids(ds.episodes))
+    fold_ids = [ids[pool[k::n_folds]].tolist() for k in range(n_folds)]
+
+    def select(wanted):
+        wanted = set(wanted)
+        return [ep for ep in ds.episodes if ep.patient_id in wanted]
+
+    return ids[test].tolist(), [
+        (select(pid for j in range(n_folds) if j != k for pid in fold_ids[j]),
+         select(fold_ids[k])) for k in range(n_folds)]
+
+
 class TestSplits:
     def _ds(self, n=100, prevalence=0.2):
         n_pos = int(round(n * prevalence))
@@ -617,68 +639,74 @@ class TestSplits:
         return dt.Dataset.from_episodes("x", eps)
 
     def test_sizes_on_100_episodes(self):
-        plan = dt.make_splits(self._ds(100), seed=0)
-        assert len(plan.test_ids) == 20
-        for train, val in plan.folds:
+        ds = self._ds(100)
+        _, test = dt.split_test(ds, seed=0)
+        assert len(test) == 20
+        for train, val in dt.folds(ds, seed=0):
             assert len(val) == 16
             assert len(train) == 64
 
     def test_validation_folds_partition_the_pool(self):
-        plan = dt.make_splits(self._ds(100), seed=1)
-        pool = set(plan.folds[0][0]) | set(plan.folds[0][1])
+        ds = self._ds(100)
+        folds = dt.folds(ds, seed=1)
+        pool = set(_ids(folds[0][0])) | set(_ids(folds[0][1]))
         union = set()
-        for _, val in plan.folds:
-            vs = set(val)
+        for _, val in folds:
+            vs = set(_ids(val))
             assert not (vs & union)
             union |= vs
         assert union == pool
-        assert not (set(plan.test_ids) & pool)
+        pool_ds, test = dt.split_test(ds, seed=1)
+        assert pool == set(_ids(pool_ds.episodes))
+        assert not (set(_ids(test)) & pool)
 
     def test_no_id_in_both_test_and_training_folds(self):
-        plan = dt.make_splits(self._ds(100), seed=2)
-        test = set(plan.test_ids)
-        for train, val in plan.folds:
-            assert not (test & set(train))
-            assert not (test & set(val))
+        ds = self._ds(100)
+        test = set(_ids(dt.split_test(ds, seed=2)[1]))
+        for train, val in dt.folds(ds, seed=2):
+            assert not (test & set(_ids(train)))
+            assert not (test & set(_ids(val)))
 
     def test_deterministic(self):
         ds = self._ds(80)
-        p1, p2 = dt.make_splits(ds, seed=5), dt.make_splits(ds, seed=5)
-        assert p1.test_ids == p2.test_ids and p1.folds == p2.folds
+        t1, t2 = dt.split_test(ds, seed=5)[1], dt.split_test(ds, seed=5)[1]
+        f1, f2 = dt.folds(ds, seed=5), dt.folds(ds, seed=5)
+        assert _ids(t1) == _ids(t2)
+        assert [(_ids(a), _ids(b)) for a, b in f1] == [(_ids(a), _ids(b)) for a, b in f2]
 
     def test_stratification_within_two_points_at_500(self):
         ds = self._ds(500, prevalence=0.12)
-        plan = dt.make_splits(ds, seed=3)
-        by_id = {ep.patient_id: ep.label for ep in ds.episodes}
 
-        def prev(ids):
-            return float(np.mean([by_id[i] for i in ids]))
+        def prev(episodes):
+            return float(np.mean([ep.label for ep in episodes]))
 
-        assert abs(prev(plan.test_ids) - 0.12) <= 0.02
-        for train, val in plan.folds:
+        assert abs(prev(dt.split_test(ds, seed=3)[1]) - 0.12) <= 0.02
+        for train, val in dt.folds(ds, seed=3):
             assert abs(prev(train) - 0.12) <= 0.02
             assert abs(prev(val) - 0.02 - 0.1) <= 0.04  # loose sanity on val too
 
     def test_too_few_positives_falls_back_with_warning(self, caplog):
         ds = self._ds(60, prevalence=1 / 60)  # 1 positive: test or pool, not both
         with caplog.at_level("WARNING"):
-            plan = dt.make_splits(ds, seed=4)
+            _, test = dt.split_test(ds, seed=4)
         assert any("unstratified" in rec.message for rec in caplog.records)
-        assert len(plan.test_ids) == 12
+        assert len(test) == 12
 
     def test_three_positives_stratify_the_test_cut(self, caplog):
         ds = self._ds(60, prevalence=0.05)  # 3 positives, fewer than the 5 folds
         positives = {ep.patient_id for ep in ds.episodes if ep.label == 1}
         for seed in range(4):
             with caplog.at_level("WARNING"):
-                plan = dt.make_splits(ds, seed=seed)
-            assert len(positives & set(plan.test_ids)) == 1
-            assert len(plan.test_ids) == 12                 # 1 of 3 + 11 of 57
+                _, test = dt.split_test(ds, seed=seed)
+                dt.folds(ds, seed=seed)
+            assert len(positives & set(_ids(test))) == 1
+            assert len(test) == 12                          # 1 of 3 + 11 of 57
         assert not any("unstratified" in rec.message for rec in caplog.records)
 
-    def test_tiny_dataset_rejected(self):
+    @pytest.mark.parametrize("split", [dt.split_test, dt.folds])
+    def test_tiny_dataset_rejected(self, split):
         with pytest.raises(ValueError, match="at least 10"):
-            dt.make_splits(self._ds(8), seed=0)
+            split(self._ds(8), seed=0)
 
     def test_cut_permutes_positives_then_negatives(self):
         y = np.array([1, 0] * 10 + [0] * 20)
@@ -691,13 +719,14 @@ class TestSplits:
         assert cut.tolist() == [*pos[:2], *neg[:8]]
         assert rest.tolist() == [*pos[2:], *neg[8:]]
 
-    def test_split_test_returns_pool_and_test_in_cohort_order(self):
+    def test_splits_return_episodes_in_cohort_order(self):
         ds = self._ds(100)
         pool, test = dt.split_test(ds, seed=3)
-        assert {ep.patient_id for ep in test} == set(dt.make_splits(ds, seed=3).test_ids)
+        assert set(_ids(test)) == set(_reference_rotation(ds, 3, 5)[0])
         assert (pool.name, pool.sensors, len(pool) + len(test)) == (ds.name, ds.sensors, 100)
         position = {ep.patient_id: i for i, ep in enumerate(ds.episodes)}
-        for part in (pool.episodes, test):
+        parts = [pool.episodes, test, *(part for fold in dt.folds(ds, seed=3) for part in fold)]
+        for part in parts:
             idx = [position[ep.patient_id] for ep in part]
             assert idx == sorted(idx)
 
@@ -706,6 +735,7 @@ class TestSplits:
 LABELS = st.lists(st.sampled_from([0, 1, None]), max_size=60)
 FRACS = st.floats(0.0, 1.0)
 SEEDS = st.integers(0, 2**32 - 1)
+COHORT_LABELS = st.lists(st.sampled_from([0, 1, None]), min_size=10, max_size=80)
 
 
 def _labeled(labels):
@@ -764,16 +794,32 @@ class TestStratifiedCutProperties:
             [[ep.patient_id for ep in part] for part in again]
 
     @settings(max_examples=100, deadline=None)
-    @given(labels=st.lists(st.sampled_from([0, 1, None]), min_size=10, max_size=80),
-           n_folds=st.integers(2, 6), seed=st.integers(0, 10_000))
-    def test_make_splits_partitions_the_ids(self, labels, n_folds, seed):
+    @given(labels=COHORT_LABELS, n_folds=st.integers(2, 6), seed=st.integers(0, 10_000))
+    def test_splits_partition_the_ids(self, labels, n_folds, seed):
         ds = _labeled(labels)
-        ids = sorted(ep.patient_id for ep in ds.episodes)
-        plan = dt.make_splits(ds, seed, n_folds=n_folds)
-        folds = [pid for _, val in plan.folds for pid in val]
-        assert sorted(plan.test_ids + folds) == ids
-        for train, val in plan.folds:
-            assert sorted(plan.test_ids + train + val) == ids
+        ids = sorted(_ids(ds.episodes))
+        test = _ids(dt.split_test(ds, seed)[1])
+        folds = [(_ids(train), _ids(val)) for train, val in dt.folds(ds, seed, n_folds)]
+        assert sorted(test + [pid for _, val in folds for pid in val]) == ids
+        for train, val in folds:
+            assert sorted(test + train + val) == ids
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=COHORT_LABELS, n_folds=st.integers(2, 6), seed=SEEDS)
+    def test_folds_match_the_id_based_rotation(self, labels, n_folds, seed):
+        ds = _labeled(labels)
+        test_ids, want = _reference_rotation(ds, seed, n_folds)
+        got = dt.folds(ds, seed, n_folds)
+        assert [(_ids(a), _ids(b)) for a, b in got] == [(_ids(a), _ids(b)) for a, b in want]
+        assert sorted(_ids(dt.split_test(ds, seed)[1])) == sorted(test_ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=COHORT_LABELS, n_folds=st.integers(2, 6), seed=SEEDS)
+    def test_no_fold_holds_a_test_stay(self, labels, n_folds, seed):
+        ds = _labeled(labels)
+        test = set(map(id, dt.split_test(ds, seed)[1]))
+        for train, val in dt.folds(ds, seed, n_folds):
+            assert not test & set(map(id, train + val))
 
 
 class TestGenerator:

@@ -344,8 +344,18 @@ class TestFinetune:
     def test_scratch_rejects_checkpoint_and_vice_versa(self, checkpoint, mortality_ds):
         with pytest.raises(ValueError, match="does not take"):
             tr.finetune(checkpoint, mortality_ds, "scratch", tiny_train_cfg())
-        with pytest.raises(ValueError, match="requires a pretrained"):
+        with pytest.raises(ValueError, match="require a checkpoint"):
             tr.finetune(None, mortality_ds, "finetune_full", tiny_train_cfg())
+
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_one_class_training_split_has_no_pos_weight(self, mortality_ds, missing):
+        train = [ep for ep in mortality_ds.episodes if ep.label != missing][:20]
+        ds = dt.Dataset.from_episodes(mortality_ds.name, train, sensors=mortality_ds.sensors)
+        name = "positive" if missing == 1 else "negative"
+        with pytest.raises(mt.UndefinedMetricError, match=f"no {name} labels"):
+            tr.finetune(None, ds, "scratch", tiny_train_cfg(epochs=1),
+                        model_cfg=tiny_model_cfg(),
+                        val_episodes=mortality_ds.episodes[:20])
 
     def test_arch_and_mode_must_name_a_grid_variant(self, checkpoint, mortality_ds):
         with pytest.raises(ValueError, match="no grid variant"):
