@@ -389,11 +389,8 @@ def log(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out_data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    e = np.exp(-np.abs(x.data))             # in (0, 1]: neither branch overflows
+    out_data = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def grad_fn(g):
         if x.requires_grad:

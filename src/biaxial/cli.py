@@ -143,17 +143,19 @@ def cmd_finetune(cfg) -> int:
         raise ConfigError("finetune requires exactly one dataset path (data.paths)")
     _check_data_dirs(paths, labeled=True)
     grid, train_cfg = cfg.grid_cfg(), cfg.train_cfg()
-    save_variant = cfg["grid"]["save_model"]
-    if save_variant and save_variant not in tr.GRID_VARIANTS:
-        raise ConfigError(f"grid.save_model must be one of {tuple(tr.GRID_VARIANTS)}")
     ckpt_path = cfg["data"]["checkpoint"]
     checkpoint = tr.load_checkpoint(ckpt_path, "pretrained") if ckpt_path else None
-    tr.check_variants([*grid.variants, save_variant] if save_variant else grid.variants,
+    tr.check_variants([*grid.variants, grid.save_model] if grid.save_model else grid.variants,
                       checkpoint, train_cfg)
-    _echo_config(cfg, out_dir)
     model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model_cfg()
     sensors = dt.SENSOR_SCHEMA[:model_cfg.sensors_count]
-    ds = dt.apply_exclusions(dt.load_dataset_dir(paths[0], sensors=sensors), "mortality")
+    cohort = dt.load_dataset_dir(paths[0], sensors=sensors)
+    named = int(np.any([ep.mask.any(axis=1) for ep in cohort.episodes], axis=0).sum())
+    if named < len(sensors):
+        raise ConfigError(f"{paths[0]}: measurements.csv names {named} sensors, "
+                          f"but model.sensors_count is {len(sensors)}")
+    _echo_config(cfg, out_dir)
+    ds = dt.apply_exclusions(cohort, "mortality")
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
     rows, aggregates = tr.run_experiment_grid(
         ds, checkpoint, model_cfg, train_cfg, grid)
@@ -161,16 +163,16 @@ def cmd_finetune(cfg) -> int:
     _write_rows(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")
 
-    if save_variant:
-        _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, save_variant,
-                          out_dir)
+    if grid.save_model:
+        _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, out_dir)
         print(f"model: {os.path.join(out_dir, 'model.bax')}")
     return 0
 
 
-def _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, variant, out_dir):
-    """Train one model of the given variant on the full training pool and
-    save it for cross-dataset evaluation."""
+def _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, out_dir):
+    """Train one model of the grid's `save_model` variant on the full
+    training pool and save it for cross-dataset evaluation."""
+    variant = grid.save_model
     pool, _ = dt.split_test(ds, train_cfg.seed)
     result = tr.train_variant(variant, checkpoint, pool, train_cfg, model_cfg, grid)
     tr.save_checkpoint(

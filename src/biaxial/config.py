@@ -5,12 +5,13 @@ rejected so typos cannot silently fall back to defaults. Every command
 echoes its fully resolved config into the output directory; rerunning
 from that echo reproduces the run byte for byte.
 
-The [model], [sampler] and [train] keys are the fields of `BatConfig`,
-`SamplerConfig` and `TrainConfig`, in field order: each key's kind is
-its field's annotation and its default the field's default, so every
-setting is declared once. Two fields are not keys: `static_count`, which
+The [model], [sampler], [train] and [grid] keys are the fields of
+`BatConfig`, `SamplerConfig`, `TrainConfig` and `GridConfig`, in field
+order: each key's kind is its field's annotation and its default the
+field's default (or its default factory's value), so every setting is
+declared once. Two fields are not keys: `static_count`, which
 `data.STATIC_SCHEMA` fixes, and the sampler's `forecast_horizon`, which
-is always the model's. [data], [grid] and [output] are declared here.
+is always the model's. Only [data] and [output] are declared here.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from biaxial.model import BatConfig
 from biaxial.sampler import SamplerConfig
-from biaxial.training import GRID_VARIANTS, GridConfig, TrainConfig
+from biaxial.training import GridConfig, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -33,8 +34,9 @@ KINDS = ("int", "float", "bool", "str", "int | None", "list[int]", "list[str]")
 
 
 def _keys_of(cls, omit=()) -> dict:
-    """(kind, default) per field of a dataclass, in field order; a field
-    whose annotation is not one of KINDS fails here, at import."""
+    """(kind, default) per field of a dataclass, in field order, calling a
+    field's default factory; a field whose annotation is not one of KINDS
+    fails here, at import."""
     keys = {}
     for f in fields(cls):
         if f.name in omit:
@@ -42,7 +44,8 @@ def _keys_of(cls, omit=()) -> dict:
         if f.type not in KINDS:
             raise TypeError(f"{cls.__name__}.{f.name}: annotation {f.type!r} "
                             f"is not a config kind {KINDS}")
-        keys[f.name] = (f.type, f.default)
+        keys[f.name] = (f.type, f.default if f.default_factory is MISSING
+                            else f.default_factory())
     return keys
 
 
@@ -61,14 +64,7 @@ SCHEMA = {
     "model": _keys_of(BatConfig, omit=("static_count",)),
     "sampler": _keys_of(SamplerConfig, omit=("forecast_horizon",)),
     "train": _keys_of(TrainConfig),
-    "grid": {
-        "sizes": ("list[int]", [100, 500, 1000]),
-        "seeds": ("list[int]", [0, 1, 2, 3, 4]),
-        "variants": ("list[str]", list(GRID_VARIANTS)),
-        **{f"lr_{name}": ("float", v.lr) for name, v in GRID_VARIANTS.items()},
-        "jobs": ("int", 1),
-        "save_model": ("str", ""),
-    },
+    "grid": _keys_of(GridConfig),
     "output": {
         "dir": ("str", "out"),
     },
@@ -144,11 +140,7 @@ class ExperimentConfig:
         return self._view("train", TrainConfig)
 
     def grid_cfg(self) -> GridConfig:
-        g = self.values["grid"]
-        return self._view("grid", GridConfig, dict(
-            sizes=list(g["sizes"]), seeds=list(g["seeds"]),
-            variants=list(g["variants"]), jobs=g["jobs"],
-            learning_rates={name: g[f"lr_{name}"] for name in GRID_VARIANTS}))
+        return self._view("grid", GridConfig)
 
     # -- serialization ---------------------------------------------------
 

@@ -47,19 +47,18 @@ COMPUTE_DTYPE = np.float32
 
 @dataclass(frozen=True)
 class Variant:
-    """How one grid variant trains: model class, fine-tuning mode, default lr."""
+    """How one grid variant trains: model class and fine-tuning mode."""
     arch: str
     mode: str
-    lr: float
 
 
 # The paper's comparison: a pretrained BAT fine-tuned in full or head-only,
 # and two supervised baselines trained from scratch.
 GRID_VARIANTS = {
-    "finetune_full": Variant("bat", "finetune_full", 3e-4),
-    "finetune_head": Variant("bat", "finetune_head", 1e-2),
-    "scratch_bat": Variant("bat", "scratch", 1.5e-3),
-    "scratch_transformer": Variant("transformer", "scratch", 1.5e-3),
+    "finetune_full": Variant("bat", "finetune_full"),
+    "finetune_head": Variant("bat", "finetune_head"),
+    "scratch_bat": Variant("bat", "scratch"),
+    "scratch_transformer": Variant("transformer", "scratch"),
 }
 
 class NonFiniteGradientError(RuntimeError):
@@ -537,12 +536,16 @@ def load_checkpoint(path, kind: str | None = None) -> dict:
 
 @dataclass
 class GridConfig:
-    sizes: list
-    seeds: list
-    variants: list = field(default_factory=lambda: list(GRID_VARIANTS))
-    learning_rates: dict = field(
-        default_factory=lambda: {name: v.lr for name, v in GRID_VARIANTS.items()})
+    """The [grid] config section, with one `lr_<name>` per GRID_VARIANTS row."""
+    sizes: list[int] = field(default_factory=lambda: [100, 500, 1000])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    variants: list[str] = field(default_factory=lambda: list(GRID_VARIANTS))
+    lr_finetune_full: float = 3e-4
+    lr_finetune_head: float = 1e-2
+    lr_scratch_bat: float = 1.5e-3
+    lr_scratch_transformer: float = 1.5e-3
     jobs: int = 1
+    save_model: str = ""
 
     def __post_init__(self):
         for name in ("sizes", "seeds", "variants"):
@@ -552,12 +555,12 @@ class GridConfig:
             raise ValueError(f"every size must be >= 2, got {min(self.sizes)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        for v in self.variants:
+        for v in [*self.variants, self.save_model] if self.save_model else self.variants:
             if v not in GRID_VARIANTS:
-                raise ValueError(f"unknown grid variant {v!r}")
-            if v not in self.learning_rates:
-                raise ValueError(f"no learning rate for grid variant {v!r}")
-        for v, lr in self.learning_rates.items():
+                raise ValueError(f"unknown grid variant {v!r}; the variants are "
+                                 f"{tuple(GRID_VARIANTS)}")
+        for v in GRID_VARIANTS:
+            lr = getattr(self, f"lr_{v}")
             if not lr > 0:
                 raise ValueError(f"learning rate of grid variant {v!r} must be > 0, got {lr}")
 
@@ -581,7 +584,7 @@ def train_variant(variant: str, checkpoint: dict | None, ds: dt.Dataset,
     """`finetune` one grid variant at the grid's learning rate for it; the
     checkpoint is used only by the variants that fine-tune it."""
     v = GRID_VARIANTS[variant]
-    cfg = replace(train_cfg, learning_rate=grid.learning_rates[variant])
+    cfg = replace(train_cfg, learning_rate=getattr(grid, f"lr_{variant}"))
     return finetune(checkpoint if v.mode != "scratch" else None, ds, v.mode, cfg,
                     model_cfg=model_cfg, test_episodes=test_episodes, arch=v.arch)
 
@@ -631,11 +634,11 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     evaluates on it. Cells are paired: the cell seed depends on the size
     and seed alone, so every variant at one (size, seed) trains on the
     same subsample, holdout, batch order and dropout streams, and the
-    variants differ only in their `Variant` row. Infeasible cells
-    (TrainingError, SubsampleError or UndefinedMetricError) are skipped
-    with a warning; any other error propagates. Returns (per-run rows,
-    aggregate rows). Before any cell trains, `check_variants` must pass,
-    and a test split without both classes raises UndefinedMetricError.
+    variants differ only in their `Variant` row and rate. Infeasible
+    cells (TrainingError, SubsampleError or UndefinedMetricError) are
+    skipped with a warning; any other error propagates. Returns (per-run
+    rows, aggregate rows). Before any cell trains, `check_variants` must
+    pass, and a test split without both classes raises UndefinedMetricError.
     """
     check_variants(grid.variants, checkpoint, train_cfg)
     pool_ds, test_eps = dt.split_test(ds, train_cfg.seed)

@@ -267,6 +267,22 @@ class TestElementwisePrimitives:
         backward(ad.sum_reduce(ad.mul(op(x), tensor(w))))
         assert_close_rel(x.grad, fd)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bitwise_equals_three_exp_formula(self, dtype):
+        fi = np.finfo(dtype)
+        specials = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+                    fi.tiny, -fi.tiny, np.inf, -np.inf, np.nan, -np.nan, fi.max, -fi.max]
+        x_np = np.concatenate([np.linspace(-120.0, 120.0, 4801), specials,
+                               np.random.default_rng(4).standard_normal(2000) * 20]
+                              ).astype(dtype)
+        bits = f"u{x_np.itemsize}"
+        with ad.compute_dtype(dtype), np.errstate(all="ignore"):
+            out = ad.sigmoid(tensor(x_np)).data
+            ref = np.where(x_np >= 0, 1.0 / (1.0 + np.exp(-np.abs(x_np))),
+                           np.exp(-np.abs(x_np)) / (1.0 + np.exp(-np.abs(x_np))))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.view(bits), ref.view(bits))
+
     def test_broadcast_add_mul_gradients(self):
         rng = np.random.default_rng(9)
         a_np = rng.uniform(-2, 2, (3, 4))

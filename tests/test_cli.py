@@ -87,16 +87,13 @@ NON_DEFAULT = {
 
 
 def typed_value(cfg, dotted):
-    """The value a key reaches through its section's typed view; [data],
-    [output] and grid.save_model have no view and are read as resolved."""
+    """The value a key reaches through its section's typed view; [data]
+    and [output] have no view and are read as resolved."""
     section, key = dotted.split(".")
-    views = {"model": cfg.model_cfg, "sampler": cfg.sampler_cfg, "train": cfg.train_cfg}
+    views = {"model": cfg.model_cfg, "sampler": cfg.sampler_cfg, "train": cfg.train_cfg,
+             "grid": cfg.grid_cfg}
     if section in views:
         return getattr(views[section](), key)
-    if section == "grid" and key.startswith("lr_"):
-        return cfg.grid_cfg().learning_rates[key[len("lr_"):]]
-    if section == "grid" and key != "save_model":
-        return getattr(cfg.grid_cfg(), key)
     return cfg[section][key]
 
 
@@ -159,13 +156,22 @@ class TestConfig:
         assert cfg.model_cfg() == BatConfig()
         assert cfg.sampler_cfg() == SamplerConfig()
         assert cfg.train_cfg() == tr.TrainConfig()
+        assert cfg.grid_cfg() == tr.GridConfig()
 
     def test_dataclass_sections_are_their_fields_in_order(self):
         for section, cls, omitted in [("model", BatConfig, {"static_count"}),
                                       ("sampler", SamplerConfig, {"forecast_horizon"}),
-                                      ("train", tr.TrainConfig, set())]:
+                                      ("train", tr.TrainConfig, set()),
+                                      ("grid", tr.GridConfig, set())]:
             assert list(SCHEMA[section]) == [
                 f.name for f in fields(cls) if f.name not in omitted]
+
+    def test_default_grid_echo_lists_its_keys_in_order(self):
+        ini = load_config().to_ini()
+        grid = ini[ini.index("[grid]\n"):].split("\n\n")[0].splitlines()[1:]
+        assert [line.split(" = ")[0] for line in grid] == [
+            "sizes", "seeds", "variants", *(f"lr_{name}" for name in tr.GRID_VARIANTS),
+            "jobs", "save_model"]
 
     def test_field_of_no_config_kind_is_rejected(self):
         @dataclass
@@ -427,6 +433,20 @@ class TestFinetune:
                        *[x for item in small for x in ("--set", item)]) == 2
         assert "lacks a class: 0 positive, 9 negative" in capsys.readouterr().err
         assert not (out / "runs.csv").exists()
+
+    def test_model_sensor_the_cohort_never_names_fails_before_any_work(self, tmp_path,
+                                                                       capsys):
+        data, out = tmp_path / "four", tmp_path / "ft"
+        assert run_cli("generate", "--n", "60", "--prevalence", "0.2",
+                       "--sensors-count", "4", "--seed", "1", "--out", str(data)) == 0
+        small = ["model.value_embed_size=8", "model.layers=1", "train.epochs=1",
+                 "grid.sizes=20", "grid.seeds=0", "grid.variants=scratch_bat"]
+        assert run_cli("finetune", "--data", str(data), "--out", str(out),
+                       *[x for item in small for x in ("--set", item)]) == 1
+        err = capsys.readouterr().err
+        assert str(data) in err
+        assert "names 4 sensors, but model.sensors_count is 48" in err
+        assert not (out / "config.ini").exists()
 
     def test_two_jobs_write_the_same_csvs_as_one(self, small_dataset_dir,
                                                   pretrain_out, tmp_path):

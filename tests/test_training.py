@@ -5,7 +5,7 @@ import json
 import math
 import re
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -719,9 +719,16 @@ class TestExperimentGrid:
             tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
                                    tiny_train_cfg(), grid)
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown grid variant"):
-            tr.GridConfig(sizes=[10], seeds=[0], variants=["zero_shot"])
+    @pytest.mark.parametrize("setting", [{"variants": ["zero_shot"]},
+                                         {"save_model": "zero_shot"}],
+                             ids=["variants", "save_model"])
+    def test_unknown_variant_rejected(self, setting):
+        with pytest.raises(ValueError, match="unknown grid variant 'zero_shot'"):
+            tr.GridConfig(sizes=[10], seeds=[0], **setting)
+
+    def test_every_variant_has_exactly_one_learning_rate_field(self):
+        rates = [f.name for f in fields(tr.GridConfig) if f.name.startswith("lr_")]
+        assert rates == [f"lr_{name}" for name in tr.GRID_VARIANTS]
 
     @pytest.mark.parametrize("setting, message", [
         ({"jobs": 0}, "jobs must be >= 1"), ({"jobs": -3}, "jobs must be >= 1"),
@@ -736,14 +743,8 @@ class TestExperimentGrid:
     @pytest.mark.parametrize("variant, lr", [
         ("scratch_bat", -1.0), ("scratch_bat", 0.0), ("finetune_head", float("nan"))])
     def test_bad_learning_rate_rejected_by_variant(self, variant, lr):
-        rates = {**tr.GridConfig(sizes=[30], seeds=[0]).learning_rates, variant: lr}
         with pytest.raises(ValueError, match=f"learning rate of grid variant '{variant}'"):
-            tr.GridConfig(sizes=[30], seeds=[0], learning_rates=rates)
-
-    def test_variant_without_learning_rate_rejected(self):
-        with pytest.raises(ValueError, match="no learning rate for grid variant 'scratch_bat'"):
-            tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"],
-                          learning_rates={"finetune_full": 1e-3})
+            tr.GridConfig(sizes=[30], seeds=[0], **{f"lr_{variant}": lr})
 
     def test_variants_at_one_size_and_seed_share_their_data(self, mortality_ds, checkpoint,
                                                             monkeypatch):
@@ -764,7 +765,8 @@ class TestExperimentGrid:
         monkeypatch.setattr(tr, "finetune", recording_finetune)
         monkeypatch.setattr(dt, "stratified_split", recording_split)
         rates = {name: 1e-3 * (k + 1) for k, name in enumerate(tr.GRID_VARIANTS)}
-        grid = tr.GridConfig(sizes=[30, 40], seeds=[0, 1], learning_rates=rates)
+        grid = tr.GridConfig(sizes=[30, 40], seeds=[0, 1],
+                             **{f"lr_{v}": lr for v, lr in rates.items()})
         rows, _ = tr.run_experiment_grid(mortality_ds, checkpoint, tiny_model_cfg(),
                                          tiny_train_cfg(epochs=1), grid)
         assert len(rows) == len(calls) == len(holdouts) == 2 * 2 * len(tr.GRID_VARIANTS)
