@@ -1,10 +1,10 @@
 """Command-line entry point: generate, pretrain, finetune, evaluate.
 
-Every command resolves its configuration (flags > file > defaults),
-checks its input directories, has `training.load_checkpoint` check its
-checkpoints, echoes the configuration to <out>/config.ini before doing
-any work, and writes only deterministic artifacts, so a rerun with the
-same config and seed is byte-identical.
+Every command resolves its configuration (flags > file > defaults), has
+`training.load_checkpoint` check its checkpoints and `data.load_dataset_dir`
+read and check its cohorts, and only then echoes the configuration to
+<out>/config.ini; it writes only deterministic artifacts, so a rerun with
+the same config and seed is byte-identical.
 Exit codes: 0 success, 1 validation error (usage errors included), 2 runtime failure.
 `evaluate` draws each test split with the `split_seed` that `finetune`
 saved in the model, not with `--seed`, so it never scores a model on the
@@ -51,16 +51,6 @@ def _echo_config(cfg, out_dir):
         fh.write(cfg.to_ini())
 
 
-def _check_data_dirs(paths, labeled):
-    """Each data path must be a directory; with `labeled`, one that holds
-    labels.csv."""
-    for path in paths:
-        if not os.path.isdir(path):
-            raise ConfigError(f"data directory not found: {path}")
-        if labeled and not os.path.isfile(os.path.join(path, "labels.csv")):
-            raise ConfigError(f"{path} has no labels.csv; this command needs a labeled cohort")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -68,7 +58,6 @@ def _check_data_dirs(paths, labeled):
 def cmd_generate(cfg) -> int:
     out_dir = cfg["output"]["dir"]
     d = cfg["data"]
-    _echo_config(cfg, out_dir)
     ds = dt.generate_synthetic(
         n=d["n"],
         prevalence=d["prevalence"],
@@ -79,6 +68,7 @@ def cmd_generate(cfg) -> int:
         availability_profile=d["availability_profile"],
         name=d["name"],
     )
+    _echo_config(cfg, out_dir)
     dt.write_dataset_csvs(ds, out_dir)
     mean_stay = float(np.mean([ep.stay_hours for ep in ds.episodes]))
     print(f"dataset: {ds.name}")
@@ -94,12 +84,10 @@ def cmd_pretrain(cfg) -> int:
     paths = cfg["data"]["paths"]
     if not paths:
         raise ConfigError("pretrain requires at least one dataset path (data.paths)")
-    _check_data_dirs(paths, labeled=False)
     model_cfg, train_cfg, sampler_cfg = cfg.model_cfg(), cfg.train_cfg(), cfg.sampler_cfg()
-    _echo_config(cfg, out_dir)
-    sensors = dt.SENSOR_SCHEMA[:cfg["model"]["sensors_count"]]
-    datasets = [dt.load_dataset_dir(p, sensors=sensors) for p in paths]
+    datasets = [dt.load_dataset_dir(p, model_cfg.sensors_count) for p in paths]
     pooled = dt.apply_exclusions(dt.pool_datasets(datasets), "pretrain")
+    _echo_config(cfg, out_dir)
     logger.info("pooled %d episodes from %d datasets", len(pooled), len(datasets))
     result = tr.pretrain(pooled, model_cfg, train_cfg, sampler_cfg)
 
@@ -141,21 +129,15 @@ def cmd_finetune(cfg) -> int:
     paths = cfg["data"]["paths"]
     if len(paths) != 1:
         raise ConfigError("finetune requires exactly one dataset path (data.paths)")
-    _check_data_dirs(paths, labeled=True)
     grid, train_cfg = cfg.grid_cfg(), cfg.train_cfg()
     ckpt_path = cfg["data"]["checkpoint"]
     checkpoint = tr.load_checkpoint(ckpt_path, "pretrained") if ckpt_path else None
     tr.check_variants([*grid.variants, grid.save_model] if grid.save_model else grid.variants,
                       checkpoint, train_cfg)
     model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model_cfg()
-    sensors = dt.SENSOR_SCHEMA[:model_cfg.sensors_count]
-    cohort = dt.load_dataset_dir(paths[0], sensors=sensors)
-    named = int(np.any([ep.mask.any(axis=1) for ep in cohort.episodes], axis=0).sum())
-    if named < len(sensors):
-        raise ConfigError(f"{paths[0]}: measurements.csv names {named} sensors, "
-                          f"but model.sensors_count is {len(sensors)}")
+    ds = dt.apply_exclusions(
+        dt.load_dataset_dir(paths[0], model_cfg.sensors_count, labeled=True), "mortality")
     _echo_config(cfg, out_dir)
-    ds = dt.apply_exclusions(cohort, "mortality")
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
     rows, aggregates = tr.run_experiment_grid(
         ds, checkpoint, model_cfg, train_cfg, grid)
@@ -190,17 +172,18 @@ def cmd_evaluate(cfg) -> int:
     ckpts = [p for p in cfg["data"]["checkpoint"].split(",") if p]
     if not paths or not ckpts:
         raise ConfigError("evaluate requires data.paths and data.checkpoint")
-    _check_data_dirs(paths, labeled=True)
-    bundles = [tr.load_checkpoint(p, "classifier") for p in ckpts]
-    _echo_config(cfg, out_dir)
     batch_size = cfg.train_cfg().batch_size
+    bundles = [tr.load_checkpoint(p, "classifier") for p in ckpts]
+    cohorts = {(path, n): dt.apply_exclusions(dt.load_dataset_dir(path, n, labeled=True),
+                                              "mortality")
+               for n in dict.fromkeys(b["model_cfg"].sensors_count for b in bundles)
+               for path in paths}
+    _echo_config(cfg, out_dir)
     rows = []
     for ckpt_path, bundle in zip(ckpts, bundles):
         model = ARCHS[bundle["arch"]].from_arrays(bundle["model_cfg"], bundle["params"])
-        sensors = dt.SENSOR_SCHEMA[:bundle["model_cfg"].sensors_count]
         for path in paths:
-            ds = dt.apply_exclusions(
-                dt.load_dataset_dir(path, sensors=sensors), "mortality")
+            ds = cohorts[path, bundle["model_cfg"].sensors_count]
             _, test = dt.split_test(ds, bundle["meta"]["split_seed"])
             test_t = dt.transform_all(test, bundle["preprocessor"])
             probs = tr.predict_probs(model, test_t, batch_size)

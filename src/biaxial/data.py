@@ -6,9 +6,10 @@ demographics and an optional mortality label. The canonical schema has
 48 time-varying sensors and 4 statics; smaller experiments use a prefix
 of the sensor list.
 
-On disk a dataset is three UTF-8 CSV tables ('.' decimals, no thousands
-separators): measurements.csv, statics.csv and labels.csv, whose headers
-are MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER.
+On disk a dataset is a directory of three UTF-8 CSV tables ('.' decimals,
+no thousands separators), measurements.csv, statics.csv and labels.csv,
+with headers MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER;
+`load_dataset_dir` is its one reader and makes every check of it.
 
 Sensor names are lowercase with underscores for spaces; parenthesised
 qualifiers and unit symbols are folded in (e.g. "bilirubin_direct",
@@ -229,21 +230,32 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def load_dataset(measurements_path, statics_path, labels_path=None,
-                 name: str = "dataset", sensors: tuple = SENSOR_SCHEMA) -> Dataset:
-    """Assemble one EpisodeRecord per patient from the three CSV files.
+def _sensor_prefix(n_sensors: int, where: str = "") -> tuple:
+    """The schema's first `n_sensors` sensors; SchemaError unless it has them."""
+    if not 1 <= n_sensors <= len(SENSOR_SCHEMA):
+        raise SchemaError(f"{where}sensor count must be in [1, {len(SENSOR_SCHEMA)}], "
+                          f"got {n_sensors}")
+    return SENSOR_SCHEMA[:n_sensors]
 
-    Duplicate (patient, sensor, hour) cells resolve last-write-wins with a
-    logged warning; a row that moves backwards in time for the same patient
-    and sensor is a parse error. labels_path may be omitted for unlabeled
-    cohorts; if given, it labels every patient in statics exactly once.
-    An empty measurements file has no observations.
+
+def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
+    """Read the cohort in directory `path` over the schema's first
+    `n_sensors` sensors, as a Dataset named after the directory.
+
+    labels.csv is optional unless `labeled`; if present, it labels every
+    patient in statics once. With `labeled`, measurements.csv must name
+    every sensor. A duplicate (patient, sensor, hour) cell keeps its later
+    value with a warning; a row back in time for a patient and sensor is a
+    ParseError. Each failure is a SchemaError or ParseError naming the path.
     """
-    sensors = tuple(sensors)
-    unknown = set(sensors) - set(SENSOR_SCHEMA)
-    if unknown:
-        raise SchemaError(f"sensors not in the 48-name schema: {sorted(unknown)}")
+    if not os.path.isdir(path):
+        raise SchemaError(f"data directory not found: {path}")
+    sensors = _sensor_prefix(n_sensors, f"{path}: ")
     sensor_index = {s: i for i, s in enumerate(sensors)}
+    measurements_path, statics_path, labels_path = (
+        os.path.join(path, f"{table}.csv") for table in ("measurements", "statics", "labels"))
+    if labeled and not os.path.exists(labels_path):
+        raise SchemaError(f"{path} has no labels.csv; this command needs a labeled cohort")
 
     statics: dict[str, tuple[np.ndarray, float]] = {}
     order: list[str] = []
@@ -258,7 +270,7 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
         order.append(pid)
 
     labels: dict[str, int] = {}
-    if labels_path is not None:
+    if os.path.exists(labels_path):
         for lineno, (pid, mortality) in read_table(labels_path, LABELS_HEADER):
             if mortality not in ("0", "1"):
                 raise ParseError(f"{labels_path}:{lineno}: mortality must be 0 or 1")
@@ -304,13 +316,17 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
             hours.append(hour)
             vals.append(value)
 
+    if labeled and (named := len({d for _, d in series})) < n_sensors:
+        raise SchemaError(f"{path}: measurements.csv names {named} sensors, "
+                          f"but model.sensors_count is {n_sensors}")
+
     episodes = []
     for pid in order:
         stat_vec, stay = statics[pid]
-        rows = [(d, series[pid, d]) for d in range(len(sensors)) if (pid, d) in series]
+        rows = [(d, series[pid, d]) for d in range(n_sensors) if (pid, d) in series]
         t_len = max(int(np.ceil(max(stay, 0.0))), 1, *(hours[-1] + 1 for _, (hours, _) in rows))
-        values = np.zeros((len(sensors), t_len))
-        mask = np.zeros((len(sensors), t_len), dtype=bool)
+        values = np.zeros((n_sensors, t_len))
+        mask = np.zeros((n_sensors, t_len), dtype=bool)
         for d, (hours, vals) in rows:
             values[d, hours] = vals
             mask[d, hours] = True
@@ -322,7 +338,8 @@ def load_dataset(measurements_path, statics_path, labels_path=None,
             stay_hours=stay,
             label=labels.get(pid),
         ))
-    return Dataset.from_episodes(name, episodes, sensors=sensors)
+    return Dataset.from_episodes(os.path.basename(os.path.normpath(path)), episodes,
+                                 sensors=sensors)
 
 
 def write_dataset_csvs(ds: Dataset, out_dir) -> None:
@@ -348,19 +365,6 @@ def write_dataset_csvs(ds: Dataset, out_dir) -> None:
     if n_labeled:
         write_table(os.path.join(out_dir, "labels.csv"), LABELS_HEADER,
                     ((ep.patient_id, ep.label) for ep in ds.episodes))
-
-
-def load_dataset_dir(path, name: str | None = None,
-                     sensors: tuple = SENSOR_SCHEMA) -> Dataset:
-    """Load the measurements/statics/labels triple from one directory."""
-    labels = os.path.join(path, "labels.csv")
-    return load_dataset(
-        os.path.join(path, "measurements.csv"),
-        os.path.join(path, "statics.csv"),
-        labels if os.path.exists(labels) else None,
-        name=name or os.path.basename(os.path.normpath(path)),
-        sensors=sensors,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -662,12 +666,13 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
     sparsity 0 observes every cell; higher values thin the per-sensor
     observation rates, labs much more aggressively than vitals.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < prevalence < 1:
         raise ValueError(f"prevalence must be in (0, 1), got {prevalence}")
     if not 0 <= sparsity < 1:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    if not 1 <= n_sensors <= len(SENSOR_SCHEMA):
-        raise ValueError(f"n_sensors must be in [1, {len(SENSOR_SCHEMA)}]")
+    sensors = _sensor_prefix(n_sensors)
     dyn = _dynamics(n_sensors, availability_profile)
     rng = substream(seed, "synthetic")
     name = name or f"synthetic{seed}"
@@ -723,4 +728,4 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
     top = np.argsort(-severity_scores, kind="mergesort")[:k]
     for i in top:
         episodes[i] = replace(episodes[i], label=1)
-    return Dataset.from_episodes(name, episodes, sensors=SENSOR_SCHEMA[:n_sensors])
+    return Dataset.from_episodes(name, episodes, sensors=sensors)

@@ -549,8 +549,11 @@ class GridConfig:
 
     def __post_init__(self):
         for name in ("sizes", "seeds", "variants"):
-            if not getattr(self, name):
+            entries = getattr(self, name)
+            if not entries:
                 raise ValueError(f"{name} must not be empty")
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} repeats an entry: {entries}")
         if min(self.sizes) < 2:
             raise ValueError(f"every size must be >= 2, got {min(self.sizes)}")
         if self.jobs < 1:

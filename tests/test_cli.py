@@ -201,7 +201,7 @@ class TestGenerate:
     def test_artifacts_and_summary(self, small_dataset_dir, capsys):
         for fn in ("measurements.csv", "statics.csv", "labels.csv", "config.ini"):
             assert os.path.exists(os.path.join(small_dataset_dir, fn))
-        ds = dt.load_dataset_dir(small_dataset_dir, sensors=dt.SENSOR_SCHEMA[:6])
+        ds = dt.load_dataset_dir(small_dataset_dir, 6, labeled=True)
         assert len(ds) == 260
         assert abs(ds.prevalence - 0.2) <= 0.01
 
@@ -233,6 +233,13 @@ class TestGenerate:
         code = run_cli("generate", "--set", "data.bogus=1",
                        "--out", str(tmp_path / "y"))
         assert code == 1
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_no_episodes_fails_before_the_config_echo(self, tmp_path, capsys, n):
+        out = tmp_path / "g"
+        assert run_cli("generate", "--n", n, "--prevalence", "0.2", "--out", str(out)) == 1
+        assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPretrain:
@@ -279,6 +286,15 @@ class TestPretrain:
                        "--set", "train.batch_size=32") == 0
         assert opened, "loader was never exercised"
         assert not any(str(held_out) in p for p in opened)
+
+    def test_sensor_count_beyond_the_schema_fails_before_the_config_echo(
+            self, small_dataset_dir, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run_cli("pretrain", "--data", small_dataset_dir, "--out", str(out),
+                       "--set", "model.sensors_count=60") == 1
+        assert (f"{small_dataset_dir}: sensor count must be in [1, 48], got 60"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_zero_epochs_is_validation_error(self, small_dataset_dir, tmp_path, capsys):
         out = tmp_path / "p"
@@ -327,6 +343,16 @@ class TestFinetune:
                        *[x for item in small for x in ("--set", item)], *args) == 1
         assert "[grid]" in capsys.readouterr().err
         assert not os.path.exists(out / "runs.csv")
+
+    @pytest.mark.parametrize("key, value", [
+        ("sizes", "30,30"), ("seeds", "0,1,0"), ("variants", "scratch_bat,scratch_bat")])
+    def test_repeated_grid_entry_fails_before_the_config_echo(self, small_dataset_dir,
+                                                              tmp_path, capsys, key, value):
+        out = tmp_path / "ft"
+        assert run_cli("finetune", "--data", small_dataset_dir, "--out", str(out),
+                       "--set", "model.sensors_count=6", "--set", f"grid.{key}={value}") == 1
+        assert f"[grid] {key} repeats an entry" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_grid_learning_rate_fails_before_any_work(self, small_dataset_dir,
                                                           tmp_path, capsys):
@@ -500,7 +526,11 @@ def classifier_ckpts(small_dataset_dir, second_dataset_dir, pretrain_out,
 
 class TestEvaluate:
     def test_all_pairs_matrix(self, classifier_ckpts, small_dataset_dir,
-                              second_dataset_dir, tmp_path):
+                              second_dataset_dir, tmp_path, monkeypatch):
+        loaded = []
+        real = dt.load_dataset_dir
+        monkeypatch.setattr(dt, "load_dataset_dir",
+                            lambda path, *a, **k: loaded.append(path) or real(path, *a, **k))
         out = tmp_path / "eval"
         code = run_cli("evaluate",
                        "--checkpoint", classifier_ckpts[0],
@@ -512,6 +542,7 @@ class TestEvaluate:
         rows = open(out / "evaluate.csv").read().splitlines()
         assert rows[0] == "checkpoint,dataset,auc_roc,auc_pr,n_pos,n_neg,prevalence"
         assert len(rows) == 1 + 4  # 2 checkpoints x 2 datasets
+        assert loaded == [small_dataset_dir, second_dataset_dir]  # once for both 6-sensor models
 
     def test_missing_dataset_is_validation_error(self, classifier_ckpts, tmp_path):
         code = run_cli("evaluate", "--checkpoint", classifier_ckpts[0],
@@ -607,6 +638,17 @@ class TestEvaluate:
         assert f"{ckpt}: {message}" in capsys.readouterr().err
         assert not (out / "config.ini").exists()
 
+    def test_cohort_without_a_model_sensor_fails_before_the_config_echo(
+            self, classifier_ckpts, tmp_path, capsys):
+        data, out = tmp_path / "four", tmp_path / "e"
+        assert run_cli("generate", "--n", "60", "--prevalence", "0.2",
+                       "--sensors-count", "4", "--seed", "1", "--out", str(data)) == 0
+        assert run_cli("evaluate", "--checkpoint", classifier_ckpts[0], "--data", str(data),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"{data}: measurements.csv names 4 sensors, but model.sensors_count is 6" in err
+        assert not out.exists()
+
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1
 
@@ -675,18 +717,24 @@ def test_typed_flag_is_parsed_by_the_config_schema(command, flag, key, tmp_path,
 
 @pytest.mark.parametrize("command, case", [
     ("pretrain", "missing"), ("finetune", "missing"), ("evaluate", "missing"),
-    ("finetune", "unlabeled"), ("evaluate", "unlabeled")])
+    ("finetune", "unlabeled"), ("evaluate", "unlabeled"),
+    ("pretrain", "malformed"), ("finetune", "malformed"), ("evaluate", "malformed")])
 def test_bad_data_directory_fails_before_the_config_echo(
         command, case, pretrain_out, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
+    """Each model reads 6 sensors; the malformed cohort names a seventh."""
     data = tmp_path / "cohort"
-    if case == "unlabeled":
+    if case != "missing":
         shutil.copytree(small_dataset_dir, data)
+    if case == "unlabeled":
         (data / "labels.csv").unlink()
-    ckpt = {"pretrain": [],
-            "finetune": ["--checkpoint", os.path.join(pretrain_out, "checkpoint.bax")],
-            "evaluate": ["--checkpoint", classifier_ckpts[0]]}[command]
+    if case == "malformed":
+        with open(data / "measurements.csv", "a", encoding="utf-8") as fh:
+            fh.write(f"p000000,0,{dt.SENSOR_SCHEMA[6]},1.0\n")
+    model = {"pretrain": ["--set", "model.sensors_count=6"],
+             "finetune": ["--checkpoint", os.path.join(pretrain_out, "checkpoint.bax")],
+             "evaluate": ["--checkpoint", classifier_ckpts[0]]}[command]
     out = tmp_path / "out"
-    assert run_cli(command, "--data", str(data), *ckpt, "--out", str(out)) == 1
+    assert run_cli(command, "--data", str(data), *model, "--out", str(out)) == 1
     assert str(data) in capsys.readouterr().err
     assert not out.exists()
 

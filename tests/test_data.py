@@ -42,6 +42,12 @@ def write_csvs(tmp_path, measurements, statics, labels=None):
     return mpath, spath, lpath
 
 
+def load_csvs(tmp_path, measurements, statics, labels=None):
+    """Write the tables into `tmp_path` and read it as a 48-sensor cohort."""
+    write_csvs(tmp_path, measurements, statics, labels)
+    return dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
+
+
 class TestSchema:
     def test_48_sensors_4_statics(self):
         assert len(dt.SENSOR_SCHEMA) == 48
@@ -63,7 +69,7 @@ class TestLoadDataset:
              "b,3,sodium,141\n"
              "b,4,lactate,2.5\n")
         s = "a,60,1,165,70,8\nb,45,0,180,90,6\n"
-        ds = dt.load_dataset(*write_csvs(tmp_path, m, s, "a,1\nb,0\n"))
+        ds = load_csvs(tmp_path, m, s, "a,1\nb,0\n")
         assert len(ds) == 2
         a, b = ds.episodes
         hr = dt.SENSOR_SCHEMA.index("heart_rate")
@@ -75,21 +81,21 @@ class TestLoadDataset:
         assert a.n_hours == 8 and b.n_hours == 6
 
     def test_empty_files_give_empty_dataset(self, tmp_path):
-        ds = dt.load_dataset(*write_csvs(tmp_path, "", "", ""))
+        ds = load_csvs(tmp_path, "", "", "")
         assert len(ds) == 0
 
     def test_zero_byte_measurements_file_means_no_observations(self, tmp_path):
-        mpath, spath, lpath = write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
+        mpath, _, _ = write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
         mpath.write_bytes(b"")
-        ds = dt.load_dataset(mpath, spath, lpath)
+        ds = dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
         assert len(ds) == 1 and not ds.episodes[0].mask.any()
 
     @pytest.mark.parametrize("table", ["statics", "labels"])
     def test_zero_byte_statics_or_labels_file_is_parse_error(self, tmp_path, table):
-        paths = write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
+        write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
         (tmp_path / f"{table}.csv").write_bytes(b"")
         with pytest.raises(dt.ParseError, match=rf"{table}\.csv:1: expected header"):
-            dt.load_dataset(*paths)
+            dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
 
     @pytest.mark.parametrize("table, m, s, l, fields", [
         ("measurements", "a,0,heart_rate,80\n\na,1,heart_rate\n", "a,60,1,165,70,8\n",
@@ -99,7 +105,7 @@ class TestLoadDataset:
     ])
     def test_blank_lines_skipped_and_bad_row_named(self, tmp_path, table, m, s, l, fields):
         with pytest.raises(dt.ParseError, match=rf"{table}\.csv:4: {fields}"):
-            dt.load_dataset(*write_csvs(tmp_path, m, s, l))
+            load_csvs(tmp_path, m, s, l)
 
     @pytest.mark.parametrize("labels, error, message", [
         ("a,1\n", dt.SchemaError, r"labels\.csv: no label for patient 'b'"),
@@ -109,12 +115,10 @@ class TestLoadDataset:
     ], ids=["missing", "unknown", "duplicate"])
     def test_labels_name_every_stay_in_statics_once(self, tmp_path, labels, error, message):
         with pytest.raises(error, match=message):
-            dt.load_dataset(*write_csvs(
-                tmp_path, "", "a,60,1,165,70,8\nb,45,0,180,90,6\n", labels))
+            load_csvs(tmp_path, "", "a,60,1,165,70,8\nb,45,0,180,90,6\n", labels)
 
     def test_single_cell_mapping(self, tmp_path):
-        ds = dt.load_dataset(*write_csvs(
-            tmp_path, "a,5,heart_rate,80\n", "a,60,1,165,70,8\n"))
+        ds = load_csvs(tmp_path, "a,5,heart_rate,80\n", "a,60,1,165,70,8\n")
         hr = dt.SENSOR_SCHEMA.index("heart_rate")
         ep = ds.episodes[0]
         assert ep.mask[hr, 5] and ep.values[hr, 5] == 80.0
@@ -123,13 +127,12 @@ class TestLoadDataset:
 
     def test_unknown_sensor_is_schema_error(self, tmp_path):
         with pytest.raises(dt.SchemaError, match="unknown sensor"):
-            dt.load_dataset(*write_csvs(
-                tmp_path, "a,0,midichlorian_count,9000\n", "a,60,1,165,70,8\n"))
+            load_csvs(tmp_path, "a,0,midichlorian_count,9000\n", "a,60,1,165,70,8\n")
 
     def test_duplicate_cell_last_write_wins_with_warning(self, tmp_path, caplog):
         m = "a,3,heart_rate,80\na,3,heart_rate,85\n"
         with caplog.at_level("WARNING"):
-            ds = dt.load_dataset(*write_csvs(tmp_path, m, "a,60,1,165,70,8\n"))
+            ds = load_csvs(tmp_path, m, "a,60,1,165,70,8\n")
         hr = dt.SENSOR_SCHEMA.index("heart_rate")
         assert ds.episodes[0].values[hr, 3] == 85.0
         assert any("duplicate" in rec.message for rec in caplog.records)
@@ -137,24 +140,45 @@ class TestLoadDataset:
     def test_non_monotone_timestamp_is_parse_error_with_line(self, tmp_path):
         m = "a,5,heart_rate,80\na,3,heart_rate,85\n"
         with pytest.raises(dt.ParseError, match=r":3:"):
-            dt.load_dataset(*write_csvs(tmp_path, m, "a,60,1,165,70,8\n"))
+            load_csvs(tmp_path, m, "a,60,1,165,70,8\n")
 
     def test_negative_hour_rejected(self, tmp_path):
         with pytest.raises(dt.ParseError, match="negative hour"):
-            dt.load_dataset(*write_csvs(
-                tmp_path, "a,-1,heart_rate,80\n", "a,60,1,165,70,8\n"))
+            load_csvs(tmp_path, "a,-1,heart_rate,80\n", "a,60,1,165,70,8\n")
 
     def test_unknown_patient_in_measurements(self, tmp_path):
         with pytest.raises(dt.SchemaError, match="missing from statics"):
-            dt.load_dataset(*write_csvs(
-                tmp_path, "ghost,0,heart_rate,80\n", "a,60,1,165,70,8\n"))
+            load_csvs(tmp_path, "ghost,0,heart_rate,80\n", "a,60,1,165,70,8\n")
 
     def test_prevalence_is_computed(self, tmp_path):
-        ds = dt.load_dataset(*write_csvs(
-            tmp_path, "a,0,heart_rate,80\nb,0,heart_rate,82\n",
-            "a,60,1,165,70,8\nb,50,0,170,75,9\n", "a,1\nb,0\n"))
+        ds = load_csvs(tmp_path, "a,0,heart_rate,80\nb,0,heart_rate,82\n",
+                       "a,60,1,165,70,8\nb,50,0,170,75,9\n", "a,1\nb,0\n")
         assert ds.prevalence == 0.5
         assert ds.labels().mean() == ds.prevalence
+
+    def test_missing_directory_or_labels_is_schema_error(self, tmp_path):
+        with pytest.raises(dt.SchemaError, match="data directory not found"):
+            dt.load_dataset_dir(tmp_path / "none", 4)
+        write_csvs(tmp_path, "", "a,60,1,165,70,8\n")
+        assert dt.load_dataset_dir(tmp_path, 4).episodes[0].label is None
+        with pytest.raises(dt.SchemaError, match="has no labels.csv"):
+            dt.load_dataset_dir(tmp_path, 4, labeled=True)
+
+    @pytest.mark.parametrize("n_sensors", [0, 49])
+    def test_sensor_count_outside_the_schema_is_schema_error(self, tmp_path, n_sensors):
+        write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
+        with pytest.raises(dt.SchemaError) as exc:
+            dt.load_dataset_dir(tmp_path, n_sensors)
+        assert str(exc.value) == f"{tmp_path}: sensor count must be in [1, 48], got {n_sensors}"
+
+    def test_labeled_cohort_names_every_sensor(self, tmp_path):
+        write_csvs(tmp_path, "a,0,albumin,3.1\na,1,albumin,3.2\n", "a,60,1,165,70,8\n",
+                   "a,1\n")
+        assert len(dt.load_dataset_dir(tmp_path, 1, labeled=True)) == 1
+        assert len(dt.load_dataset_dir(tmp_path, 2)) == 1
+        with pytest.raises(dt.SchemaError,
+                           match="names 1 sensors, but model.sensors_count is 2"):
+            dt.load_dataset_dir(tmp_path, 2, labeled=True)
 
 
 def _per_cell_load(measurements_path, statics_path, sensors):
@@ -272,7 +296,7 @@ class TestLoaderOracle:
                     f"p{p},{40 + p},1,170,70,{stay!r}\n" for p, stay in enumerate(stays)))
             want, want_warnings = _outcome(lambda: _per_cell_load(mpath, spath, sensors))
             got, got_warnings = _outcome(
-                lambda: dt.load_dataset(mpath, spath, sensors=sensors).episodes)
+                lambda: dt.load_dataset_dir(tmp, len(sensors)).episodes)
         assert got_warnings == want_warnings
         if isinstance(want, tuple):
             assert got == want
@@ -867,12 +891,17 @@ class TestGenerator:
             dt.generate_synthetic(10, prevalence=0.0, seed=0)
         with pytest.raises(ValueError, match="sparsity"):
             dt.generate_synthetic(10, prevalence=0.5, sparsity=1.0, seed=0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                dt.generate_synthetic(n, prevalence=0.5, seed=0)
+        with pytest.raises(dt.SchemaError, match=r"sensor count must be in \[1, 48\], got 49"):
+            dt.generate_synthetic(10, prevalence=0.5, seed=0, n_sensors=49)
 
     def test_csv_round_trip(self, tmp_path):
         ds = dt.generate_synthetic(15, prevalence=0.2, seed=4, n_sensors=6,
                                    sparsity=0.4)
         dt.write_dataset_csvs(ds, tmp_path)
-        back = dt.load_dataset_dir(tmp_path, name=ds.name, sensors=ds.sensors)
+        back = dt.load_dataset_dir(tmp_path, len(ds.sensors))
         assert len(back) == len(ds)
         for orig, got in zip(ds.episodes, back.episodes):
             assert got.patient_id == orig.patient_id
@@ -895,7 +924,7 @@ class TestGenerator:
             dt.generate_synthetic(10, prevalence=0.2, seed=5, n_sensors=4), "pretrain")
         dt.write_dataset_csvs(ds, tmp_path)
         assert not (tmp_path / "labels.csv").exists()
-        back = dt.load_dataset_dir(tmp_path, sensors=ds.sensors)
+        back = dt.load_dataset_dir(tmp_path, len(ds.sensors))
         assert len(back) == len(ds) and all(ep.label is None for ep in back.episodes)
 
     def test_rerun_writes_identical_bytes(self, tmp_path):

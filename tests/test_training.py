@@ -735,7 +735,10 @@ class TestExperimentGrid:
         ({"sizes": [1]}, "every size must be >= 2"),
         ({"sizes": [30, 0]}, "every size must be >= 2"),
         ({"sizes": []}, "sizes must not be empty"), ({"seeds": []}, "seeds must not be empty"),
-        ({"variants": []}, "variants must not be empty")])
+        ({"variants": []}, "variants must not be empty"),
+        ({"sizes": [30, 60, 30]}, r"sizes repeats an entry: \[30, 60, 30\]"),
+        ({"seeds": [0, 0]}, r"seeds repeats an entry: \[0, 0\]"),
+        ({"variants": ["scratch_bat"] * 2}, "variants repeats an entry")])
     def test_setting_that_runs_nothing_rejected(self, setting, message):
         with pytest.raises(ValueError, match=message):
             tr.GridConfig(**{"sizes": [30], "seeds": [0], **setting})
