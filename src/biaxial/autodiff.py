@@ -24,12 +24,23 @@ the output as h / x (exactly 1/2 where |x| < 1e-30) and computes one exp.
 
 Memory is bounded by what one training step needs:
 
+- A node keeps what its backward reads. An op returns a `Tensor` that
+  holds its array; the tape records a `_Node` with the backward closure,
+  the parents' nodes, the gradient, the shape and dtype, and a weak
+  reference to the array. Each closure captures, at forward time, only
+  the arrays its backward reads, so a result's array lives only while a
+  caller or a saved closure holds it. add, sub, dropout, reshape and the
+  sum and mean reductions read none, so residual sums, dropout outputs
+  and the projections that feed only dropout are freed once consumed. A
+  freed node's `.data` reads as a zero-stride view of its shape. Leaves
+  (parameters and constants) are their own nodes; constants that no
+  gradient needs are left off the tape.
 - `backward` releases the tape as it goes. Once a recorded node has
   passed its gradient on to its parents, its gradient buffer, backward
-  closure and parent links are dropped, so every intermediate array is
-  freed as soon as no later step reads it. Only leaves (parameters and
-  constants) keep `.grad`. A recorded graph is therefore single-use: a
-  second `backward` that reaches a released node raises RuntimeError.
+  closure and parent links are dropped, so every saved array is freed as
+  soon as no later step reads it. Only leaves keep `.grad`. A recorded
+  graph is therefore single-use: a second `backward` that reaches a
+  released node raises RuntimeError.
 - Inside `with no_grad():` the ops record nothing, so an inference
   forward keeps no intermediate alive and its outputs are constants.
 
@@ -45,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -95,26 +107,44 @@ _compute_dtype = np.dtype(np.float64)
 _COMPUTE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
-class Tensor:
-    """A dense array in the compute dtype plus an optional gradient buffer.
+class _Vertex:
+    """A node of the tape: a gradient buffer and the rule for adding to it."""
 
-    Tensors produced by the ops below remember their parents and a
-    closure that routes output gradients back to them, until `backward`
-    has used them.
+    __slots__ = ("grad", "_grad_owned", "_backward_done")
+
+    def _accumulate(self, g: np.ndarray) -> None:
+        # The first contribution is kept by reference and never mutated
+        # (it may alias another node's gradient or a read-only view); a
+        # second contribution forces an owned buffer.
+        if self.grad is None:
+            self.grad = g
+            self._grad_owned = False
+        elif self._grad_owned:
+            self.grad += g
+        else:
+            self.grad = self.grad + g
+            self._grad_owned = True
+
+
+class Tensor(_Vertex):
+    """A dense array in the compute dtype and its place on the tape.
+
+    A leaf (a parameter or a constant) is its own tape node and keeps its
+    `.grad`. A recorded op result holds its array plus a `_Node`, which
+    keeps the backward closure and the gradient but only a weak reference
+    to the array: the closure holds the arrays its backward reads, so the
+    result's array lives only while a caller or such a closure holds it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn",
-                 "_backward_done", "_grad_owned")
+    __slots__ = ("data", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _grad_fn: Callable | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_compute_dtype, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._grad_fn = _grad_fn
-        self._backward_done = False
+        self._node: _Node | None = None
         self._grad_owned = False
+        self._backward_done = False
 
     @property
     def shape(self) -> tuple:
@@ -128,6 +158,18 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @property
+    def _grad_fn(self) -> Callable | None:
+        return None if self._node is None else self._node._grad_fn
+
+    @_grad_fn.setter
+    def _grad_fn(self, fn: Callable) -> None:
+        self._node._grad_fn = fn
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
     def item(self) -> float:
         return self.data.item()
 
@@ -135,21 +177,47 @@ class Tensor:
         self.grad = None
         self._grad_owned = False
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        # The first contribution is kept by reference and never mutated
-        # (it may alias another tensor's gradient or a read-only view);
-        # a second contribution forces an owned buffer.
-        if self.grad is None:
-            self.grad = g
-            self._grad_owned = False
-        elif self._grad_owned:
-            self.grad += g
-        else:
-            self.grad = self.grad + g
-            self._grad_owned = True
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class _Node(_Vertex):
+    """The tape's record of one op result: its backward closure, parent
+    nodes, gradient, shape and dtype, and a weak reference to its array.
+
+    `.data` is that array while anything holds it; once it is freed, a
+    read-only zero-stride view of the result's shape and dtype.
+    """
+
+    __slots__ = ("_grad_fn", "_parents", "shape", "dtype", "_out")
+    requires_grad = True
+
+    def __init__(self, out: np.ndarray, parents: tuple, grad_fn: Callable):
+        self.grad = None
+        self._grad_owned = False
+        self._backward_done = False
+        self._grad_fn = grad_fn
+        self._parents = parents
+        self.shape = out.shape
+        self.dtype = out.dtype
+        self._out = weakref.ref(out)
+
+    @property
+    def data(self) -> np.ndarray:
+        out = self._out()
+        return np.broadcast_to(_FREED[self.dtype], self.shape) if out is None else out
+
+
+# The one buffer behind every freed result's `.data`, per dtype.
+_FREED = {dtype: np.zeros((), dtype) for dtype in _COMPUTE_DTYPES}
+
+
+def _target(t: Tensor) -> _Vertex | None:
+    """Where `t`'s gradient accumulates: its node, or `t` itself for a leaf;
+    None when `t` needs no gradient."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -193,15 +261,23 @@ def compute_dtype(dtype):
         _compute_dtype = previous
 
 
-def _node(data, parents: Iterable[Tensor], grad_fn: Callable) -> Tensor:
-    parents = tuple(parents)
+def _node(data, targets: Iterable[_Vertex | None], grad_fn: Callable) -> Tensor:
+    """Wrap an op's result; record it when a parent needs a gradient.
+
+    `targets` are the parents' `_target`s, and `grad_fn` must hold only
+    them and the arrays and shapes its backward reads, never a Tensor.
+    """
     if data.dtype != _compute_dtype:
         op = grad_fn.__qualname__.split(".")[0]
         raise TypeError(f"{op} computed in {data.dtype}, not the compute dtype "
                         f"{_compute_dtype}: an input or constant of another dtype")
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _grad_fn=grad_fn)
-    return Tensor(data)
+    out = Tensor(data)
+    if _grad_enabled:
+        parents = tuple(filter(None, targets))     # drops the Nones: nodes are truthy
+        if parents:
+            out.requires_grad = True
+            out._node = _Node(out.data, parents, grad_fn)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -223,39 +299,42 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
+    ta, tb = _target(a), _target(b)
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g, ta.shape))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(g, tb.shape))
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(a.data + b.data, (ta, tb), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
+    ta, tb = _target(a), _target(b)
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g, ta.shape))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(-g, tb.shape))
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(a.data - b.data, (ta, tb), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
+    ta, tb = _target(a), _target(b)
+    # each side's gradient reads the other side's array
+    a_data = a.data if tb is not None else None
+    b_data = b.data if ta is not None else None
 
     def grad_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if ta is not None:
+            ta._accumulate(_unbroadcast(g * b_data, ta.shape))
+        if tb is not None:
+            tb._accumulate(_unbroadcast(g * a_data, tb.shape))
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(a.data * b.data, (ta, tb), grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -269,15 +348,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}"
         )
 
-    def grad_fn(g):
-        if a.requires_grad:
-            da = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(da, a.shape))
-        if b.requires_grad:
-            db = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(db, b.shape))
+    ta, tb = _target(a), _target(b)
+    a_data = a.data if tb is not None else None
+    b_data = b.data if ta is not None else None
 
-    return _node(a.data @ b.data, (a, b), grad_fn)
+    def grad_fn(g):
+        if ta is not None:
+            da = g @ np.swapaxes(b_data, -1, -2)
+            ta._accumulate(_unbroadcast(da, ta.shape))
+        if tb is not None:
+            db = np.swapaxes(a_data, -1, -2) @ g
+            tb._accumulate(_unbroadcast(db, tb.shape))
+
+    return _node(a.data @ b.data, (ta, tb), grad_fn)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -292,121 +375,121 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data = x.data.reshape(-1, k) @ w.data
     out_data += b.data
     out_data = out_data.reshape(x.shape[:-1] + (n,))
+    tx, tw, tb = _target(x), _target(w), _target(b)
+    x_data = x.data if tw is not None else None
+    w_data = w.data if tx is not None else None
 
     def grad_fn(g):
         g2 = np.ascontiguousarray(g).reshape(-1, n)
-        if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.shape))
-        if w.requires_grad:
-            w._accumulate(x.data.reshape(-1, k).T @ g2)
-        if b.requires_grad:
-            b._accumulate(_column_sums(g2))
+        if tx is not None:
+            tx._accumulate((g2 @ w_data.T).reshape(tx.shape))
+        if tw is not None:
+            tw._accumulate(x_data.reshape(-1, k).T @ g2)
+        if tb is not None:
+            tb._accumulate(_column_sums(g2))
 
-    return _node(out_data, (x, w, b), grad_fn)
+    return _node(out_data, (tx, tw, tb), grad_fn)
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    out_data = x.data.reshape(shape)
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.shape))
+        tx._accumulate(g.reshape(tx.shape))
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(x.data.reshape(shape), (tx,), grad_fn)
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out_data = x.data.transpose(axes)
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(g.transpose(inv))
+        tx._accumulate(g.transpose(inv))
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(x.data.transpose(axes), (tx,), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    targets = [_target(p) for p in parts]
 
     def grad_fn(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
+        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
+            if t is not None:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                p._accumulate(g[tuple(idx)])
+                t._accumulate(g[tuple(idx)])
 
-    return _node(out_data, parts, grad_fn)
+    return _node(out_data, targets, grad_fn)
 
 
 def sum_reduce(x: Tensor) -> Tensor:
     """The sum of every element, as a 0-d tensor."""
-    out_data = x.data.sum()
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(g, x.shape))
+        tx._accumulate(np.broadcast_to(g, tx.shape))
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(x.data.sum(), (tx,), grad_fn)
 
 
 def mean_reduce(x: Tensor, axis: int) -> Tensor:
     axis %= x.ndim
-    out_data = x.data.mean(axis=axis)
     count = x.shape[axis]
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape) / count)
+        tx._accumulate(np.broadcast_to(np.expand_dims(g, axis), tx.shape) / count)
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(x.data.mean(axis=axis), (tx,), grad_fn)
 
 
 def max_reduce(x: Tensor, axis: int) -> Tensor:
     axis %= x.ndim
-    out_data = x.data.max(axis=axis)
+    x_data = x.data
+    out_data = x_data.max(axis=axis)
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            mask = x.data == np.expand_dims(out_data, axis)
-            x._accumulate(mask * np.expand_dims(g, axis))
+        mask = x_data == np.expand_dims(out_data, axis)
+        tx._accumulate(mask * np.expand_dims(g, axis))
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(out_data, (tx,), grad_fn)
 
 
 def log(x: Tensor) -> Tensor:
-    out_data = np.log(x.data)
+    x_data = x.data
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(g / x.data)
+        tx._accumulate(g / x_data)
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(np.log(x_data), (tx,), grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(x.data))             # in (0, 1]: neither branch overflows
     out_data = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * out_data * (1.0 - out_data))
+        tx._accumulate(g * out_data * (1.0 - out_data))
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(out_data, (tx,), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0.0)
+    x_data = x.data
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(g * (x.data > 0))
+        tx._accumulate(g * (x_data > 0))
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(np.maximum(x_data, 0.0), (tx,), grad_fn)
 
 
 def _gelu_cdf(x: np.ndarray, cdf: np.ndarray, e: np.ndarray) -> None:
@@ -457,20 +540,20 @@ def gelu(x: Tensor) -> Tensor:
     rounding) where |x| < 1e-30, zeros and subnormals included, and needs
     one exp: d/dx = Phi(x) + x * exp(-x^2/2) / sqrt(2 pi).
     """
-    out_data = np.empty_like(x.data)
+    x_data = x.data
+    out_data = np.empty_like(x_data)
     out_flat = out_data.reshape(-1)
-    for block, part, e in _gelu_blocks(x.data):
+    for block, part, e in _gelu_blocks(x_data):
         out = out_flat[part]
         _gelu_cdf(block, out, e)
         out *= block
+    tx = _target(x)
 
     def grad_fn(g):
-        if not x.requires_grad:
-            return
-        dx = np.empty_like(x.data)
+        dx = np.empty_like(x_data)
         dx_flat, g_flat = dx.reshape(-1), np.ascontiguousarray(g).reshape(-1)
         with np.errstate(invalid="ignore"):              # 0 / 0, replaced below
-            for block, part, e in _gelu_blocks(x.data):
+            for block, part, e in _gelu_blocks(x_data):
                 out = dx_flat[part]
                 np.divide(out_flat[part], block, out=out)
                 np.copyto(out, 0.5, where=np.abs(block, out=e) < 1e-30)
@@ -481,9 +564,9 @@ def gelu(x: Tensor) -> Tensor:
                 e *= _INV_SQRT2PI
                 out += e
                 out *= g_flat[part]
-        x._accumulate(dx)
+        tx._accumulate(dx)
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(out_data, (tx,), grad_fn)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -491,13 +574,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (g - inner))
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        tx._accumulate(out_data * (g - inner))
 
-    return _node(out_data, (x,), grad_fn)
+    return _node(out_data, (tx,), grad_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -513,22 +596,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
+    tx, tgain, tbias = _target(x), _target(gain), _target(bias)
+    gain_data = gain.data if tx is not None else None
 
     def grad_fn(g):
-        if gain.requires_grad:
-            gain._accumulate(_column_sums((g * xhat).reshape(-1, n)))
-        if bias.requires_grad:
-            bias._accumulate(_column_sums(g.reshape(-1, n)))
-        if x.requires_grad:
-            dx = g * gain.data
+        if tgain is not None:
+            tgain._accumulate(_column_sums((g * xhat).reshape(-1, n)))
+        if tbias is not None:
+            tbias._accumulate(_column_sums(g.reshape(-1, n)))
+        if tx is not None:
+            dx = g * gain_data
             m1 = np.einsum("...i->...", dx) / n
             m2 = np.einsum("...i,...i->...", dx, xhat) / n
             dx -= m1[..., None]
             dx -= xhat * m2[..., None]
             dx *= inv
-            x._accumulate(dx)
+            tx._accumulate(dx)
 
-    return _node(out_data, (x, gain, bias), grad_fn)
+    return _node(out_data, (tx, tgain, tbias), grad_fn)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
@@ -537,12 +622,12 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
     if not train or p <= 0.0:
         return x
     keep, scale = _keep_mask(x.shape, p, rng)
+    tx = _target(x)
 
     def grad_fn(g):
-        if x.requires_grad:
-            x._accumulate(_apply_keep(g, keep, scale))
+        tx._accumulate(_apply_keep(g, keep, scale))
 
-    return _node(_apply_keep(x.data, keep, scale), (x,), grad_fn)
+    return _node(_apply_keep(x.data, keep, scale), (tx,), grad_fn)
 
 
 def _keep_mask(shape: tuple, p: float, rng) -> tuple[np.ndarray, float]:
@@ -593,7 +678,9 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
         raise ValueError(f"attention runs over axis 1 or 2 of a 4-D input, got {axis}")
     b, s, e = q.shape[0], q.shape[axis], q.shape[3]
     scale = 1.0 / math.sqrt(e // heads)             # a Python float, like _INV_SQRT2PI
-    q5, k5, v5 = (_split_heads(t.data, axis, heads) for t in (q, k, v))
+    # the closure keeps the inputs' own arrays, so their nodes read as held
+    q_data, k_data, v_data = q.data, k.data, v.data
+    q5, k5, v5 = (_split_heads(a, axis, heads) for a in (q_data, k_data, v_data))
 
     weights = q5 @ np.swapaxes(k5, -1, -2)          # (B, G, h, S, S)
     weights *= scale
@@ -612,14 +699,16 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
 
     ctx = np.empty(q.shape, q.data.dtype)
     np.matmul(dropped(), v5, out=_split_heads(ctx, axis, heads))
+    tq, tk, tv = _target(q), _target(k), _target(v)
 
     def grad_fn(g):
+        q5, k5, v5 = (_split_heads(a, axis, heads) for a in (q_data, k_data, v_data))
         g5 = _split_heads(np.ascontiguousarray(g), axis, heads)
-        if v.requires_grad:
-            dv = np.empty(v.shape, v.data.dtype)
+        if tv is not None:
+            dv = np.empty(tv.shape, g.dtype)
             np.matmul(np.swapaxes(dropped(), -1, -2), g5, out=_split_heads(dv, axis, heads))
-            v._accumulate(dv)
-        if not (q.requires_grad or k.requires_grad):
+            tv._accumulate(dv)
+        if tq is None and tk is None:
             return
         ds = g5 @ np.swapaxes(v5, -1, -2)           # dL/d(dropped weights)
         if keep is not None:
@@ -627,13 +716,13 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
         ds -= np.einsum("...i,...i->...", ds, weights)[..., None]
         ds *= weights
         ds *= scale
-        for t, lhs, rhs in ((q, ds, k5), (k, np.swapaxes(ds, -1, -2), q5)):
-            if t.requires_grad:
-                grad = np.empty(t.shape, t.data.dtype)
+        for t, lhs, rhs in ((tq, ds, k5), (tk, np.swapaxes(ds, -1, -2), q5)):
+            if t is not None:
+                grad = np.empty(t.shape, g.dtype)
                 np.matmul(lhs, rhs, out=_split_heads(grad, axis, heads))
                 t._accumulate(grad)
 
-    return _node(ctx, (q, k, v), grad_fn)
+    return _node(ctx, (tq, tk, tv), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +730,17 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
 
 
 class GradientTape:
-    """Topologically ordered record of the operations below a root tensor."""
+    """Topologically ordered record of the operations below a root tensor:
+    its `_Node`s and leaves, each before every node that reads it."""
 
     def __init__(self, nodes: list):
         self.nodes = nodes
 
     @classmethod
     def from_root(cls, root: Tensor) -> "GradientTape":
-        order: list[Tensor] = []
+        order: list[_Vertex] = []
         visited: set[int] = set()
-        stack = [(root, False)]
+        stack = [(root if root._node is None else root._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -681,7 +771,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._backward_done:
+    root = loss if loss._node is None else loss._node
+    if root._backward_done:
         raise RuntimeError(
             "backward was already run on this tensor; rebuild the forward pass first"
         )
@@ -696,7 +787,7 @@ def backward(loss: Tensor) -> None:
             "backward reached a node already released by an earlier backward; "
             "a recorded graph is single-use, rebuild the forward pass first"
         )
-    loss._accumulate(np.ones_like(loss.data))
+    root._accumulate(np.ones_like(loss.data))
     while nodes:
         node = nodes.pop()
         if node._grad_fn is None:

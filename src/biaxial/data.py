@@ -133,10 +133,6 @@ class SubsampleError(ValueError):
     """A subsample of the requested size cannot be drawn from a dataset."""
 
 
-class CalibrationError(RuntimeError):
-    """The synthetic generator could not hit the requested prevalence."""
-
-
 @dataclass(frozen=True)
 class EpisodeRecord:
     """One ICU stay on an hourly grid; frozen, its arrays shared, never written."""
@@ -662,7 +658,8 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
 
     The mortality label is the indicator that mean latent severity over
     the final 6 hours exceeds a threshold calibrated to the requested
-    prevalence (error if the achievable prevalence misses by > 1%).
+    prevalence. If the closest achievable one, floor(prevalence * n + 1/2)
+    / n, misses it by more than 0.01, it raises ValueError before any draw.
     sparsity 0 observes every cell; higher values thin the per-sensor
     observation rates, labs much more aggressively than vitals.
     """
@@ -672,6 +669,10 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
         raise ValueError(f"prevalence must be in (0, 1), got {prevalence}")
     if not 0 <= sparsity < 1:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
+    k = int(np.floor(prevalence * n + 0.5))
+    if k < 1 or abs(k / n - prevalence) > 0.01:
+        raise ValueError(f"cannot calibrate prevalence {prevalence} with n={n} "
+                         f"(closest achievable {k / n:.4f})")
     sensors = _sensor_prefix(n_sensors)
     dyn = _dynamics(n_sensors, availability_profile)
     rng = substream(seed, "synthetic")
@@ -719,12 +720,6 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
             label=0,
         ))
 
-    k = int(np.floor(prevalence * n + 0.5))
-    if k < 1 or abs(k / n - prevalence) > 0.01:
-        raise CalibrationError(
-            f"cannot calibrate prevalence {prevalence} with n={n} "
-            f"(closest achievable {k / n:.4f})"
-        )
     top = np.argsort(-severity_scores, kind="mergesort")[:k]
     for i in top:
         episodes[i] = replace(episodes[i], label=1)

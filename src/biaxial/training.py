@@ -18,6 +18,7 @@ float32 value exactly.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import json
@@ -628,6 +629,41 @@ def _run_cell(args):
     }
 
 
+def _blas_thread_setter():
+    """numpy's OpenBLAS thread-count setter, a ctypes function, or None.
+
+    numpy's wheels bundle OpenBLAS as `scipy_openblas_set_num_threads64_`;
+    other builds export `openblas_set_num_threads`. A symbol looked up in
+    a numpy extension is also searched for in the libraries it links.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
+def _parallel_map(fn, items: list, jobs: int) -> list:
+    """`map(fn, items)` in order, over `jobs` forked workers when jobs > 1.
+
+    A forked worker inherits the parent's BLAS threads, so `jobs` workers
+    would run that many threads each on the same cores; each worker runs
+    its OpenBLAS on one thread instead.
+    """
+    if jobs == 1:
+        return list(map(fn, items))
+    import multiprocessing as mp
+
+    set_threads = _blas_thread_setter()
+    if set_threads is None:
+        logger.warning("no OpenBLAS thread setter found: each of the %d workers "
+                       "keeps the default BLAS threads", jobs)
+    with mp.get_context("fork").Pool(jobs, set_threads, (1,)) as pool:
+        return pool.map(fn, items)
+
+
 def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
                         model_cfg: BatConfig, train_cfg: TrainConfig,
                         grid: GridConfig) -> tuple[list, list]:
@@ -670,13 +706,7 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
         "grid": grid,
     }
     try:
-        if grid.jobs > 1:
-            import multiprocessing as mp
-
-            with mp.get_context("fork").Pool(grid.jobs) as pool:
-                rows = [row for row in pool.map(_run_cell, cells) if row is not None]
-        else:
-            rows = [row for row in map(_run_cell, cells) if row is not None]
+        rows = [row for row in _parallel_map(_run_cell, cells, grid.jobs) if row is not None]
     finally:
         _GRID_CONTEXT = {}
 

@@ -862,6 +862,149 @@ class TestTapeRelease:
         np.testing.assert_array_equal(w.grad, [6.0])
 
 
+def _op(node):
+    return node._grad_fn.__qualname__.split(".")[0]
+
+
+def _freed(a):
+    """A node's `.data` once nothing holds its array: a zero-stride view."""
+    return a.ndim > 0 and not any(a.strides)
+
+
+def _closure(node):
+    fn = node._grad_fn
+    return dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+
+
+# every op the model and losses call, plus the fused attention core
+_MODEL_OPS = [name for name in ad.__all__ if callable(getattr(ad, name))
+              and name not in ("Tensor", "GradientTape", "tensor", "backward",
+                               "grad_check", "GradCheckReport")] + ["_attention_core"]
+
+
+class TestSavedArrays:
+    """A node keeps what its backward reads; every other output is freed as
+    soon as the caller drops it."""
+
+    CASES = [(arch, p, use_mask) for arch in sorted(md.ARCHS)
+             for p in (0.0, 0.3) for use_mask in (False, True)]
+
+    @staticmethod
+    def _loss(arch, p, use_mask):
+        cfg = md.BatConfig(sensors_count=3, value_embed_size=4, layers=2, heads=2,
+                           dropout=p, attn_dropout=p, use_mask=use_mask)
+        model = md.ARCHS[arch].init(cfg, np.random.default_rng(50))
+        rng = np.random.default_rng(51)
+        mask = rng.random((2, 3, 5)) < 0.6
+        mask[:, :, 0] = True
+        batch = (rng.normal(size=(2, 3, 5)), mask, np.arange(5.0), rng.normal(size=(2, 4)))
+        probs = model.classify(*batch, train=True, rng=np.random.default_rng(52))
+        return model, ad.sum_reduce(ad.mul(probs, tensor(rng.normal(size=2))))
+
+    @pytest.mark.parametrize("arch,p,use_mask", CASES)
+    def test_outputs_no_backward_reads_are_freed(self, arch, p, use_mask):
+        model, loss = self._loss(arch, p, use_mask)
+        nodes = [n for n in ad.GradientTape.from_root(loss).nodes if n._grad_fn is not None]
+        unread = [n for n in nodes if _op(n) in ("add", "dropout")]
+        # max pooling's backward reads its input, the last residual sum
+        pooled = {id(parent) for n in nodes if _op(n) == "max_reduce" for parent in n._parents}
+        unread = [n for n in unread if id(n) not in pooled]
+        if arch == "bat":
+            embed_muls = [n for n in nodes if _op(n) == "mul"][:-1]   # the last is the loss's
+            assert len(embed_muls) == 3
+            unread += embed_muls
+        projections = [model.params[name] for name in model.params
+                       if name.endswith(("/wo", "/w2"))]
+        out_affines = [n for n in nodes if _op(n) == "affine"
+                       and any(parent is w for parent in n._parents for w in projections)]
+        assert len(out_affines) == len(projections)
+        unread += out_affines
+        branches = 2 if arch == "bat" else 1
+        assert sum(_op(n) == "dropout" for n in unread) == (2 * (branches + 1) if p else 0)
+        for node in unread:
+            assert _freed(node.data), _op(node)
+            assert node.data.shape == node.shape and node.data.dtype == node.dtype
+        trunk_out = [n for n in nodes if id(n) in pooled and _op(n) == "add"]
+        assert len(trunk_out) == 1 and not _freed(trunk_out[0].data)
+
+    @pytest.mark.parametrize("arch,p,use_mask", CASES)
+    def test_arrays_backward_reads_are_held(self, arch, p, use_mask):
+        _, loss = self._loss(arch, p, use_mask)
+        nodes = [n for n in ad.GradientTape.from_root(loss).nodes if n._grad_fn is not None]
+        by_op = {op: [n for n in nodes if _op(n) == op]
+                 for op in ("_attention_core", "gelu", "layer_norm")}
+        branches = 2 if arch == "bat" else 1
+        assert [len(v) for v in by_op.values()] == [2 * branches, 2, 4]
+        for node in by_op["_attention_core"]:          # q, k, v and the context
+            assert len(node._parents) == 3
+            for held in (node, *node._parents):
+                assert not _freed(held.data)
+        for node in by_op["gelu"]:                     # output and input
+            assert not _freed(node.data) and not _freed(node._parents[0].data)
+        for node in by_op["layer_norm"]:               # output and xhat
+            xhat = _closure(node)["xhat"]
+            assert not _freed(node.data) and xhat.shape == node.shape
+
+    @pytest.mark.parametrize("arch,p,use_mask", CASES)
+    def test_gradients_equal_a_run_that_keeps_every_output(self, arch, p, use_mask,
+                                                           monkeypatch):
+        model, loss = self._loss(arch, p, use_mask)
+        backward(loss)
+        freeing = {n: t.grad for n, t in model.params.items()}
+
+        kept = []
+
+        def keeping(fn):
+            def op(*a, **k):
+                kept.append(fn(*a, **k))
+                return kept[-1]
+            return op
+
+        for name in _MODEL_OPS:
+            monkeypatch.setattr(ad, name, keeping(getattr(ad, name)))
+        model, loss = self._loss(arch, p, use_mask)
+        assert not any(_freed(n.data) for n in ad.GradientTape.from_root(loss).nodes
+                       if n._grad_fn is not None)
+        backward(loss)
+        assert kept
+        for name, t in model.params.items():
+            if freeing[name] is None:               # the forecast head
+                assert t.grad is None, name
+            else:
+                assert _bits(t.grad).tobytes() == _bits(freeing[name]).tobytes(), name
+
+    def test_freed_data_is_a_zero_stride_view_of_the_shape(self):
+        for dtype in (np.float32, np.float64):
+            with ad.compute_dtype(dtype):
+                x = tensor(np.ones((3, 4)), requires_grad=True)
+                y = ad.add(x, x)
+                h = ad.gelu(ad.add(y, x))
+                node_y, node_h = y._node, h._node
+                loss = ad.sum_reduce(h)
+            del y, h
+            assert _freed(node_y.data)          # only add reads y, and add keeps no array
+            assert node_y.data.shape == (3, 4) and node_y.data.dtype == dtype
+            assert not _freed(node_h.data)      # gelu's backward reads its output
+            backward(loss)
+            assert _freed(node_h.data)          # released by backward
+            assert x.grad.dtype == dtype and x.grad.shape == (3, 4)
+
+    def test_a_replaced_grad_fn_is_the_one_backward_calls(self):
+        x = tensor([1.0, 2.0], requires_grad=True)
+        y = ad.mul(x, tensor([3.0, 4.0]))
+        calls = []
+        inner = y._grad_fn
+
+        def wrapped(g):
+            calls.append(g)
+            inner(g)
+
+        y._grad_fn = wrapped
+        backward(ad.sum_reduce(y))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+
+
 class TestNoGrad:
     def test_eval_forward_records_nothing_and_is_bitwise_equal(self):
         cfg = md.BatConfig(sensors_count=3, value_embed_size=4, layers=2, heads=2,

@@ -234,6 +234,13 @@ class TestGenerate:
                        "--out", str(tmp_path / "y"))
         assert code == 1
 
+    def test_unreachable_prevalence_fails_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert run_cli("generate", "--n", "10", "--prevalence", "0.119",
+                       "--sensors-count", "4", "--out", str(out)) == 1
+        assert "cannot calibrate prevalence 0.119 with n=10" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_no_episodes_fails_before_the_config_echo(self, tmp_path, capsys, n):
         out = tmp_path / "g"

@@ -883,7 +883,8 @@ class TestGenerator:
             assert ep.stay_hours >= 31
 
     def test_unachievable_prevalence_is_error(self):
-        with pytest.raises(dt.CalibrationError):
+        with pytest.raises(ValueError, match=r"cannot calibrate prevalence 0.119 with n=10 "
+                                             r"\(closest achievable 0.1000\)"):
             dt.generate_synthetic(10, prevalence=0.119, seed=0, n_sensors=4)
 
     def test_parameter_validation(self):

@@ -1,6 +1,7 @@
 """Optimizer, schedules, early stopping, pretraining, fine-tuning and
 checkpoint files."""
 
+import ctypes
 import json
 import math
 import re
@@ -590,6 +591,28 @@ GRID_ROWS = st.lists(st.tuples(
     st.sampled_from([10, 30, 60]), st.sampled_from(list(tr.GRID_VARIANTS.values())),
     st.integers(0, 4), st.sampled_from([0.1, 0.25, 1 / 3, 0.5]),
     st.floats(0.0, 1.0)), max_size=40)
+
+
+def _blas_threads(_=None):
+    """The thread count of numpy's OpenBLAS in this process."""
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_()
+
+
+class TestParallelMap:
+    @pytest.mark.skipif(
+        not hasattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                    "scipy_openblas_get_num_threads64_"),
+        reason="numpy is not linked against the bundled scipy-openblas")
+    def test_each_worker_runs_one_blas_thread(self):
+        before = _blas_threads()
+        assert tr._parallel_map(_blas_threads, range(4), 2) == [1, 1, 1, 1]
+        assert _blas_threads() == before           # the parent keeps its own
+
+    def test_without_a_thread_setter_it_warns_once_and_maps(self, monkeypatch, caplog):
+        monkeypatch.setattr(tr, "_blas_thread_setter", lambda: None)
+        with caplog.at_level("WARNING"):
+            assert tr._parallel_map(abs, [-3, 1, -2], 2) == [3, 1, 2]
+        assert ["no OpenBLAS thread setter" in r.message for r in caplog.records] == [True]
 
 
 class TestExperimentGrid:
