@@ -35,12 +35,26 @@ Memory is bounded by what one training step needs:
   freed node's `.data` reads as a zero-stride view of its shape. Leaves
   (parameters and constants) are their own nodes; constants that no
   gradient needs are left off the tape.
+- A layer norm's output is rebuilt, not kept. Its node remakes the array
+  bitwise with the forward's own `xhat * gain + bias` (`_Node.array`),
+  so the affines that read it for their weight gradient keep the node,
+  and the output is freed once the forward moves on. The first of those
+  affines to run its backward rebuilds it, and it stays until the norm's
+  own backward. This is the recomputation of Chen et al. (arXiv
+  1604.06174), used only where the rebuild costs no GEMM.
+- `backward` writes into a gradient only where its node owns it. A
+  contribution made fresh for one node (an affine's, a layer norm's or
+  GELU's dx, the attention core's dq, dk and dv) is owned by it: later
+  contributions are added into it in place, and backward hands it to
+  the node's closure writable, so GELU multiplies its derivative into
+  the gradient it receives. Every other gradient is handed over as a
+  read-only view, since it may alias another node's.
 - `backward` releases the tape as it goes. Once a recorded node has
   passed its gradient on to its parents, its gradient buffer, backward
-  closure and parent links are dropped, so every saved array is freed as
-  soon as no later step reads it. Only leaves keep `.grad`. A recorded
-  graph is therefore single-use: a second `backward` that reaches a
-  released node raises RuntimeError.
+  closure, rebuild closure, rebuilt array and parent links are dropped,
+  so every saved array is freed as soon as no later step reads it. Only
+  leaves keep `.grad`. A recorded graph is therefore single-use: a
+  second `backward` that reaches a released node raises RuntimeError.
 - Inside `with no_grad():` the ops record nothing, so an inference
   forward keeps no intermediate alive and its outputs are constants.
 
@@ -97,7 +111,8 @@ _GELU_P = 0.3275911 / math.sqrt(2.0)
 _GELU_POLY = tuple(-0.5 * a for a in (0.254829592, -0.284496736, 1.421413741,
                                       -1.453152027, 1.061405429))
 # Elements per pass of the GELU kernel: the input, output and scratch
-# blocks (plus the gradient's in backward) stay within a core's L2.
+# blocks (plus the gradient's and a second scratch block in backward) stay
+# within a core's L2.
 _GELU_BLOCK = 1 << 15
 
 # Switched by `no_grad` and `compute_dtype`; per process, like the rest of
@@ -112,13 +127,15 @@ class _Vertex:
 
     __slots__ = ("grad", "_grad_owned", "_backward_done")
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        # The first contribution is kept by reference and never mutated
-        # (it may alias another node's gradient or a read-only view); a
-        # second contribution forces an owned buffer.
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        # The first contribution is kept by reference. It is owned when the
+        # caller made it fresh for this vertex alone (`owned`); otherwise
+        # it may alias another node's gradient or a read-only view and is
+        # never mutated. A later contribution is added into an owned
+        # buffer in place, or else forces one.
         if self.grad is None:
             self.grad = g
-            self._grad_owned = False
+            self._grad_owned = owned
         elif self._grad_owned:
             self.grad += g
         else:
@@ -183,16 +200,19 @@ class Tensor(_Vertex):
 
 class _Node(_Vertex):
     """The tape's record of one op result: its backward closure, parent
-    nodes, gradient, shape and dtype, and a weak reference to its array.
+    nodes, gradient, shape and dtype, a weak reference to its array and,
+    for an op that can remake that array bitwise, the closure that does.
 
     `.data` is that array while anything holds it; once it is freed, a
     read-only zero-stride view of the result's shape and dtype.
     """
 
-    __slots__ = ("_grad_fn", "_parents", "shape", "dtype", "_out")
+    __slots__ = ("_grad_fn", "_parents", "shape", "dtype", "_out", "_rebuild",
+                 "_rebuilt")
     requires_grad = True
 
-    def __init__(self, out: np.ndarray, parents: tuple, grad_fn: Callable):
+    def __init__(self, out: np.ndarray, parents: tuple, grad_fn: Callable,
+                 rebuild: Callable | None):
         self.grad = None
         self._grad_owned = False
         self._backward_done = False
@@ -201,11 +221,25 @@ class _Node(_Vertex):
         self.shape = out.shape
         self.dtype = out.dtype
         self._out = weakref.ref(out)
+        self._rebuild = rebuild
+        self._rebuilt = None
 
     @property
     def data(self) -> np.ndarray:
         out = self._out()
         return np.broadcast_to(_FREED[self.dtype], self.shape) if out is None else out
+
+    def array(self) -> np.ndarray:
+        """The result's array: the live one, else rebuilt by `_rebuild`.
+
+        A rebuilt array is kept until this node's backward releases it, so
+        every reader that runs its backward before then shares one rebuild.
+        """
+        out = self._out()
+        if out is None:
+            out = self._rebuilt = self._rebuild()
+            self._out = weakref.ref(out)
+        return out
 
 
 # The one buffer behind every freed result's `.data`, per dtype.
@@ -261,11 +295,14 @@ def compute_dtype(dtype):
         _compute_dtype = previous
 
 
-def _node(data, targets: Iterable[_Vertex | None], grad_fn: Callable) -> Tensor:
+def _node(data, targets: Iterable[_Vertex | None], grad_fn: Callable,
+          rebuild: Callable | None = None) -> Tensor:
     """Wrap an op's result; record it when a parent needs a gradient.
 
     `targets` are the parents' `_target`s, and `grad_fn` must hold only
     them and the arrays and shapes its backward reads, never a Tensor.
+    `rebuild()`, when given, remakes `data` bitwise from what the op's
+    closures keep anyway, so that readers can keep the node instead.
     """
     if data.dtype != _compute_dtype:
         op = grad_fn.__qualname__.split(".")[0]
@@ -276,8 +313,15 @@ def _node(data, targets: Iterable[_Vertex | None], grad_fn: Callable) -> Tensor:
         parents = tuple(filter(None, targets))     # drops the Nones: nodes are truthy
         if parents:
             out.requires_grad = True
-            out._node = _Node(out.data, parents, grad_fn)
+            out._node = _Node(out.data, parents, grad_fn, rebuild)
     return out
+
+
+def _saved(t: Tensor):
+    """What a backward closure keeps to read `t`'s array: the node when it
+    can rebuild the array (read it with `.array()`), else the array."""
+    node = t._node
+    return node if node is not None and node._rebuild is not None else t.data
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -376,14 +420,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data += b.data
     out_data = out_data.reshape(x.shape[:-1] + (n,))
     tx, tw, tb = _target(x), _target(w), _target(b)
-    x_data = x.data if tw is not None else None
+    x_saved = _saved(x) if tw is not None else None
     w_data = w.data if tx is not None else None
 
     def grad_fn(g):
         g2 = np.ascontiguousarray(g).reshape(-1, n)
         if tx is not None:
-            tx._accumulate((g2 @ w_data.T).reshape(tx.shape))
+            tx._accumulate((g2 @ w_data.T).reshape(tx.shape), owned=True)
         if tw is not None:
+            x_data = x_saved if isinstance(x_saved, np.ndarray) else x_saved.array()
             tw._accumulate(x_data.reshape(-1, k).T @ g2)
         if tb is not None:
             tb._accumulate(_column_sums(g2))
@@ -521,14 +566,15 @@ def _gelu_cdf(x: np.ndarray, cdf: np.ndarray, e: np.ndarray) -> None:
     cdf += 0.5
 
 
-def _gelu_blocks(x: np.ndarray):
-    """Yield (flat block of x, its slice, scratch block) over x in order."""
+def _gelu_blocks(x: np.ndarray, scratch: int = 1):
+    """Yield (flat block of x, its slice, *`scratch` scratch blocks) over x
+    in order."""
     flat = x.reshape(-1)
-    scratch = np.empty(min(flat.size, _GELU_BLOCK), x.dtype)
+    buffers = np.empty((scratch, min(flat.size, _GELU_BLOCK)), x.dtype)
     for lo in range(0, flat.size, _GELU_BLOCK):
         part = slice(lo, lo + _GELU_BLOCK)
         block = flat[part]
-        yield block, part, scratch[:block.size]
+        yield (block, part, *buffers[:, :block.size])
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -538,7 +584,9 @@ def gelu(x: Tensor) -> Tensor:
     the next block starts, so the passes run in cache. Backward reads Phi
     back from the output as h / x, or as 1/2 (exact to either dtype's
     rounding) where |x| < 1e-30, zeros and subnormals included, and needs
-    one exp: d/dx = Phi(x) + x * exp(-x^2/2) / sqrt(2 pi).
+    one exp: d/dx = Phi(x) + x * exp(-x^2/2) / sqrt(2 pi). It multiplies
+    d/dx into the incoming gradient when backward hands that over
+    writable (this node owns it), else into a new buffer.
     """
     x_data = x.data
     out_data = np.empty_like(x_data)
@@ -550,21 +598,20 @@ def gelu(x: Tensor) -> Tensor:
     tx = _target(x)
 
     def grad_fn(g):
-        dx = np.empty_like(x_data)
+        dx = g if g.flags.writeable and g.flags.c_contiguous else np.empty_like(x_data)
         dx_flat, g_flat = dx.reshape(-1), np.ascontiguousarray(g).reshape(-1)
         with np.errstate(invalid="ignore"):              # 0 / 0, replaced below
-            for block, part, e in _gelu_blocks(x_data):
-                out = dx_flat[part]
-                np.divide(out_flat[part], block, out=out)
-                np.copyto(out, 0.5, where=np.abs(block, out=e) < 1e-30)
+            for block, part, e, d in _gelu_blocks(x_data, scratch=2):
+                np.divide(out_flat[part], block, out=d)
+                np.copyto(d, 0.5, where=np.abs(block, out=e) < 1e-30)
                 np.multiply(block, -0.5, out=e)
                 e *= block
                 np.exp(e, out=e)
                 e *= block
                 e *= _INV_SQRT2PI
-                out += e
-                out *= g_flat[part]
-        tx._accumulate(dx)
+                d += e
+                np.multiply(g_flat[part], d, out=dx_flat[part])
+        tx._accumulate(dx, owned=True)
 
     return _node(out_data, (tx,), grad_fn)
 
@@ -594,10 +641,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.einsum("...i,...i->...", xhat, xhat) / n
     inv = (1.0 / np.sqrt(var + eps))[..., None]
     xhat *= inv
-    out_data = xhat * gain.data
-    out_data += bias.data
+    gain_data, bias_data = gain.data, bias.data
+
+    def rebuild():
+        out = xhat * gain_data
+        out += bias_data
+        return out
+
     tx, tgain, tbias = _target(x), _target(gain), _target(bias)
-    gain_data = gain.data if tx is not None else None
 
     def grad_fn(g):
         if tgain is not None:
@@ -611,9 +662,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             dx -= m1[..., None]
             dx -= xhat * m2[..., None]
             dx *= inv
-            tx._accumulate(dx)
+            tx._accumulate(dx, owned=True)
 
-    return _node(out_data, (tx, tgain, tbias), grad_fn)
+    return _node(rebuild(), (tx, tgain, tbias), grad_fn, rebuild)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
@@ -707,7 +758,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
         if tv is not None:
             dv = np.empty(tv.shape, g.dtype)
             np.matmul(np.swapaxes(dropped(), -1, -2), g5, out=_split_heads(dv, axis, heads))
-            tv._accumulate(dv)
+            tv._accumulate(dv, owned=True)
         if tq is None and tk is None:
             return
         ds = g5 @ np.swapaxes(v5, -1, -2)           # dL/d(dropped weights)
@@ -720,7 +771,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
             if t is not None:
                 grad = np.empty(t.shape, g.dtype)
                 np.matmul(lhs, rhs, out=_split_heads(grad, axis, heads))
-                t._accumulate(grad)
+                t._accumulate(grad, owned=True)
 
     return _node(ctx, (tq, tk, tv), grad_fn)
 
@@ -767,7 +818,9 @@ def backward(loss: Tensor) -> None:
     only once: a second backward through any of its nodes, from the same
     loss or from a new one built on top of it, raises RuntimeError
     before touching any gradient. Forwards run under `no_grad` record
-    nothing and cannot be backpropagated at all.
+    nothing and cannot be backpropagated at all. A node's closure gets
+    its gradient writable only when the node owns it (see `_accumulate`),
+    else as a read-only view.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -792,9 +845,13 @@ def backward(loss: Tensor) -> None:
         node = nodes.pop()
         if node._grad_fn is None:
             continue
-        if node.grad is not None:
-            node._grad_fn(node.grad)
-        node.grad = node._grad_fn = None
+        g = node.grad
+        if g is not None:
+            if not node._grad_owned and g.flags.writeable:
+                g = g.view()        # only a node's own buffer may be written
+                g.flags.writeable = False
+            node._grad_fn(g)
+        node.grad = node._grad_fn = node._rebuild = node._rebuilt = None
         node._parents = ()
         node._backward_done = True
 

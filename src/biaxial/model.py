@@ -167,15 +167,24 @@ class _ParamModel:
         """x + the sum of dropout(branch attention over norm1(x)), then
         x + dropout(ffn(norm2(x))). Every branch attends before the first
         dropout draw; a branch along grid axis a takes mask.any(axis=3 - a)
-        as its key mask."""
+        as its key mask.
+
+        Each array is let go as soon as the forward no longer reads it, so
+        the FFN's two 4E-wide arrays reuse the attention block's memory:
+        norm1's output once the branches have attended (its node rebuilds
+        it for the projections' weight gradients), a branch output once
+        its dropout exists, and the dropouts once their sum is added."""
         cfg = self.cfg
         normed = self._norm(x, f"layer{layer}/norm1")
-        attended = [_attention(normed, self.params, f"layer{layer}/{branch}", axis,
+        branches = [_attention(normed, self.params, f"layer{layer}/{branch}", axis,
                                cfg.heads, cfg.attn_dropout, rng, train,
                                key_mask=None if mask is None else mask.any(axis=3 - axis))
                     for branch, axis in self.BRANCHES]
-        dropped = [ad.dropout(a, cfg.dropout, rng, train) for a in attended]
-        x = ad.add(x, functools.reduce(ad.add, dropped))
+        del normed
+        for i in range(len(branches)):
+            branches[i] = ad.dropout(branches[i], cfg.dropout, rng, train)
+        x = ad.add(x, functools.reduce(ad.add, branches))
+        del branches
         ffn_out = _ffn(self._norm(x, f"layer{layer}/norm2"), self.params,
                        f"layer{layer}/ffn")
         return ad.add(x, ad.dropout(ffn_out, cfg.dropout, rng, train))

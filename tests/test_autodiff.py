@@ -444,6 +444,25 @@ class TestGelu:
             ref = _copysign_cdf(x_np) * x_np
         np.testing.assert_array_equal(out.view(bits), ref.view(bits))
 
+    def test_backward_multiplies_into_the_gradient_it_owns(self):
+        rng = np.random.default_rng(3)
+        x, w1, w2 = (tensor(rng.normal(size=s), requires_grad=True)
+                     for s in ((3, 4), (4, 6), (6, 2)))
+        b1, b2 = tensor(np.zeros(6)), tensor(np.zeros(2))
+        h = ad.affine(x, w1, b1)
+        a = ad.gelu(h)
+        loss = ad.sum_reduce(ad.affine(a, w2, b2))
+        received = {}
+        for name, node in (("affine", h._node), ("gelu", a._node)):
+            def grad_fn(g, fn=node._grad_fn, name=name):
+                received[name] = g
+                fn(g)
+            node._grad_fn = grad_fn
+        backward(loss)
+        # w2's dx is made for GELU alone: GELU writes its dx into it
+        assert received["gelu"].flags.writeable
+        assert received["affine"] is received["gelu"]
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_is_half_g_at_tiny_x(self, dtype):
         x_np = np.array([0.0, -0.0, np.finfo(dtype).smallest_subnormal,
@@ -843,6 +862,7 @@ class TestTapeRelease:
         backward(loss)
         for node in recorded:
             assert node.grad is None and node._grad_fn is None and node._parents == ()
+            assert node._rebuild is None and node._rebuilt is None
         assert all(leaf.grad is not None for leaf in leaves)
 
     def test_backward_through_released_shared_node_raises(self):
@@ -928,7 +948,16 @@ class TestSavedArrays:
         assert len(trunk_out) == 1 and not _freed(trunk_out[0].data)
 
     @pytest.mark.parametrize("arch,p,use_mask", CASES)
-    def test_arrays_backward_reads_are_held(self, arch, p, use_mask):
+    def test_arrays_backward_reads_are_held(self, arch, p, use_mask, monkeypatch):
+        made = []                                   # (node, copy of the output)
+        layer_norm = ad.layer_norm
+
+        def copying(*a, **k):
+            out = layer_norm(*a, **k)
+            made.append((out._node, out.data.copy()))
+            return out
+
+        monkeypatch.setattr(ad, "layer_norm", copying)
         _, loss = self._loss(arch, p, use_mask)
         nodes = [n for n in ad.GradientTape.from_root(loss).nodes if n._grad_fn is not None]
         by_op = {op: [n for n in nodes if _op(n) == op]
@@ -941,9 +970,44 @@ class TestSavedArrays:
                 assert not _freed(held.data)
         for node in by_op["gelu"]:                     # output and input
             assert not _freed(node.data) and not _freed(node._parents[0].data)
-        for node in by_op["layer_norm"]:               # output and xhat
-            xhat = _closure(node)["xhat"]
-            assert not _freed(node.data) and xhat.shape == node.shape
+        # a layer norm keeps xhat; its output is freed and rebuilt bitwise,
+        # and the affines reading it keep the node
+        assert {id(n) for n, _ in made} == {id(n) for n in by_op["layer_norm"]}
+        for node, out in made:
+            assert _closure(node)["xhat"].shape == node.shape
+            assert _freed(node.data)
+            assert _bits(node.array()).tobytes() == _bits(out).tobytes()
+        readers = [n for n in nodes if _op(n) == "affine"
+                   and any(parent in by_op["layer_norm"] for parent in n._parents)]
+        assert len(readers) == 2 * (3 * branches + 1)     # q, k, v per branch, and w1
+        for node in readers:
+            assert _closure(node)["x_saved"] is node._parents[0]
+
+    @pytest.mark.parametrize("arch,p,use_mask", CASES)
+    def test_branch_outputs_are_freed_when_the_ffn_starts(self, arch, p, use_mask,
+                                                           monkeypatch):
+        branches = 2 if arch == "bat" else 1
+        checked = []
+        gelu = ad.gelu
+
+        def spying(x):
+            below = [n for n in ad.GradientTape.from_root(x).nodes if n._grad_fn is not None]
+            out_affines = [n for n in below if _op(n) == "affine" and any(
+                parent._grad_fn is not None and _op(parent) == "_attention_core"
+                for parent in n._parents)]
+            dropouts = [n for n in below if _op(n) == "dropout"
+                        and any(n._parents[0] is a for a in out_affines)]
+            layer = len(checked)
+            assert len(out_affines) == branches * (layer + 1)
+            assert len(dropouts) == (branches * (layer + 1) if p else 0)
+            for node in out_affines + dropouts:
+                assert _freed(node.data), (layer, _op(node))
+            checked.append(layer)
+            return gelu(x)
+
+        monkeypatch.setattr(ad, "gelu", spying)
+        self._loss(arch, p, use_mask)
+        assert checked == [0, 1]
 
     @pytest.mark.parametrize("arch,p,use_mask", CASES)
     def test_gradients_equal_a_run_that_keeps_every_output(self, arch, p, use_mask,
@@ -972,6 +1036,25 @@ class TestSavedArrays:
                 assert t.grad is None, name
             else:
                 assert _bits(t.grad).tobytes() == _bits(freeing[name]).tobytes(), name
+
+    def test_a_norm_output_is_rebuilt_once_for_all_its_readers(self):
+        rng = np.random.default_rng(4)
+        x, w1, w2 = (tensor(rng.normal(size=s), requires_grad=True)
+                     for s in ((2, 3, 4), (4, 5), (4, 5)))
+        gain, bias, b = tensor(rng.normal(size=4)), tensor(rng.normal(size=4)), tensor(np.zeros(5))
+        n = ad.layer_norm(x, gain, bias)
+        loss = ad.sum_reduce(ad.add(ad.affine(n, w1, b), ad.affine(n, w2, b)))
+        node, want = n._node, n.data.copy()
+        del n
+        assert _freed(node.data)
+        rebuilt = []
+        rebuild = node._rebuild
+        node._rebuild = lambda: rebuilt.append(rebuild()) or rebuilt[-1]
+        backward(loss)
+        assert len(rebuilt) == 1
+        assert _bits(rebuilt.pop()).tobytes() == _bits(want).tobytes()
+        assert node._rebuilt is None and _freed(node.data)     # released by backward
+        np.testing.assert_array_equal(w1.grad, w2.grad)
 
     def test_freed_data_is_a_zero_stride_view_of_the_shape(self):
         for dtype in (np.float32, np.float64):
@@ -1003,6 +1086,95 @@ class TestSavedArrays:
         backward(ad.sum_reduce(y))
         assert len(calls) == 1
         np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+
+
+def _hand_over(loss, read_only):
+    """Wrap the backward of every recorded node below `loss`; returns the
+    list that logs (op, whether its gradient arrived writable). With
+    `read_only`, each gradient is handed on as a read-only view."""
+    log = []
+    for node in ad.GradientTape.from_root(loss).nodes:
+        if node._grad_fn is None:
+            continue
+
+        def grad_fn(g, fn=node._grad_fn, op=_op(node)):
+            writable = isinstance(g, np.ndarray) and g.flags.writeable
+            log.append((op, writable))
+            if read_only and writable:
+                g = g.view()
+                g.flags.writeable = False
+            fn(g)
+
+        node._grad_fn = grad_fn
+    return log
+
+
+def _assert_bitwise_equal(grads, want):
+    """Gradients by name, bitwise; None (no gradient, e.g. the forecast
+    head's) only where `want` has None too."""
+    for name, g in grads.items():
+        if g is None:
+            assert want[name] is None, name
+        else:
+            assert _bits(g).tobytes() == _bits(want[name]).tobytes(), name
+
+
+def _fed_twice_to_add(t):
+    s = ad.add(*[ad.affine(t["x"], t["w1"], t["b1"])] * 2)
+    return ad.mul(ad.add(ad.gelu(s), s), t["c"])
+
+
+def _norm_feeding_two_affines(t):
+    n = ad.layer_norm(t["x"], t["gain"], t["bias"])
+    one = ad.mul(ad.gelu(ad.affine(n, t["w1"], t["b1"])), t["c"])
+    return ad.add(one, ad.affine(ad.gelu(ad.affine(n, t["w2"], t["b1"])), t["w3"], t["b3"]))
+
+
+def _gelu_input_read_elsewhere(t):
+    h = ad.affine(t["x"], t["w1"], t["b1"])
+    out = ad.affine(ad.gelu(h), t["w3"], t["b3"])
+    return ad.add(ad.mul(out, t["c"]), ad.mul(h, t["d"]))
+
+
+class TestOwnedGradients:
+    """A backward writes only into a gradient its node owns: parameter
+    gradients are bitwise those of a run that hands every gradient over
+    read-only, so that nothing is written in place."""
+
+    @pytest.mark.parametrize("arch,p,use_mask", TestSavedArrays.CASES)
+    def test_model_gradients_equal_a_read_only_run(self, arch, p, use_mask):
+        grads = {}
+        for read_only in (False, True):
+            model, loss = TestSavedArrays._loss(arch, p, use_mask)
+            log = _hand_over(loss, read_only)
+            backward(loss)
+            grads[read_only] = {n: t.grad for n, t in model.params.items()}
+            # GELU gets the w2 affine's dx writable and multiplies into it
+            assert [w for op, w in log if op == "gelu"] == [True, True]
+        _assert_bitwise_equal(grads[False], grads[True])
+
+    @pytest.mark.parametrize("graph", [_fed_twice_to_add, _norm_feeding_two_affines,
+                                       _gelu_input_read_elsewhere])
+    def test_fan_out_gradients_equal_a_read_only_run(self, graph):
+        rng = np.random.default_rng(7)
+        shapes = {"x": (2, 3, 4), "w1": (4, 5), "b1": (5,), "w2": (4, 5),
+                  "w3": (5, 5), "b3": (5,), "gain": (4,), "bias": (4,),
+                  "c": (2, 3, 5), "d": (2, 3, 5)}
+        arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        grads, logs = {}, {}
+        for read_only in (False, True):
+            t = {name: tensor(a, requires_grad=True) for name, a in arrays.items()}
+            loss = ad.sum_reduce(graph(t))
+            logs[read_only] = _hand_over(loss, read_only)
+            backward(loss)
+            grads[read_only] = {name: v.grad for name, v in t.items()}
+        assert any(w for _, w in logs[False])       # something was handed over writable
+        _assert_bitwise_equal(grads[False], grads[True])
+        used = {name: v for name, v in t.items() if v.grad is not None}
+        for v in used.values():
+            v.zero_grad()
+        report = grad_check(lambda: ad.sum_reduce(graph(t)), used)
+        assert report.passed, report
 
 
 class TestNoGrad:
