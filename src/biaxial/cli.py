@@ -1,10 +1,11 @@
 """Command-line entry point: generate, pretrain, finetune, evaluate.
 
-Every command resolves its configuration (flags > file > defaults), has
-`training.load_checkpoint` check its checkpoints and `data.load_dataset_dir`
-read and check its cohorts, and only then echoes the configuration to
-<out>/config.ini; it writes only deterministic artifacts, so a rerun with
-the same config and seed is byte-identical.
+Every command has `config.load_config` resolve (flags > file > defaults)
+and check every section of its configuration, `training.load_checkpoint`
+check its checkpoints and `data.load_dataset_dir` read and check its
+cohorts, and only then echoes the configuration to <out>/config.ini; it
+writes only deterministic artifacts, so a rerun with the same config and
+seed is byte-identical.
 Exit codes: 0 success, 1 validation error (usage errors included), 2 runtime failure.
 `evaluate` draws each test split with the `split_seed` that `finetune`
 saved in the model, not with `--seed`, so it never scores a model on the
@@ -45,9 +46,9 @@ def _write_rows(path, fields, rows):
     dt.write_table(path, fields, ([_fmt(row[f]) for f in fields] for row in rows))
 
 
-def _echo_config(cfg, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    with dt.open_output(os.path.join(out_dir, "config.ini")) as fh:
+def _echo_config(cfg):
+    os.makedirs(cfg.output.dir, exist_ok=True)
+    with dt.open_output(os.path.join(cfg.output.dir, "config.ini")) as fh:
         fh.write(cfg.to_ini())
 
 
@@ -56,40 +57,37 @@ def _echo_config(cfg, out_dir):
 
 
 def cmd_generate(cfg) -> int:
-    out_dir = cfg["output"]["dir"]
-    d = cfg["data"]
+    d = cfg.data
     ds = dt.generate_synthetic(
-        n=d["n"],
-        prevalence=d["prevalence"],
-        mean_stay_hours=d["mean_stay_hours"],
-        sparsity=d["sparsity"],
-        seed=cfg["train"]["seed"],
-        n_sensors=cfg["model"]["sensors_count"],
-        availability_profile=d["availability_profile"],
-        name=d["name"],
+        n=d.n,
+        prevalence=d.prevalence,
+        mean_stay_hours=d.mean_stay_hours,
+        sparsity=d.sparsity,
+        seed=cfg.train.seed,
+        n_sensors=cfg.model.sensors_count,
+        availability_profile=d.availability_profile,
+        name=d.name,
     )
-    _echo_config(cfg, out_dir)
-    dt.write_dataset_csvs(ds, out_dir)
+    _echo_config(cfg)
+    dt.write_dataset_csvs(ds, cfg.output.dir)
     mean_stay = float(np.mean([ep.stay_hours for ep in ds.episodes]))
     print(f"dataset: {ds.name}")
     print(f"admissions: {len(ds)}")
     print(f"mortality (positive class): {100.0 * ds.prevalence:.1f}%")
     print(f"mean stay: {mean_stay:.1f}h")
-    print(f"sensors: {len(ds.sensors)}")
+    print(f"sensors: {cfg.model.sensors_count}")
     return 0
 
 
 def cmd_pretrain(cfg) -> int:
-    out_dir = cfg["output"]["dir"]
-    paths = cfg["data"]["paths"]
+    out_dir, paths = cfg.output.dir, cfg.data.paths
     if not paths:
         raise ConfigError("pretrain requires at least one dataset path (data.paths)")
-    model_cfg, train_cfg, sampler_cfg = cfg.model_cfg(), cfg.train_cfg(), cfg.sampler_cfg()
-    datasets = [dt.load_dataset_dir(p, model_cfg.sensors_count) for p in paths]
+    datasets = [dt.load_dataset_dir(p, cfg.model.sensors_count) for p in paths]
     pooled = dt.apply_exclusions(dt.pool_datasets(datasets), "pretrain")
-    _echo_config(cfg, out_dir)
+    _echo_config(cfg)
     logger.info("pooled %d episodes from %d datasets", len(pooled), len(datasets))
-    result = tr.pretrain(pooled, model_cfg, train_cfg, sampler_cfg)
+    result = tr.pretrain(pooled, cfg.model, cfg.train, cfg.sampler)
 
     for fold, run in enumerate(result.fold_results):
         with dt.open_output(os.path.join(out_dir, f"fold{fold}.log")) as fh:
@@ -109,10 +107,10 @@ def cmd_pretrain(cfg) -> int:
         os.path.join(out_dir, "checkpoint.bax"),
         selected.params,
         selected.preprocessor,
-        model_cfg,
+        cfg.model,
         meta={
             "kind": "pretrained",
-            "sampler_cfg": asdict(sampler_cfg),
+            "sampler_cfg": asdict(cfg.sampler),
             "selected_fold": result.selected_fold,
             "best_val_masked_mse": selected.best_val,
             "pooled_from": [os.path.basename(os.path.normpath(p)) for p in paths],
@@ -125,60 +123,56 @@ def cmd_pretrain(cfg) -> int:
 
 
 def cmd_finetune(cfg) -> int:
-    out_dir = cfg["output"]["dir"]
-    paths = cfg["data"]["paths"]
+    out_dir, paths, grid = cfg.output.dir, cfg.data.paths, cfg.grid
     if len(paths) != 1:
         raise ConfigError("finetune requires exactly one dataset path (data.paths)")
-    grid, train_cfg = cfg.grid_cfg(), cfg.train_cfg()
-    ckpt_path = cfg["data"]["checkpoint"]
+    ckpt_path = cfg.data.checkpoint
     checkpoint = tr.load_checkpoint(ckpt_path, "pretrained") if ckpt_path else None
     tr.check_variants([*grid.variants, grid.save_model] if grid.save_model else grid.variants,
-                      checkpoint, train_cfg)
-    model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model_cfg()
+                      checkpoint, cfg.train)
+    model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model
     ds = dt.apply_exclusions(
         dt.load_dataset_dir(paths[0], model_cfg.sensors_count, labeled=True), "mortality")
-    _echo_config(cfg, out_dir)
+    _echo_config(cfg)
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
     rows, aggregates = tr.run_experiment_grid(
-        ds, checkpoint, model_cfg, train_cfg, grid)
+        ds, checkpoint, model_cfg, cfg.train, grid)
     _write_rows(os.path.join(out_dir, "runs.csv"), METRIC_CSV_FIELDS, rows)
     _write_rows(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")
 
     if grid.save_model:
-        _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, out_dir)
+        _save_final_model(ds, checkpoint, model_cfg, cfg)
         print(f"model: {os.path.join(out_dir, 'model.bax')}")
     return 0
 
 
-def _save_final_model(ds, checkpoint, model_cfg, train_cfg, grid, out_dir):
+def _save_final_model(ds, checkpoint, model_cfg, cfg):
     """Train one model of the grid's `save_model` variant on the full
     training pool and save it for cross-dataset evaluation."""
-    variant = grid.save_model
-    pool, _ = dt.split_test(ds, train_cfg.seed)
-    result = tr.train_variant(variant, checkpoint, pool, train_cfg, model_cfg, grid)
+    variant, seed = cfg.grid.save_model, cfg.train.seed
+    pool, _ = dt.split_test(ds, seed)
+    result = tr.train_variant(variant, checkpoint, pool, cfg.train, model_cfg, cfg.grid)
     tr.save_checkpoint(
-        os.path.join(out_dir, "model.bax"), result.params, result.preprocessor,
+        os.path.join(cfg.output.dir, "model.bax"), result.params, result.preprocessor,
         model_cfg,
         meta={"kind": "classifier", "arch": tr.GRID_VARIANTS[variant].arch,
-              "variant": variant, "dataset": ds.name, "split_seed": train_cfg.seed,
+              "variant": variant, "dataset": ds.name, "split_seed": seed,
               "best_val_loss": result.best_val},
     )
 
 
 def cmd_evaluate(cfg) -> int:
-    out_dir = cfg["output"]["dir"]
-    paths = cfg["data"]["paths"]
-    ckpts = [p for p in cfg["data"]["checkpoint"].split(",") if p]
+    paths = cfg.data.paths
+    ckpts = [p for p in cfg.data.checkpoint.split(",") if p]
     if not paths or not ckpts:
         raise ConfigError("evaluate requires data.paths and data.checkpoint")
-    batch_size = cfg.train_cfg().batch_size
     bundles = [tr.load_checkpoint(p, "classifier") for p in ckpts]
     cohorts = {(path, n): dt.apply_exclusions(dt.load_dataset_dir(path, n, labeled=True),
                                               "mortality")
                for n in dict.fromkeys(b["model_cfg"].sensors_count for b in bundles)
                for path in paths}
-    _echo_config(cfg, out_dir)
+    _echo_config(cfg)
     rows = []
     for ckpt_path, bundle in zip(ckpts, bundles):
         model = ARCHS[bundle["arch"]].from_arrays(bundle["model_cfg"], bundle["params"])
@@ -186,11 +180,11 @@ def cmd_evaluate(cfg) -> int:
             ds = cohorts[path, bundle["model_cfg"].sensors_count]
             _, test = dt.split_test(ds, bundle["meta"]["split_seed"])
             test_t = dt.transform_all(test, bundle["preprocessor"])
-            probs = tr.predict_probs(model, test_t, batch_size)
+            probs = tr.predict_probs(model, test_t, cfg.train.batch_size)
             report = mt.evaluate_probs(probs, [ep.label for ep in test])
             rows.append({"checkpoint": os.path.basename(ckpt_path), "dataset": ds.name,
                          **asdict(report)})
-    _write_rows(os.path.join(out_dir, "evaluate.csv"), EVALUATE_FIELDS, rows)
+    _write_rows(os.path.join(cfg.output.dir, "evaluate.csv"), EVALUATE_FIELDS, rows)
     for row in rows:
         print(f"{row['checkpoint']} on {row['dataset']}: "
               f"auc_roc={row['auc_roc']:.4f} auc_pr={row['auc_pr']:.4f}")

@@ -5,13 +5,15 @@ rejected so typos cannot silently fall back to defaults. Every command
 echoes its fully resolved config into the output directory; rerunning
 from that echo reproduces the run byte for byte.
 
-The [model], [sampler], [train] and [grid] keys are the fields of
-`BatConfig`, `SamplerConfig`, `TrainConfig` and `GridConfig`, in field
-order: each key's kind is its field's annotation and its default the
-field's default (or its default factory's value), so every setting is
-declared once. Two fields are not keys: `static_count`, which
+Every section is a dataclass: [data] is `DataConfig`, [model]
+`BatConfig`, [sampler] `SamplerConfig`, [train] `TrainConfig`, [grid]
+`GridConfig` and [output] `OutputConfig`. A section's keys are its
+fields, in field order: each key's kind is its field's annotation and its
+default the field's default (or its default factory's value), so every
+setting is declared once. Two fields are not keys: `static_count`, which
 `data.STATIC_SCHEMA` fixes, and the sampler's `forecast_horizon`, which
-is always the model's. Only [data] and [output] are declared here.
+is always the model's. `load_config` builds and checks every section, so
+a bad value in any of them is rejected before a command reads anything.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from biaxial.model import BatConfig
 from biaxial.sampler import SamplerConfig
@@ -49,26 +51,32 @@ def _keys_of(cls, omit=()) -> dict:
     return keys
 
 
+@dataclass
+class DataConfig:
+    """The [data] section: cohort directories, checkpoints, and what
+    `generate` draws."""
+    paths: list[str] = field(default_factory=list)
+    checkpoint: str = ""
+    n: int = 1000
+    prevalence: float = 0.119
+    mean_stay_hours: float = 48.0
+    sparsity: float = 0.5
+    availability_profile: int = 0
+    name: str = "synthetic"
+
+
+@dataclass
+class OutputConfig:
+    """The [output] section."""
+    dir: str = "out"
+
+
+SECTIONS = {"data": DataConfig, "model": BatConfig, "sampler": SamplerConfig,
+            "train": TrainConfig, "grid": GridConfig, "output": OutputConfig}
 # (kind, default) per key
-SCHEMA = {
-    "data": {
-        "paths": ("list[str]", []),
-        "checkpoint": ("str", ""),
-        "n": ("int", 1000),
-        "prevalence": ("float", 0.119),
-        "mean_stay_hours": ("float", 48.0),
-        "sparsity": ("float", 0.5),
-        "availability_profile": ("int", 0),
-        "name": ("str", "synthetic"),
-    },
-    "model": _keys_of(BatConfig, omit=("static_count",)),
-    "sampler": _keys_of(SamplerConfig, omit=("forecast_horizon",)),
-    "train": _keys_of(TrainConfig),
-    "grid": _keys_of(GridConfig),
-    "output": {
-        "dir": ("str", "out"),
-    },
-}
+SCHEMA = {section: _keys_of(cls, {"model": ("static_count",),
+                                  "sampler": ("forecast_horizon",)}.get(section, ()))
+          for section, cls in SECTIONS.items()}
 
 
 def _parse_value(kind: str, raw: str, where: str):
@@ -112,61 +120,41 @@ def _format_value(kind: str, value) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved settings for one command invocation."""
-    values: dict
-
-    def __getitem__(self, section: str) -> dict:
-        return self.values[section]
-
-    # -- typed views -----------------------------------------------------
-
-    def _view(self, section: str, cls, values: dict | None = None):
-        """Build `cls` from a section's values (or `values`), reporting a
-        rejected value as a ConfigError that names the section."""
-        try:
-            return cls(**(self.values[section] if values is None else values))
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from None
-
-    def model_cfg(self) -> BatConfig:
-        return self._view("model", BatConfig)
-
-    def sampler_cfg(self) -> SamplerConfig:
-        return self._view("sampler", SamplerConfig, dict(
-            self.values["sampler"],
-            forecast_horizon=self.values["model"]["forecast_horizon"]))
-
-    def train_cfg(self) -> TrainConfig:
-        return self._view("train", TrainConfig)
-
-    def grid_cfg(self) -> GridConfig:
-        return self._view("grid", GridConfig)
-
-    # -- serialization ---------------------------------------------------
+    """Fully resolved and checked settings for one command invocation."""
+    data: DataConfig
+    model: BatConfig
+    sampler: SamplerConfig
+    train: TrainConfig
+    grid: GridConfig
+    output: OutputConfig
 
     def to_ini(self) -> str:
         out = io.StringIO()
-        for section in SCHEMA:
+        for section, keys in SCHEMA.items():
             out.write(f"[{section}]\n")
-            for key, (kind, _) in SCHEMA[section].items():
-                out.write(f"{key} = {_format_value(kind, self.values[section][key])}\n")
+            for key, (kind, _) in keys.items():
+                value = getattr(getattr(self, section), key)
+                out.write(f"{key} = {_format_value(kind, value)}\n")
             out.write("\n")
         return out.getvalue()
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
-    """Resolve defaults, then the INI file, then override pairs.
+    """Resolve defaults, then the INI file, then override pairs, and build
+    every section; a value its section rejects is a ConfigError naming it.
 
     `overrides` maps "section.key" to raw string values (as given on the
-    command line).
+    command line). The file is read literally: "%" is not interpolated.
     """
-    values = {section: {key: default for key, (_, default) in keys.items()}
-              for section, keys in SCHEMA.items()}
+    values = {section: {} for section in SCHEMA}
     given = []  # (section, key, raw, where): the file's first, so overrides win
     if path is not None:
-        parser = configparser.ConfigParser()
-        if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"cannot read config file {path}")
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"cannot read config file {path}")
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -180,4 +168,12 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         if key not in SCHEMA.get(section, {}):
             raise ConfigError(f"{where}: unknown config key")
         values[section][key] = _parse_value(SCHEMA[section][key][0], raw, where)
-    return ExperimentConfig(values)
+    built = {}
+    for section, cls in SECTIONS.items():  # [model] is built before [sampler] takes its horizon
+        if section == "sampler":
+            values[section]["forecast_horizon"] = built["model"].forecast_horizon
+        try:
+            built[section] = cls(**values[section])
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
+    return ExperimentConfig(**built)

@@ -154,18 +154,19 @@ class EpisodeRecord:
 
 @dataclass
 class Dataset:
-    """A named collection of episodes sharing one sensor schema."""
+    """A named collection of episodes; a stay of D sensors measures the
+    schema's first D, SENSOR_SCHEMA[:D]."""
     name: str
     episodes: list
-    sensors: tuple = SENSOR_SCHEMA
-    prevalence: float | None = None
 
     @classmethod
-    def from_episodes(cls, name: str, episodes: list,
-                      sensors: tuple = SENSOR_SCHEMA) -> "Dataset":
-        labeled = [ep.label for ep in episodes if ep.label is not None]
-        return cls(name=name, episodes=list(episodes), sensors=tuple(sensors),
-                   prevalence=float(np.mean(labeled)) if labeled else None)
+    def from_episodes(cls, name: str, episodes: list) -> "Dataset":
+        return cls(name=name, episodes=list(episodes))
+
+    @property
+    def prevalence(self) -> float | None:
+        labeled = [ep.label for ep in self.episodes if ep.label is not None]
+        return float(np.mean(labeled)) if labeled else None
 
     def __len__(self) -> int:
         return len(self.episodes)
@@ -334,8 +335,7 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
             stay_hours=stay,
             label=labels.get(pid),
         ))
-    return Dataset.from_episodes(os.path.basename(os.path.normpath(path)), episodes,
-                                 sensors=sensors)
+    return Dataset.from_episodes(os.path.basename(os.path.normpath(path)), episodes)
 
 
 def write_dataset_csvs(ds: Dataset, out_dir) -> None:
@@ -346,7 +346,7 @@ def write_dataset_csvs(ds: Dataset, out_dir) -> None:
             d_idx, t_idx = np.nonzero(ep.mask)
             for d, t, value in zip(d_idx.tolist(), t_idx.tolist(),
                                    ep.values[d_idx, t_idx].tolist()):
-                yield ep.patient_id, t, ds.sensors[d], f"{value:.4f}"
+                yield ep.patient_id, t, SENSOR_SCHEMA[d], f"{value:.4f}"
 
     n_labeled = sum(ep.label is not None for ep in ds.episodes)
     if 0 < n_labeled < len(ds):
@@ -406,7 +406,7 @@ def apply_exclusions(ds: Dataset, task: str) -> Dataset:
         if t_cut < ep.n_hours:
             ep = replace(ep, values=ep.values[:, :t_cut].copy(), mask=ep.mask[:, :t_cut].copy())
         kept.append(ep if mortality else replace(ep, label=None))
-    return Dataset.from_episodes(ds.name, kept, sensors=ds.sensors)
+    return Dataset.from_episodes(ds.name, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,8 @@ def transform_all(episodes: list, pp: PreprocessorState) -> list:
 
 
 def pool_datasets(datasets: list) -> Dataset:
-    """Concatenate datasets with identical schemas into one corpus.
+    """Concatenate datasets whose stays share one sensor count into one
+    corpus; stays of different counts are a SchemaError.
 
     Patient ids are prefixed with the source name so disjointness holds
     across sources; two sources of the same name that share a raw id are
@@ -488,17 +489,11 @@ def pool_datasets(datasets: list) -> Dataset:
     """
     if not datasets:
         raise ValueError("nothing to pool")
-    sensors = datasets[0].sensors
-    for ds in datasets[1:]:
-        if ds.sensors != sensors:
-            raise SchemaError(
-                f"schema mismatch: {datasets[0].name} has {len(sensors)} sensors, "
-                f"{ds.name} has {len(ds.sensors)}"
-            )
-    episodes = []
-    seen = set()
+    episodes, seen = [], set()
+    sources = {}  # sensor count -> the first source holding a stay of it
     for ds in datasets:
         for ep in ds.episodes:
+            sources.setdefault(ep.n_sensors, ds.name)
             out = replace(ep, patient_id=f"{ds.name}/{ep.patient_id}")
             if out.patient_id in seen:
                 raise ValueError(
@@ -506,8 +501,10 @@ def pool_datasets(datasets: list) -> Dataset:
                 )
             seen.add(out.patient_id)
             episodes.append(out)
-    name = "+".join(ds.name for ds in datasets)
-    return Dataset.from_episodes(name, episodes, sensors=sensors)
+    if len(sources) > 1:
+        raise SchemaError("schema mismatch: " + ", ".join(
+            f"{name} has stays of {d} sensors" for d, name in sources.items()))
+    return Dataset.from_episodes("+".join(ds.name for ds in datasets), episodes)
 
 
 def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Dataset:
@@ -536,7 +533,7 @@ def subsample_preserving_prevalence(ds: Dataset, size: int, seed: int) -> Datase
     take_neg = rng.choice(neg_idx, size=n_neg, replace=False)
     chosen = np.concatenate([take_pos, take_neg])
     chosen = chosen[rng.permutation(len(chosen))]
-    return Dataset.from_episodes(ds.name, [ds.episodes[i] for i in chosen], sensors=ds.sensors)
+    return Dataset.from_episodes(ds.name, [ds.episodes[i] for i in chosen])
 
 
 def _stratified_cut(labels: np.ndarray, frac: float, rng, min_class: int):
@@ -582,7 +579,7 @@ def split_test(ds: Dataset, seed: int) -> tuple[Dataset, list]:
     """Hold out the test split: returns (the training pool as a Dataset,
     the test episodes), both in cohort order."""
     test, pool = (np.sort(idx) for idx in _test_cut(ds, seed))
-    return (Dataset.from_episodes(ds.name, [ds.episodes[i] for i in pool], sensors=ds.sensors),
+    return (Dataset.from_episodes(ds.name, [ds.episodes[i] for i in pool]),
             [ds.episodes[i] for i in test])
 
 
@@ -673,7 +670,7 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
     if k < 1 or abs(k / n - prevalence) > 0.01:
         raise ValueError(f"cannot calibrate prevalence {prevalence} with n={n} "
                          f"(closest achievable {k / n:.4f})")
-    sensors = _sensor_prefix(n_sensors)
+    _sensor_prefix(n_sensors)
     dyn = _dynamics(n_sensors, availability_profile)
     rng = substream(seed, "synthetic")
     name = name or f"synthetic{seed}"
@@ -723,4 +720,4 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
     top = np.argsort(-severity_scores, kind="mergesort")[:k]
     for i in top:
         episodes[i] = replace(episodes[i], label=1)
-    return Dataset.from_episodes(name, episodes, sensors=sensors)
+    return Dataset.from_episodes(name, episodes)

@@ -486,8 +486,10 @@ def load_checkpoint(path, kind: str | None = None) -> dict:
     model_cfg, meta and arch (meta "arch"; "bat" if absent, as in pretrained
     checkpoints). The one check of a checkpoint file: a ValueError naming
     `path` unless it is a regular file of this format and version whose
-    parameter names and shapes fit its arch at its config; given a `kind`,
-    meta "kind" must be it, and a classifier must record its `split_seed`."""
+    parameter names and shapes fit its arch at its config, and whose
+    preprocessor has one mean and std per sensor and per static; given a
+    `kind`, meta "kind" must be it, and a classifier must record its
+    `split_seed`."""
     if not os.path.isfile(path):
         raise ValueError(f"checkpoint not found (no such file): {path}")
     with open(path, "rb") as fh:
@@ -513,6 +515,11 @@ def load_checkpoint(path, kind: str | None = None) -> dict:
         model_cfg = BatConfig(**meta["model_cfg"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"{path}: damaged checkpoint ({exc!r})") from None
+    for n in _PREPROC_ARRAYS:
+        want = (model_cfg.sensors_count if n.startswith("tv_") else model_cfg.static_count,)
+        if (got := getattr(pp, n).shape) != want:
+            raise ValueError(f"{path}: preprocessor entry 'preproc/{n}' is {got} here, "
+                             f"but {want} in a model of this config")
     params = {n[len("param/"):]: a for n, a in arrays.items() if n.startswith("param/")}
     arch = meta.get("arch", "bat")
     if arch not in ARCHS:

@@ -4,7 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -86,29 +86,34 @@ NON_DEFAULT = {
 }
 
 
-def typed_value(cfg, dotted):
-    """The value a key reaches through its section's typed view; [data]
-    and [output] have no view and are read as resolved."""
+# a value its section rejects, and the start of the message, for the
+# sections that generate never reads
+BAD_SETTING = {
+    "train.epochs": ("0", "epochs must be >= 1"),
+    "grid.jobs": ("0", "jobs must be >= 1"),
+    "model.value_embed_size": ("3", "value_embed_size must be even"),
+    "sampler.min_obs_len": ("0", "min_obs_len must be >= 1"),
+}
+
+
+def field_value(cfg, dotted):
+    """The value a key reaches as its section's field."""
     section, key = dotted.split(".")
-    views = {"model": cfg.model_cfg, "sampler": cfg.sampler_cfg, "train": cfg.train_cfg,
-             "grid": cfg.grid_cfg}
-    if section in views:
-        return getattr(views[section](), key)
-    return cfg[section][key]
+    return getattr(getattr(cfg, section), key)
 
 
 class TestConfig:
     def test_defaults_match_reference_setup(self):
         cfg = load_config()
-        assert cfg["sampler"]["min_obs_len"] == 12
-        assert cfg["model"]["forecast_horizon"] == 2
-        assert cfg["model"]["sensors_count"] == 48
-        assert cfg["model"]["value_embed_size"] == 128
-        assert cfg["train"]["batch_size"] == 64
-        assert cfg["train"]["epochs"] == 200
-        assert cfg["train"]["min_delta"] == 5e-3
-        assert cfg["train"]["weight_decay"] == 1e-6
-        assert cfg["train"]["lr_gamma"] == 0.95
+        assert cfg.sampler.min_obs_len == 12
+        assert cfg.model.forecast_horizon == 2
+        assert cfg.model.sensors_count == 48
+        assert cfg.model.value_embed_size == 128
+        assert cfg.train.batch_size == 64
+        assert cfg.train.epochs == 200
+        assert cfg.train.min_delta == 5e-3
+        assert cfg.train.weight_decay == 1e-6
+        assert cfg.train.lr_gamma == 0.95
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -126,9 +131,9 @@ class TestConfig:
         ini = tmp_path / "c.ini"
         ini.write_text("[train]\nepochs = 7\nbatch_size = 16\n")
         cfg = load_config(ini, {"train.epochs": "9"})
-        assert cfg["train"]["epochs"] == 9       # flag wins
-        assert cfg["train"]["batch_size"] == 16  # file wins
-        assert cfg["train"]["patience"] == 10    # default
+        assert cfg.train.epochs == 9       # flag wins
+        assert cfg.train.batch_size == 16  # file wins
+        assert cfg.train.patience == 10    # default
 
     def test_echo_round_trips(self, tmp_path):
         cfg = load_config(None, {"train.learning_rate": "0.00123",
@@ -137,32 +142,38 @@ class TestConfig:
         echoed = tmp_path / "echo.ini"
         echoed.write_text(cfg.to_ini())
         back = load_config(echoed)
-        assert back.values == cfg.values
+        assert back == cfg
 
     def test_typed_views_validate(self):
-        cfg = load_config(None, {"model.value_embed_size": "10",
-                                 "model.heads": "3"})
-        with pytest.raises(ConfigError, match="divisible"):
-            cfg.model_cfg()
+        """load_config builds every section, so it rejects a bad value itself."""
+        with pytest.raises(ConfigError, match=r"\[model\] .*divisible"):
+            load_config(None, {"model.value_embed_size": "10", "model.heads": "3"})
         cfg2 = load_config(None, {"model.forecast_horizon": "4"})
-        assert cfg2.sampler_cfg().forecast_horizon == 4
+        assert cfg2.sampler.forecast_horizon == 4
         with pytest.raises(ConfigError, match=r"\[model\] .*forecast horizon"):
-            load_config(None, {"model.forecast_horizon": "0"}).model_cfg()
+            load_config(None, {"model.forecast_horizon": "0"})
         with pytest.raises(ConfigError, match="sampler.forecast_horizon: unknown config key"):
             load_config(None, {"sampler.forecast_horizon": "4"})
+        for dotted, (raw, message) in BAD_SETTING.items():
+            with pytest.raises(ConfigError, match=rf"^\[{dotted.split('.')[0]}\] {message}"):
+                load_config(None, {dotted: raw})
 
     def test_default_typed_views_are_the_dataclass_defaults(self):
         cfg = load_config()
-        assert cfg.model_cfg() == BatConfig()
-        assert cfg.sampler_cfg() == SamplerConfig()
-        assert cfg.train_cfg() == tr.TrainConfig()
-        assert cfg.grid_cfg() == tr.GridConfig()
+        assert cfg.data == config.DataConfig()
+        assert cfg.model == BatConfig()
+        assert cfg.sampler == SamplerConfig()
+        assert cfg.train == tr.TrainConfig()
+        assert cfg.grid == tr.GridConfig()
+        assert cfg.output == config.OutputConfig()
 
     def test_dataclass_sections_are_their_fields_in_order(self):
-        for section, cls, omitted in [("model", BatConfig, {"static_count"}),
+        for section, cls, omitted in [("data", config.DataConfig, set()),
+                                      ("model", BatConfig, {"static_count"}),
                                       ("sampler", SamplerConfig, {"forecast_horizon"}),
                                       ("train", tr.TrainConfig, set()),
-                                      ("grid", tr.GridConfig, set())]:
+                                      ("grid", tr.GridConfig, set()),
+                                      ("output", config.OutputConfig, set())]:
             assert list(SCHEMA[section]) == [
                 f.name for f in fields(cls) if f.name not in omitted]
 
@@ -190,11 +201,33 @@ class TestConfig:
             ["generate", "--set", f"{dotted}={NON_DEFAULT[dotted]}"])
         cfg = load_config(args.config, cli._overrides_from_args(args))
         section, key = dotted.split(".")
-        assert cfg[section][key] != SCHEMA[section][key][1]
-        assert typed_value(cfg, dotted) == cfg[section][key]
+        kind, default = SCHEMA[section][key]
+        assert field_value(cfg, dotted) != default
+        assert field_value(cfg, dotted) == config._parse_value(kind, NON_DEFAULT[dotted], dotted)
         echoed = tmp_path / "echo.ini"
         echoed.write_text(cfg.to_ini(), encoding="utf-8")
-        assert load_config(echoed).values == cfg.values
+        assert load_config(echoed) == cfg
+
+    @pytest.mark.parametrize("text", [
+        "[train]\nepochs = 2\nepochs = 3\n", "[train]\nepochs = 2\n[train]\nseed = 1\n",
+        "epochs = 2\n[train]\n", "[train]\nepochs\n"],
+        ids=["duplicate_key", "duplicate_section", "line_before_a_section", "line_without_equals"])
+    def test_malformed_file_is_validation_error(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_config(bad)
+        assert str(exc.value).startswith(f"malformed config file {bad}: ")
+        out = tmp_path / "out"
+        assert run_cli("generate", "--config", str(bad), "--out", str(out)) == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_percent_is_read_literally(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[data]\nname = icu%a\npaths = 100%%,%(x)s\n", encoding="utf-8")
+        cfg = load_config(ini)
+        assert (cfg.data.name, cfg.data.paths) == ("icu%a", ["100%%", "%(x)s"])
 
 
 class TestGenerate:
@@ -223,6 +256,21 @@ class TestGenerate:
         assert run_cli("generate", "--config", str(out / "config.ini")) == 0
         after = {fn: read(out / fn) for fn in os.listdir(out)}
         assert before == after
+
+    def test_rerun_from_an_echo_holding_percent_signs_is_byte_identical(self, tmp_path):
+        """A dataset name and a directory holding "%" are echoed as given and
+        read back literally, not interpolated."""
+        first, rerun = tmp_path / "100%a", tmp_path / "rerun"
+        assert run_cli("generate", "--n", "40", "--prevalence", "0.2", "--name", "icu%a",
+                       "--sensors-count", "4", "--seed", "5", "--out", str(first)) == 0
+        echo = (first / "config.ini").read_text(encoding="utf-8")
+        assert "name = icu%a\n" in echo and f"dir = {first}\n" in echo
+        assert run_cli("generate", "--config", str(first / "config.ini"),
+                       "--out", str(rerun)) == 0
+        for fn in ("measurements.csv", "statics.csv", "labels.csv"):
+            assert read(first / fn) == read(rerun / fn)
+        assert (rerun / "config.ini").read_text(encoding="utf-8") == \
+            echo.replace(f"dir = {first}\n", f"dir = {rerun}\n")
 
     def test_zero_prevalence_is_validation_error(self, tmp_path):
         code = run_cli("generate", "--n", "10", "--prevalence", "0",
@@ -656,6 +704,23 @@ class TestEvaluate:
         assert f"{data}: measurements.csv names 4 sensors, but model.sensors_count is 6" in err
         assert not out.exists()
 
+    def test_preprocessor_of_another_shape_fails_before_the_config_echo(
+            self, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
+        """Broadcasting a one-entry mean and std would standardize every
+        sensor with sensor 0's statistics and score the model anyway."""
+        bundle = tr.load_checkpoint(classifier_ckpts[0])
+        pp = bundle["preprocessor"]
+        cut = tmp_path / "cut.bax"
+        tr.save_checkpoint(cut, bundle["params"],
+                           replace(pp, tv_mean=pp.tv_mean[:1], tv_std=pp.tv_std[:1]),
+                           bundle["model_cfg"], meta=bundle["meta"])
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--data", small_dataset_dir, "--checkpoint", str(cut),
+                       "--out", str(out)) == 1
+        assert f"{cut}: preprocessor entry 'preproc/tv_mean' is (1,)" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_checkpoint_and_data(self, tmp_path):
         assert run_cli("evaluate", "--out", str(tmp_path / "x")) == 1
 
@@ -743,6 +808,35 @@ def test_bad_data_directory_fails_before_the_config_echo(
     out = tmp_path / "out"
     assert run_cli(command, "--data", str(data), *model, "--out", str(out)) == 1
     assert str(data) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, dotted", [
+    *(("generate", dotted) for dotted in BAD_SETTING), ("pretrain", "grid.jobs"),
+    ("finetune", "model.value_embed_size"), ("finetune", "sampler.min_obs_len"),
+    ("evaluate", "grid.jobs"), ("evaluate", "model.value_embed_size"),
+    ("evaluate", "sampler.min_obs_len")])
+def test_bad_value_in_a_section_the_command_never_reads_fails_before_any_write(
+        command, dotted, pretrain_out, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
+    """Every command checks every section: each command's inputs here are
+    otherwise valid, and one bad value in a section it never reads makes
+    it exit 1 with no --out directory. finetune takes its model from the
+    checkpoint, so it never reads [model]."""
+    inputs = {
+        "generate": ["--n", "60", "--prevalence", "0.2", "--sensors-count", "4"],
+        "pretrain": ["--data", small_dataset_dir, "--set", "model.sensors_count=6",
+                     "--set", "model.value_embed_size=8", "--set", "model.layers=1",
+                     "--set", "train.epochs=1"],
+        "finetune": ["--data", small_dataset_dir,
+                     "--checkpoint", os.path.join(pretrain_out, "checkpoint.bax"),
+                     "--set", "train.epochs=1", "--set", "grid.sizes=30",
+                     "--set", "grid.seeds=0", "--set", "grid.variants=finetune_head"],
+        "evaluate": ["--data", small_dataset_dir, "--checkpoint", classifier_ckpts[0]],
+    }[command]
+    raw, message = BAD_SETTING[dotted]
+    out = tmp_path / "out"
+    assert run_cli(command, *inputs, "--set", f"{dotted}={raw}", "--out", str(out)) == 1
+    assert f"[{dotted.split('.')[0]}] {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -496,10 +496,26 @@ class TestPooling:
             dt.pool_datasets([a, b])
 
     def test_schema_mismatch_rejected(self):
-        a = dt.Dataset.from_episodes("A", [make_episode()], sensors=dt.SENSOR_SCHEMA[:3])
-        b = dt.Dataset.from_episodes("B", [make_episode()], sensors=dt.SENSOR_SCHEMA[:4])
-        with pytest.raises(dt.SchemaError, match="schema mismatch"):
+        a = dt.Dataset.from_episodes("A", [make_episode(d=3)])
+        b = dt.Dataset.from_episodes("B", [make_episode(d=4)])
+        with pytest.raises(dt.SchemaError, match="schema mismatch: A has stays of 3 sensors, "
+                                                 "B has stays of 4 sensors"):
             dt.pool_datasets([a, b])
+
+    def test_stays_of_mixed_sensor_counts_are_rejected_whoever_built_them(self):
+        """The sensor count is read off the stays, so a dataset built from
+        4-sensor stays pools only with other 4-sensor stays, and one
+        holding both counts is rejected on its own."""
+        four = [make_episode(pid=f"f{i}", d=4) for i in range(40)]
+        six = [make_episode(pid=f"s{i}", d=6) for i in range(40)]
+        with pytest.raises(dt.SchemaError, match="A has stays of 4 sensors, "
+                                                 "B has stays of 6 sensors"):
+            dt.pool_datasets([dt.Dataset.from_episodes("A", four),
+                              dt.Dataset.from_episodes("B", six)])
+        with pytest.raises(dt.SchemaError, match="schema mismatch"):
+            dt.pool_datasets([dt.Dataset.from_episodes("mixed", four + six)])
+        assert len(dt.pool_datasets([dt.Dataset.from_episodes("A", four),
+                                     dt.Dataset.from_episodes("B", four)])) == 80
 
     def test_contents_preserved_bit_exactly(self):
         rng = np.random.default_rng(2)
@@ -747,7 +763,7 @@ class TestSplits:
         ds = self._ds(100)
         pool, test = dt.split_test(ds, seed=3)
         assert set(_ids(test)) == set(_reference_rotation(ds, 3, 5)[0])
-        assert (pool.name, pool.sensors, len(pool) + len(test)) == (ds.name, ds.sensors, 100)
+        assert (pool.name, len(pool) + len(test)) == (ds.name, 100)
         position = {ep.patient_id: i for i, ep in enumerate(ds.episodes)}
         parts = [pool.episodes, test, *(part for fold in dt.folds(ds, seed=3) for part in fold)]
         for part in parts:
@@ -876,8 +892,8 @@ class TestGenerator:
 
     def test_adult_age_range_and_schema(self):
         ds = dt.generate_synthetic(50, prevalence=0.2, seed=3, n_sensors=12)
-        assert ds.sensors == dt.SENSOR_SCHEMA[:12]
         for ep in ds.episodes:
+            assert ep.n_sensors == 12
             assert 18.0 <= ep.statics[0] <= 95.0
             assert ep.statics[1] in (0.0, 1.0)
             assert ep.stay_hours >= 31
@@ -902,7 +918,7 @@ class TestGenerator:
         ds = dt.generate_synthetic(15, prevalence=0.2, seed=4, n_sensors=6,
                                    sparsity=0.4)
         dt.write_dataset_csvs(ds, tmp_path)
-        back = dt.load_dataset_dir(tmp_path, len(ds.sensors))
+        back = dt.load_dataset_dir(tmp_path, 6)
         assert len(back) == len(ds)
         for orig, got in zip(ds.episodes, back.episodes):
             assert got.patient_id == orig.patient_id
@@ -925,7 +941,7 @@ class TestGenerator:
             dt.generate_synthetic(10, prevalence=0.2, seed=5, n_sensors=4), "pretrain")
         dt.write_dataset_csvs(ds, tmp_path)
         assert not (tmp_path / "labels.csv").exists()
-        back = dt.load_dataset_dir(tmp_path, len(ds.sensors))
+        back = dt.load_dataset_dir(tmp_path, 4)
         assert len(back) == len(ds) and all(ep.label is None for ep in back.episodes)
 
     def test_rerun_writes_identical_bytes(self, tmp_path):

@@ -267,8 +267,7 @@ class TestPretrain:
                 patient_id=f"c{i}", values=values, mask=mask,
                 statics=np.array([60.0, 1.0, 170.0, 75.0]),
                 stay_hours=float(t), label=None))
-        ds = dt.Dataset.from_episodes("const", episodes,
-                                      sensors=dt.SENSOR_SCHEMA[:6])
+        ds = dt.Dataset.from_episodes("const", episodes)
         result = tr.pretrain(ds, tiny_model_cfg(dropout=0.0, attn_dropout=0.0),
                              tiny_train_cfg(epochs=40, learning_rate=1e-2,
                                             patience=40, batch_size=16),
@@ -286,8 +285,7 @@ class TestPretrain:
                 mask=np.ones((6, t), dtype=bool),
                 statics=np.array([50.0, 0.0, 170.0, 70.0]),
                 stay_hours=float(t), label=None))
-        ds = dt.Dataset.from_episodes("short", episodes,
-                                      sensors=dt.SENSOR_SCHEMA[:6])
+        ds = dt.Dataset.from_episodes("short", episodes)
         with pytest.raises(tr.TrainingError):
             tr.pretrain(ds, tiny_model_cfg(), tiny_train_cfg(epochs=1),
                         SamplerConfig(), n_folds=2)
@@ -351,7 +349,7 @@ class TestFinetune:
     @pytest.mark.parametrize("missing", [0, 1])
     def test_one_class_training_split_has_no_pos_weight(self, mortality_ds, missing):
         train = [ep for ep in mortality_ds.episodes if ep.label != missing][:20]
-        ds = dt.Dataset.from_episodes(mortality_ds.name, train, sensors=mortality_ds.sensors)
+        ds = dt.Dataset.from_episodes(mortality_ds.name, train)
         name = "positive" if missing == 1 else "negative"
         with pytest.raises(mt.UndefinedMetricError, match=f"no {name} labels"):
             tr.finetune(None, ds, "scratch", tiny_train_cfg(epochs=1),
@@ -420,7 +418,7 @@ class TestFinetune:
         rng = np.random.default_rng(42)
         labels = rng.permutation([ep.label for ep in base.episodes])
         shuffled = [replace(ep, label=int(lab)) for ep, lab in zip(base.episodes, labels)]
-        ds = dt.Dataset.from_episodes("shuffled", shuffled, sensors=base.sensors)
+        ds = dt.Dataset.from_episodes("shuffled", shuffled)
         pool, test = dt.split_test(ds, seed=0)
         result = tr.finetune(None, pool, "scratch",
                              tiny_train_cfg(epochs=3, seed=7),
@@ -545,6 +543,27 @@ class TestCheckpointFile:
                                checkpoint["model_cfg"], meta=meta)
         with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
             tr.load_checkpoint(path, "classifier")
+
+    @pytest.mark.parametrize("entry, shape, read", [("tv_mean", [1], (1,)),
+                                                    ("static_std", [-1], (16,))])
+    def test_preprocessor_entry_of_another_shape_is_value_error_naming_it(
+            self, saved, entry, shape, read):
+        """A [1] entry would standardize every sensor with sensor 0's
+        statistics; a [-1] one reads on through the entries after it (here
+        tv_mean and tv_std: 4 + 6 + 6 values)."""
+        path, _ = saved
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + hlen])
+        for e in header["entries"]:
+            if e["name"] == f"preproc/{entry}":
+                e["shape"] = shape
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + hlen:])
+        want = (6,) if entry.startswith("tv_") else (4,)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: preprocessor entry 'preproc/{entry}' is {read} here, but {want}")):
+            tr.load_checkpoint(path)
 
     @pytest.mark.parametrize("meta", [{"kind": "pretrained"},
                                       {"kind": "classifier", "split_seed": 4}])
