@@ -18,7 +18,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from biaxial import data as dt
 from biaxial import metrics as mt
 from biaxial import training as tr
 from biaxial.config import ConfigError, load_config
-from biaxial.model import ARCHS
 
 logger = logging.getLogger("biaxial")
 
@@ -123,39 +122,40 @@ def cmd_pretrain(cfg) -> int:
 
 
 def cmd_finetune(cfg) -> int:
-    out_dir, paths, grid = cfg.output.dir, cfg.data.paths, cfg.grid
+    out_dir, paths, ckpts, grid = cfg.output.dir, cfg.data.paths, cfg.data.checkpoint, cfg.grid
     if len(paths) != 1:
         raise ConfigError("finetune requires exactly one dataset path (data.paths)")
-    ckpt_path = cfg.data.checkpoint
-    checkpoint = tr.load_checkpoint(ckpt_path, "pretrained") if ckpt_path else None
+    if len(ckpts) > 1:
+        raise ConfigError("finetune takes at most one checkpoint (data.checkpoint)")
+    checkpoint = tr.load_checkpoint(ckpts[0], "pretrained") if ckpts else None
     tr.check_variants([*grid.variants, grid.save_model] if grid.save_model else grid.variants,
                       checkpoint, cfg.train)
-    model_cfg = checkpoint["model_cfg"] if checkpoint else cfg.model
+    if checkpoint:  # the grid trains the checkpoint's model, so the echo names it
+        cfg = replace(cfg, model=checkpoint["model_cfg"])
     ds = dt.apply_exclusions(
-        dt.load_dataset_dir(paths[0], model_cfg.sensors_count, labeled=True), "mortality")
+        dt.load_dataset_dir(paths[0], cfg.model.sensors_count, labeled=True), "mortality")
     _echo_config(cfg)
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
-    rows, aggregates = tr.run_experiment_grid(
-        ds, checkpoint, model_cfg, cfg.train, grid)
+    rows, aggregates = tr.run_experiment_grid(ds, checkpoint, cfg.model, cfg.train, grid)
     _write_rows(os.path.join(out_dir, "runs.csv"), METRIC_CSV_FIELDS, rows)
     _write_rows(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")
 
     if grid.save_model:
-        _save_final_model(ds, checkpoint, model_cfg, cfg)
+        _save_final_model(ds, checkpoint, cfg)
         print(f"model: {os.path.join(out_dir, 'model.bax')}")
     return 0
 
 
-def _save_final_model(ds, checkpoint, model_cfg, cfg):
+def _save_final_model(ds, checkpoint, cfg):
     """Train one model of the grid's `save_model` variant on the full
     training pool and save it for cross-dataset evaluation."""
     variant, seed = cfg.grid.save_model, cfg.train.seed
     pool, _ = dt.split_test(ds, seed)
-    result = tr.train_variant(variant, checkpoint, pool, cfg.train, model_cfg, cfg.grid)
+    result = tr.train_variant(variant, checkpoint, pool, cfg.train, cfg.model, cfg.grid)
     tr.save_checkpoint(
         os.path.join(cfg.output.dir, "model.bax"), result.params, result.preprocessor,
-        model_cfg,
+        cfg.model,
         meta={"kind": "classifier", "arch": tr.GRID_VARIANTS[variant].arch,
               "variant": variant, "dataset": ds.name, "split_seed": seed,
               "best_val_loss": result.best_val},
@@ -163,8 +163,7 @@ def _save_final_model(ds, checkpoint, model_cfg, cfg):
 
 
 def cmd_evaluate(cfg) -> int:
-    paths = cfg.data.paths
-    ckpts = [p for p in cfg.data.checkpoint.split(",") if p]
+    paths, ckpts = cfg.data.paths, cfg.data.checkpoint
     if not paths or not ckpts:
         raise ConfigError("evaluate requires data.paths and data.checkpoint")
     bundles = [tr.load_checkpoint(p, "classifier") for p in ckpts]
@@ -175,12 +174,11 @@ def cmd_evaluate(cfg) -> int:
     _echo_config(cfg)
     rows = []
     for ckpt_path, bundle in zip(ckpts, bundles):
-        model = ARCHS[bundle["arch"]].from_arrays(bundle["model_cfg"], bundle["params"])
         for path in paths:
             ds = cohorts[path, bundle["model_cfg"].sensors_count]
             _, test = dt.split_test(ds, bundle["meta"]["split_seed"])
-            test_t = dt.transform_all(test, bundle["preprocessor"])
-            probs = tr.predict_probs(model, test_t, cfg.train.batch_size)
+            probs = tr.predict_probs(bundle["arch"], bundle["model_cfg"], bundle["params"],
+                                     bundle["preprocessor"], test, cfg.train.batch_size)
             report = mt.evaluate_probs(probs, [ep.label for ep in test])
             rows.append({"checkpoint": os.path.basename(ckpt_path), "dataset": ds.name,
                          **asdict(report)})

@@ -1,9 +1,9 @@
 """Declarative experiment configuration: INI file + flag overrides + defaults.
 
-Precedence is flags > file > defaults. Unknown sections or keys are
-rejected so typos cannot silently fall back to defaults. Every command
-echoes its fully resolved config into the output directory; rerunning
-from that echo reproduces the run byte for byte.
+Precedence is flags > file > defaults. Unknown sections or keys (keys
+are exact-case, in a file as in a flag) are rejected so typos cannot
+silently fall back to defaults. Every command echoes its fully resolved
+config into the output directory; rerunning from it is byte-identical.
 
 Every section is a dataclass: [data] is `DataConfig`, [model]
 `BatConfig`, [sampler] `SamplerConfig`, [train] `TrainConfig`, [grid]
@@ -56,7 +56,7 @@ class DataConfig:
     """The [data] section: cohort directories, checkpoints, and what
     `generate` draws."""
     paths: list[str] = field(default_factory=list)
-    checkpoint: str = ""
+    checkpoint: list[str] = field(default_factory=list)
     n: int = 1000
     prevalence: float = 0.119
     mean_stay_hours: float = 48.0
@@ -69,6 +69,10 @@ class DataConfig:
 class OutputConfig:
     """The [output] section."""
     dir: str = "out"
+
+    def __post_init__(self):
+        if "," in self.dir:  # data.paths and data.checkpoint could not name it
+            raise ValueError(f"dir must not hold ',', got {self.dir!r}")
 
 
 SECTIONS = {"data": DataConfig, "model": BatConfig, "sampler": SamplerConfig,
@@ -150,6 +154,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     given = []  # (section, key, raw, where): the file's first, so overrides win
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str  # keys are exact-case, as in overrides
         try:
             if not parser.read(path, encoding="utf-8"):
                 raise ConfigError(f"cannot read config file {path}")

@@ -10,9 +10,9 @@ derived from the run seed through named substreams, and a grid cell's
 seed depends on its size and seed alone, so every variant of one cell
 trains on the same data.
 
-The entry points (`pretrain`, `finetune` and `predict_probs`) compute in
-float32, the precision the paper's models train in; the models they build
-or load take that dtype, and checkpoints store float64, which holds every
+The entry points (`pretrain`, `finetune` and `predict_probs`) each run in
+an `ad.compute_dtype(COMPUTE_DTYPE)` block: float32, the precision the
+paper's models train in. Checkpoints store float64, which holds every
 float32 value exactly.
 """
 
@@ -120,15 +120,6 @@ class PretrainResult:
     @property
     def selected(self) -> RunResult:
         return self.fold_results[self.selected_fold]
-
-
-def _in_compute_dtype(fn):
-    """Run `fn` with `COMPUTE_DTYPE` as the autodiff compute dtype."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with ad.compute_dtype(COMPUTE_DTYPE):
-            return fn(*args, **kwargs)
-    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +274,16 @@ def _eval_bce(model, episodes, batch_size, pos_weight):
     return total / len(episodes)
 
 
-@_in_compute_dtype
-def predict_probs(model, episodes, batch_size=64) -> np.ndarray:
-    """Mortality probabilities, computed in `COMPUTE_DTYPE` by a copy of
-    `model` whose parameters take that dtype."""
-    model = type(model).from_arrays(model.cfg, model.state_arrays())
+@ad.compute_dtype(COMPUTE_DTYPE)
+def predict_probs(arch: str, cfg: BatConfig, params: dict, pp: dt.PreprocessorState,
+                  episodes, batch_size: int) -> np.ndarray:
+    """Mortality probabilities of raw stays, standardized with `pp`, from a
+    model's saved parts as `load_checkpoint` returns them; the one place a
+    model scores stays. The model copies `params` into `COMPUTE_DTYPE`."""
+    model = ARCHS[arch].from_arrays(cfg, params)
     probs = []
     with ad.no_grad():
-        for batch in _chunks(episodes, batch_size):
+        for batch in _chunks(dt.transform_all(episodes, pp), batch_size):
             probs.append(model.classify(*_classification_arrays(batch)).data)
     return np.concatenate(probs)
 
@@ -344,7 +337,7 @@ def _train_one_fold(train_eps, val_eps, model_cfg, train_cfg, sampler_cfg, fold)
     return _fit(model, optimizer, train_eps, train_cfg, (fold,), step, val_loss)
 
 
-@_in_compute_dtype
+@ad.compute_dtype(COMPUTE_DTYPE)
 def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
              sampler_cfg: sp.SamplerConfig, n_folds: int = 5) -> PretrainResult:
     """Five-fold self-supervised forecasting over a pooled, unlabeled corpus.
@@ -372,7 +365,7 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
 # fine-tuning
 
 
-@_in_compute_dtype
+@ad.compute_dtype(COMPUTE_DTYPE)
 def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
              train_cfg: TrainConfig, model_cfg: BatConfig | None = None,
              val_episodes: list | None = None, test_episodes: list | None = None,
@@ -438,11 +431,9 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
 
     result.preprocessor = pp
     if test_episodes:
-        best_model = type(model).from_arrays(model.cfg, result.params)
-        test_t = dt.transform_all(test_episodes, pp)
-        probs = predict_probs(best_model, test_t, train_cfg.batch_size)
-        result.metrics = mt.evaluate_probs(
-            probs, [ep.label for ep in test_episodes])
+        probs = predict_probs(arch, model.cfg, result.params, pp, test_episodes,
+                              train_cfg.batch_size)
+        result.metrics = mt.evaluate_probs(probs, [ep.label for ep in test_episodes])
     return result
 
 

@@ -13,7 +13,7 @@ from biaxial import cli, config
 from biaxial import data as dt
 from biaxial import training as tr
 from biaxial.config import SCHEMA, ConfigError, load_config
-from biaxial.model import BatConfig, BatModel, TemporalTransformer
+from biaxial.model import BatConfig, TemporalTransformer
 from biaxial.sampler import SamplerConfig
 
 
@@ -223,6 +223,18 @@ class TestConfig:
         assert str(bad) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_key_in_another_case_is_rejected_in_a_file_as_in_a_flag(self, tmp_path, capsys):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[train]\nEpochs = 3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = ("generate", "--n", "50", "--prevalence", "0.2", "--sensors-count", "4",
+                "--out", str(out))
+        assert run_cli(*args, "--config", str(ini)) == 1
+        assert "[train] Epochs: unknown config key" in capsys.readouterr().err
+        assert run_cli(*args, "--set", "train.Epochs=3") == 1
+        assert "train.Epochs: unknown config key" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_percent_is_read_literally(self, tmp_path):
         ini = tmp_path / "c.ini"
         ini.write_text("[data]\nname = icu%a\npaths = 100%%,%(x)s\n", encoding="utf-8")
@@ -271,6 +283,14 @@ class TestGenerate:
             assert read(first / fn) == read(rerun / fn)
         assert (rerun / "config.ini").read_text(encoding="utf-8") == \
             echo.replace(f"dir = {first}\n", f"dir = {rerun}\n")
+
+    def test_output_dir_holding_a_comma_fails_before_any_write(self, tmp_path, capsys):
+        """data.paths and data.checkpoint are comma-joined lists, so no
+        command could read such a directory back."""
+        assert run_cli("generate", "--n", "50", "--prevalence", "0.2",
+                       "--sensors-count", "4", "--out", str(tmp_path / "x,y")) == 1
+        assert "[output] dir must not hold ','" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     def test_zero_prevalence_is_validation_error(self, tmp_path):
         code = run_cli("generate", "--n", "10", "--prevalence", "0",
@@ -443,6 +463,28 @@ class TestFinetune:
         assert read(a / "aggregate.csv") == read(b / "aggregate.csv")
         assert read(os.path.join(small_dataset_dir, "measurements.csv")) == input_bytes
 
+    def test_echo_names_the_checkpoints_model_and_reruns_byte_identical(
+            self, small_dataset_dir, pretrain_out, tmp_path):
+        """The grid trains the checkpoint's model, whatever [model] the
+        command was given, and config.ini says so."""
+        ckpt = os.path.join(pretrain_out, "checkpoint.bax")
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        assert run_cli(*self._finetune_args(small_dataset_dir, ckpt, first,
+                                            ("--set", "model.dropout=0.05"))) == 0
+        assert load_config(first / "config.ini").model == tr.load_checkpoint(ckpt)["model_cfg"]
+        assert run_cli("finetune", "--config", str(first / "config.ini"),
+                       "--out", str(rerun)) == 0
+        for fn in ("runs.csv", "aggregate.csv"):
+            assert read(first / fn) == read(rerun / fn)
+
+    def test_more_than_one_checkpoint_fails_before_the_config_echo(
+            self, small_dataset_dir, tmp_path, capsys):
+        out = tmp_path / "ft"
+        assert run_cli("finetune", "--data", small_dataset_dir, "--out", str(out),
+                       "--set", "data.checkpoint=a.bax,b.bax") == 1
+        assert "finetune takes at most one checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint_is_validation_error(self, small_dataset_dir,
                                                     tmp_path):
         code = run_cli("finetune", "--data", small_dataset_dir,
@@ -610,8 +652,7 @@ class TestEvaluate:
     def test_saved_model_of_each_variant_evaluates(self, small_dataset_dir,
                                                    pretrain_out, tmp_path,
                                                    monkeypatch, variant):
-        arch, model_cls = (("transformer", TemporalTransformer)
-                           if variant == "scratch_transformer" else ("bat", BatModel))
+        arch = "transformer" if variant == "scratch_transformer" else "bat"
         code = run_cli("finetune", "--data", small_dataset_dir,
                        "--checkpoint", os.path.join(pretrain_out, "checkpoint.bax"),
                        "--out", str(tmp_path / "ft"), "--seed", "4",
@@ -629,16 +670,16 @@ class TestEvaluate:
         loaded = []
         real = tr.predict_probs
 
-        def spy(model, *args, **kwargs):
-            loaded.append(type(model))
-            return real(model, *args, **kwargs)
+        def spy(arch_name, *args, **kwargs):
+            loaded.append(arch_name)
+            return real(arch_name, *args, **kwargs)
 
         monkeypatch.setattr(tr, "predict_probs", spy)
         code = run_cli("evaluate", "--checkpoint", model_path,
                        "--data", small_dataset_dir,
                        "--out", str(tmp_path / "ev"), "--seed", "4")
         assert code == 0
-        assert loaded == [model_cls]
+        assert loaded == [arch]
         rows = open(tmp_path / "ev" / "evaluate.csv").read().splitlines()
         assert len(rows) == 1 + 1
 

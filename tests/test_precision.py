@@ -138,12 +138,33 @@ def test_finetune_step_records_only_float32(small_mortality, monkeypatch):
 
 
 def test_predict_probs_casts_a_float64_model(small_mortality):
-    model = BatModel.init(tiny_model_cfg(), substream(0, "init"))
-    assert model.params["embed/value_w"].data.dtype == np.float64
+    cfg = tiny_model_cfg()
+    params = BatModel.init(cfg, substream(0, "init")).state_arrays()
+    before = params["embed/value_w"].copy()
+    assert before.dtype == np.float64
     pp = dt.fit_preprocessor(small_mortality.episodes)
-    probs = tr.predict_probs(model, dt.transform_all(small_mortality.episodes, pp))
+    probs = tr.predict_probs("bat", cfg, params, pp, small_mortality.episodes, 64)
     assert probs.dtype == np.float32 and probs.shape == (len(small_mortality),)
-    assert model.params["embed/value_w"].data.dtype == np.float64
+    assert params["embed/value_w"].dtype == np.float64
+    assert params["embed/value_w"].tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("caller_dtype", DTYPES)
+@pytest.mark.parametrize("entry", ["finetune", "predict_probs"])
+def test_an_entry_point_that_raises_restores_the_callers_dtype(small_mortality, entry,
+                                                               caller_dtype):
+    cfg = tiny_model_cfg()
+    call = {
+        "finetune": lambda: tr.finetune(None, small_mortality, "finetune_full",
+                                        tiny_train_cfg(), arch="transformer"),
+        "predict_probs": lambda: tr.predict_probs("nope", cfg, {}, None,
+                                                  small_mortality.episodes, 64),
+    }[entry]
+    with ad.compute_dtype(caller_dtype):
+        with pytest.raises((ValueError, KeyError)):
+            call()
+        assert ad._compute_dtype == caller_dtype
+    assert ad._compute_dtype == np.float64
 
 
 # float32 against float64 runs of the same seed. Over seeds 0-9 of these
@@ -154,8 +175,11 @@ LOSS_REL_BOUND = 1e-5
 
 
 def _at_dtype(monkeypatch, dtype, run):
-    monkeypatch.setattr(tr, "COMPUTE_DTYPE", dtype)
-    return run()
+    """`run` with the entry points undecorated, inside a `dtype` block."""
+    with monkeypatch.context() as patch, ad.compute_dtype(dtype):
+        for name in ("pretrain", "finetune", "predict_probs"):
+            patch.setattr(tr, name, getattr(tr, name).__wrapped__)
+        return run()
 
 
 def test_finetune_float32_matches_float64(monkeypatch):

@@ -432,11 +432,12 @@ class TestFinetune:
         assert len(result.val_curve) == 2
 
     def test_predict_probs_needs_no_labels(self, checkpoint, mortality_ds):
-        model = BatModel.from_arrays(checkpoint["model_cfg"], checkpoint["params"])
-        labeled = dt.transform_all(mortality_ds.episodes, checkpoint["preprocessor"])
+        parts = ("bat", checkpoint["model_cfg"], checkpoint["params"],
+                 checkpoint["preprocessor"])
+        labeled = mortality_ds.episodes
         unlabeled = [replace(ep, label=None) for ep in labeled]
-        assert tr.predict_probs(model, unlabeled, 32).tobytes() == \
-            tr.predict_probs(model, labeled, 32).tobytes()
+        assert tr.predict_probs(*parts, unlabeled, 32).tobytes() == \
+            tr.predict_probs(*parts, labeled, 32).tobytes()
 
     def test_checkpoint_bundle_roundtrip(self, checkpoint, tmp_path):
         path = tmp_path / "ckpt.bax"
