@@ -35,13 +35,16 @@ Memory is bounded by what one training step needs:
   freed node's `.data` reads as a zero-stride view of its shape. Leaves
   (parameters and constants) are their own nodes; constants that no
   gradient needs are left off the tape.
-- A layer norm's output is rebuilt, not kept. Its node remakes the array
-  bitwise with the forward's own `xhat * gain + bias` (`_Node.array`),
-  so the affines that read it for their weight gradient keep the node,
-  and the output is freed once the forward moves on. The first of those
-  affines to run its backward rebuilds it, and it stays until the norm's
+- A layer norm's output and an attention core's context are rebuilt,
+  not kept. The node remakes the array bitwise with the forward's own
+  arithmetic (`_Node.array`): `xhat * gain + bias` for a norm, one
+  batched matmul of the dropped softmax weights and v for the core. So
+  the affines that read it for their weight gradient keep the node, and
+  the array is freed once the forward moves on. The first of those
+  affines to run its backward rebuilds it, and it stays until the op's
   own backward. This is the recomputation of Chen et al. (arXiv
-  1604.06174), used only where the rebuild costs no GEMM.
+  1604.06174), used only where the rebuild costs no projection GEMM and
+  no GELU pass.
 - `backward` writes into a gradient only where its node owns it. A
   contribution made fresh for one node (an affine's, a layer norm's or
   GELU's dx, the attention core's dq, dk and dv) is owned by it: later
@@ -722,7 +725,10 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
     layout. key_bias (B, S) is added to the scores of every query. The
     arithmetic is that of the unfused matmul/mul/add/softmax/dropout/matmul
     chain, but the backward keeps only q, k, v, the softmax weights and a
-    boolean dropout mask.
+    boolean dropout mask. The context itself is not kept: the node
+    rebuilds it bitwise from the dropped weights and v when the `wo`
+    projection's backward reads it, and the core's backward then reuses
+    those dropped weights for dv, so no extra dropout pass is run.
     """
     axis %= 4
     if axis not in (1, 2):
@@ -748,17 +754,31 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
     def dropped():
         return weights if keep is None else _apply_keep(weights, keep, drop_scale)
 
-    ctx = np.empty(q.shape, q.data.dtype)
-    np.matmul(dropped(), v5, out=_split_heads(ctx, axis, heads))
+    def context(dropped_weights):
+        out = np.empty(q_data.shape, q_data.dtype)
+        np.matmul(dropped_weights, v5, out=_split_heads(out, axis, heads))
+        return out
+
+    rebuilt_weights = None          # the dropped weights of a rebuild, kept for dv
+
+    def rebuild():
+        nonlocal rebuilt_weights
+        rebuilt_weights = dropped()
+        return context(rebuilt_weights)
+
     tq, tk, tv = _target(q), _target(k), _target(v)
 
     def grad_fn(g):
+        nonlocal rebuilt_weights
+        shared, rebuilt_weights = rebuilt_weights, None
         q5, k5, v5 = (_split_heads(a, axis, heads) for a in (q_data, k_data, v_data))
         g5 = _split_heads(np.ascontiguousarray(g), axis, heads)
         if tv is not None:
             dv = np.empty(tv.shape, g.dtype)
-            np.matmul(np.swapaxes(dropped(), -1, -2), g5, out=_split_heads(dv, axis, heads))
+            np.matmul(np.swapaxes(dropped() if shared is None else shared, -1, -2), g5,
+                      out=_split_heads(dv, axis, heads))
             tv._accumulate(dv, owned=True)
+        del shared                                  # freed before ds is made
         if tq is None and tk is None:
             return
         ds = g5 @ np.swapaxes(v5, -1, -2)           # dL/d(dropped weights)
@@ -773,7 +793,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
                 np.matmul(lhs, rhs, out=_split_heads(grad, axis, heads))
                 t._accumulate(grad, owned=True)
 
-    return _node(ctx, (tq, tk, tv), grad_fn)
+    return _node(context(dropped()), (tq, tk, tv), grad_fn, rebuild)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    """--set pairs, then each flag given, stored under its dotted dest."""
+    """--set pairs, then each flag given, stored under its dotted dest. A
+    --data or --checkpoint flag names one path, so a value holding the
+    list separator ',' is rejected whole rather than split."""
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -250,7 +252,13 @@ def _overrides_from_args(args) -> dict:
         overrides[dotted.strip()] = raw.strip()
     for dotted, value in vars(args).items():
         if "." in dotted and value is not None:
-            overrides[dotted] = ",".join(value) if isinstance(value, list) else str(value)
+            values = value if isinstance(value, list) else [str(value)]
+            if dotted in ("data.paths", "data.checkpoint"):
+                for path in values:
+                    if "," in path:
+                        raise ConfigError(f"{dotted}: path {path!r} holds ',', which "
+                                          f"separates list items; give one path per flag")
+            overrides[dotted] = ",".join(values)
     return overrides
 
 

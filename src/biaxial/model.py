@@ -171,9 +171,11 @@ class _ParamModel:
 
         Each array is let go as soon as the forward no longer reads it, so
         the FFN's two 4E-wide arrays reuse the attention block's memory:
-        norm1's output once the branches have attended (its node rebuilds
-        it for the projections' weight gradients), a branch output once
-        its dropout exists, and the dropouts once their sum is added."""
+        norm1's output once the branches have attended, each branch's
+        context once its `wo` projection has read it (both nodes rebuild
+        their arrays for the projections' weight gradients), a branch
+        output once its dropout exists, and the dropouts once their sum
+        is added."""
         cfg = self.cfg
         normed = self._norm(x, f"layer{layer}/norm1")
         branches = [_attention(normed, self.params, f"layer{layer}/{branch}", axis,

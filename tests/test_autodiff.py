@@ -949,39 +949,45 @@ class TestSavedArrays:
 
     @pytest.mark.parametrize("arch,p,use_mask", CASES)
     def test_arrays_backward_reads_are_held(self, arch, p, use_mask, monkeypatch):
-        made = []                                   # (node, copy of the output)
-        layer_norm = ad.layer_norm
+        made = {"layer_norm": [], "_attention_core": []}   # (node, copy of the output)
 
-        def copying(*a, **k):
-            out = layer_norm(*a, **k)
-            made.append((out._node, out.data.copy()))
-            return out
+        def copying(fn):
+            def op(*a, **k):
+                out = fn(*a, **k)
+                made[fn.__name__].append((out._node, out.data.copy()))
+                return out
+            return op
 
-        monkeypatch.setattr(ad, "layer_norm", copying)
+        for name in made:
+            monkeypatch.setattr(ad, name, copying(getattr(ad, name)))
         _, loss = self._loss(arch, p, use_mask)
         nodes = [n for n in ad.GradientTape.from_root(loss).nodes if n._grad_fn is not None]
         by_op = {op: [n for n in nodes if _op(n) == op]
                  for op in ("_attention_core", "gelu", "layer_norm")}
         branches = 2 if arch == "bat" else 1
         assert [len(v) for v in by_op.values()] == [2 * branches, 2, 4]
-        for node in by_op["_attention_core"]:          # q, k, v and the context
+        for node in by_op["_attention_core"]:          # q, k and v
             assert len(node._parents) == 3
-            for held in (node, *node._parents):
+            for held in node._parents:
                 assert not _freed(held.data)
         for node in by_op["gelu"]:                     # output and input
             assert not _freed(node.data) and not _freed(node._parents[0].data)
-        # a layer norm keeps xhat; its output is freed and rebuilt bitwise,
-        # and the affines reading it keep the node
-        assert {id(n) for n, _ in made} == {id(n) for n in by_op["layer_norm"]}
-        for node, out in made:
+        # a layer norm keeps xhat and the attention core its weights, mask
+        # and v; each one's output is freed and rebuilt bitwise, and the
+        # affines reading it keep the node
+        for op, reader_count in (("layer_norm", 2 * (3 * branches + 1)),   # q, k, v, w1
+                                 ("_attention_core", 2 * branches)):       # wo
+            assert {id(n) for n, _ in made[op]} == {id(n) for n in by_op[op]}
+            for node, out in made[op]:
+                assert _freed(node.data)
+                assert _bits(node.array()).tobytes() == _bits(out).tobytes()
+            readers = [n for n in nodes if _op(n) == "affine"
+                       and any(parent in by_op[op] for parent in n._parents)]
+            assert len(readers) == reader_count
+            for node in readers:
+                assert _closure(node)["x_saved"] is node._parents[0]
+        for node, _ in made["layer_norm"]:
             assert _closure(node)["xhat"].shape == node.shape
-            assert _freed(node.data)
-            assert _bits(node.array()).tobytes() == _bits(out).tobytes()
-        readers = [n for n in nodes if _op(n) == "affine"
-                   and any(parent in by_op["layer_norm"] for parent in n._parents)]
-        assert len(readers) == 2 * (3 * branches + 1)     # q, k, v per branch, and w1
-        for node in readers:
-            assert _closure(node)["x_saved"] is node._parents[0]
 
     @pytest.mark.parametrize("arch,p,use_mask", CASES)
     def test_branch_outputs_are_freed_when_the_ffn_starts(self, arch, p, use_mask,
@@ -1055,6 +1061,58 @@ class TestSavedArrays:
         assert _bits(rebuilt.pop()).tobytes() == _bits(want).tobytes()
         assert node._rebuilt is None and _freed(node.data)     # released by backward
         np.testing.assert_array_equal(w1.grad, w2.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_an_attention_context_is_rebuilt_once_for_all_its_readers(
+            self, axis, heads, masked, p, dtype, monkeypatch):
+        rng = np.random.default_rng(5)
+        shape = (2, 3, 5, 4)
+        arrays = [rng.normal(size=s) for s in (shape, shape, shape, (4, 5), (4, 5))]
+        key_bias = None
+        if masked:
+            keys = rng.random((shape[0], shape[axis])) < 0.6
+            keys[:, 0] = True
+            key_bias = np.where(keys, 0.0, -1e9)
+        apply_keep, passes = ad._apply_keep, []
+
+        def counting(*a):
+            passes.append(None)
+            return apply_keep(*a)
+
+        monkeypatch.setattr(ad, "_apply_keep", counting)
+        runs = []
+        for hold_context in (True, False):
+            with ad.compute_dtype(dtype):
+                q, k, v, w1, w2 = (tensor(a, requires_grad=True) for a in arrays)
+                b = tensor(np.zeros(5))
+                c = ad._attention_core(q, k, v, heads, axis, key_bias, p,
+                                       np.random.default_rng(6), True)
+                loss = ad.sum_reduce(ad.add(ad.affine(c, w1, b), ad.affine(c, w2, b)))
+            node, want = c._node, c.data.copy()
+            if not hold_context:
+                del c
+                assert _freed(node.data)
+            rebuilt = []
+            rebuild = node._rebuild
+            node._rebuild = lambda: rebuilt.append(rebuild()) or rebuilt[-1]
+            passes.clear()
+            backward(loss)
+            runs.append((len(passes), [t.grad for t in (q, k, v, w1, w2)]))
+            assert len(rebuilt) == (0 if hold_context else 1)
+            assert node._rebuilt is None
+        assert _bits(rebuilt.pop()).tobytes() == _bits(want).tobytes()
+        assert _freed(node.data)                    # released by the core's backward
+        # the core's backward reads the rebuild's dropped weights for dv
+        (held_count, held_grads), (count, grads) = runs
+        assert count == held_count == (2 if p else 0)
+        for got, ref in zip(grads, held_grads):
+            assert got.dtype == dtype
+            assert _bits(got).tobytes() == _bits(ref).tobytes()
+        np.testing.assert_array_equal(grads[3], grads[4])
 
     def test_freed_data_is_a_zero_stride_view_of_the_shape(self):
         for dtype in (np.float32, np.float64):

@@ -809,6 +809,29 @@ def test_directory_as_checkpoint_is_validation_error(command, small_dataset_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("pretrain", "--data"), ("finetune", "--data"), ("finetune", "--checkpoint"),
+    ("evaluate", "--data"), ("evaluate", "--checkpoint")])
+def test_a_path_flag_holding_a_comma_is_rejected_whole(
+        command, flag, pretrain_out, classifier_ckpts, small_dataset_dir,
+        second_dataset_dir, tmp_path, capsys):
+    """A --data or --checkpoint flag names one path. Split at ',', this
+    --data value would name two real cohorts, which pretrain would pool."""
+    inputs = {
+        "pretrain": {"--data": small_dataset_dir, "--set": "model.sensors_count=6"},
+        "finetune": {"--data": small_dataset_dir,
+                     "--checkpoint": os.path.join(pretrain_out, "checkpoint.bax")},
+        "evaluate": {"--data": small_dataset_dir, "--checkpoint": classifier_ckpts[0]},
+    }[command]
+    value = inputs[flag] = {"--data": f"{small_dataset_dir},{second_dataset_dir}",
+                            "--checkpoint": str(tmp_path / "some,model.bax")}[flag]
+    out = tmp_path / "out"
+    argv = [x for pair in inputs.items() for x in pair]
+    assert run_cli(command, *argv, "--out", str(out)) == 1
+    assert f"{repr(value)} holds ','" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, key", [
     ("generate", "--n", "data.n"), ("generate", "--prevalence", "data.prevalence"),
     ("generate", "--sparsity", "data.sparsity"),
