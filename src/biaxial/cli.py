@@ -26,6 +26,7 @@ from biaxial import data as dt
 from biaxial import metrics as mt
 from biaxial import training as tr
 from biaxial.config import ConfigError, load_config
+from biaxial.model import BatConfig
 
 logger = logging.getLogger("biaxial")
 
@@ -128,38 +129,32 @@ def cmd_finetune(cfg) -> int:
     if len(ckpts) > 1:
         raise ConfigError("finetune takes at most one checkpoint (data.checkpoint)")
     checkpoint = tr.load_checkpoint(ckpts[0], "pretrained") if ckpts else None
-    tr.check_variants([*grid.variants, grid.save_model] if grid.save_model else grid.variants,
-                      checkpoint, cfg.train)
+    tr.check_variants(grid.trained, checkpoint, cfg.train)
     if checkpoint:  # the grid trains the checkpoint's model, so the echo names it
+        saved, default = asdict(checkpoint["model_cfg"]), asdict(BatConfig())
+        dropped = [f"{key}={value!r} (checkpoint: {saved[key]!r})" for key, value
+                   in asdict(cfg.model).items() if default[key] != value != saved[key]]
+        if dropped:
+            logger.warning("the checkpoint's [model] overrides given %s", ", ".join(dropped))
         cfg = replace(cfg, model=checkpoint["model_cfg"])
     ds = dt.apply_exclusions(
         dt.load_dataset_dir(paths[0], cfg.model.sensors_count, labeled=True), "mortality")
     _echo_config(cfg)
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
-    rows, aggregates = tr.run_experiment_grid(ds, checkpoint, cfg.model, cfg.train, grid)
+    rows, aggregates, model = tr.run_experiment_grid(ds, checkpoint, cfg.model, cfg.train, grid)
     _write_rows(os.path.join(out_dir, "runs.csv"), METRIC_CSV_FIELDS, rows)
     _write_rows(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")
 
-    if grid.save_model:
-        _save_final_model(ds, checkpoint, cfg)
-        print(f"model: {os.path.join(out_dir, 'model.bax')}")
+    if model is not None:   # for cross-dataset evaluation
+        model_path = os.path.join(out_dir, "model.bax")
+        tr.save_checkpoint(
+            model_path, model.params, model.preprocessor, cfg.model,
+            meta={"kind": "classifier", "arch": tr.GRID_VARIANTS[grid.save_model].arch,
+                  "variant": grid.save_model, "dataset": ds.name,
+                  "split_seed": cfg.train.seed, "best_val_loss": model.best_val})
+        print(f"model: {model_path}")
     return 0
-
-
-def _save_final_model(ds, checkpoint, cfg):
-    """Train one model of the grid's `save_model` variant on the full
-    training pool and save it for cross-dataset evaluation."""
-    variant, seed = cfg.grid.save_model, cfg.train.seed
-    pool, _ = dt.split_test(ds, seed)
-    result = tr.train_variant(variant, checkpoint, pool, cfg.train, cfg.model, cfg.grid)
-    tr.save_checkpoint(
-        os.path.join(cfg.output.dir, "model.bax"), result.params, result.preprocessor,
-        cfg.model,
-        meta={"kind": "classifier", "arch": tr.GRID_VARIANTS[variant].arch,
-              "variant": variant, "dataset": ds.name, "split_seed": seed,
-              "best_val_loss": result.best_val},
-    )
 
 
 def cmd_evaluate(cfg) -> int:

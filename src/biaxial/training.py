@@ -179,18 +179,19 @@ def lr_at_epoch(lr0: float, gamma: float, epoch: int) -> float:
 # the epoch loop
 
 
-def _fit(model, optimizer: AdamW, items: list, train_cfg: TrainConfig, key: tuple,
-         step, val_loss) -> RunResult:
+def _fit(model, items: list, train_cfg: TrainConfig, key: tuple, step,
+         val_loss) -> RunResult:
     """The epoch loop shared by pretraining and fine-tuning.
 
     Each epoch shuffles `items` with the ("order", *key, epoch) substream
     and cuts them into batches. `step(batch, epoch, dropout_rng)` runs the
     training forward and returns the loss tensor, or None for a batch it
-    skipped; the loop backpropagates and steps the optimizer at the
-    epoch's decayed lr. An epoch that skips over half its batches raises
-    TrainingError. `val_loss()` is taken after every epoch without a tape,
-    and the returned parameters are those of the epoch with the lowest
-    validation loss.
+    skipped; the loop backpropagates and steps its AdamW (over the
+    parameters that require a gradient, at `train_cfg`'s rate and weight
+    decay) at the epoch's decayed lr. An epoch that skips over half its
+    batches raises TrainingError. `val_loss()` is taken after every epoch
+    without a tape, and the returned parameters are those of the epoch
+    with the lowest validation loss.
 
     The patience rule: an epoch improves only if its validation loss
     undercuts the lowest loss seen so far by strictly more than
@@ -199,6 +200,7 @@ def _fit(model, optimizer: AdamW, items: list, train_cfg: TrainConfig, key: tupl
     once `patience` consecutive epochs fail to improve.
     """
     seed = train_cfg.seed
+    optimizer = AdamW(model.params, train_cfg.learning_rate, train_cfg.weight_decay)
     wait = 0
     best_val = np.inf
     best_epoch = -1
@@ -316,7 +318,6 @@ def _fixed_validation_windows(val_episodes, sampler_cfg, batch_size, rng):
 def _train_one_fold(train_eps, val_eps, model_cfg, train_cfg, sampler_cfg, fold):
     seed = train_cfg.seed
     model = BatModel.init(model_cfg, substream(seed, "init", fold))
-    optimizer = AdamW(model.params, train_cfg.learning_rate, train_cfg.weight_decay)
     val_windows = _fixed_validation_windows(
         val_eps, sampler_cfg, train_cfg.batch_size, substream(seed, "valwin", fold))
     sampler_rng = functools.cache(lambda epoch: substream(seed, "sampler", fold, epoch))
@@ -334,7 +335,7 @@ def _train_one_fold(train_eps, val_eps, model_cfg, train_cfg, sampler_cfg, fold)
         return float(np.mean([_forecast_loss_on_split(model, w).item()
                               for w in val_windows]))
 
-    return _fit(model, optimizer, train_eps, train_cfg, (fold,), step, val_loss)
+    return _fit(model, train_eps, train_cfg, (fold,), step, val_loss)
 
 
 @ad.compute_dtype(COMPUTE_DTYPE)
@@ -412,7 +413,6 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
             p.requires_grad = name.startswith("head_cls/")
     frozen_before = {n: p.data.copy() for n, p in model.params.items()
                      if not p.requires_grad}
-    optimizer = AdamW(model.params, train_cfg.learning_rate, train_cfg.weight_decay)
 
     labels_train = np.array([float(ep.label) for ep in train_t])
     pos_weight = mt.pos_weight_for(labels_train) if train_cfg.weighted_loss else 1.0
@@ -422,7 +422,7 @@ def finetune(pretrained: dict | None, ds: dt.Dataset, mode: str,
                                train=True, rng=dropout_rng)
         return mt.weighted_bce(probs, [ep.label for ep in batch], pos_weight)
 
-    result = _fit(model, optimizer, train_t, train_cfg, (), step,
+    result = _fit(model, train_t, train_cfg, (), step,
                   lambda: _eval_bce(model, val_t, train_cfg.batch_size, pos_weight))
 
     for name, before in frozen_before.items():
@@ -557,7 +557,7 @@ class GridConfig:
             raise ValueError(f"every size must be >= 2, got {min(self.sizes)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        for v in [*self.variants, self.save_model] if self.save_model else self.variants:
+        for v in self.trained:
             if v not in GRID_VARIANTS:
                 raise ValueError(f"unknown grid variant {v!r}; the variants are "
                                  f"{tuple(GRID_VARIANTS)}")
@@ -565,6 +565,11 @@ class GridConfig:
             lr = getattr(self, f"lr_{v}")
             if not lr > 0:
                 raise ValueError(f"learning rate of grid variant {v!r} must be > 0, got {lr}")
+
+    @property
+    def trained(self) -> list[str]:
+        """Every variant the grid trains: its cells' and the saved model's."""
+        return [*self.variants, self.save_model] if self.save_model else self.variants
 
 
 def check_variants(variants, checkpoint: dict | None, train_cfg: TrainConfig) -> None:
@@ -595,36 +600,27 @@ def _cell_seed(base_seed: int, size: int, rep: int) -> int:
     return zlib.crc32(f"{base_seed}/{size}/{rep}".encode())
 
 
-_GRID_CONTEXT: dict = {}
-
-
 # A cell that raises one of these is infeasible for its size and seed and
 # is skipped; any other exception is a bug and fails the grid.
 _INFEASIBLE_CELL = (TrainingError, dt.SubsampleError, mt.UndefinedMetricError)
 
 
-def _run_cell(args):
-    size, rep, variant = args
-    ctx = _GRID_CONTEXT
-    cell_cfg = replace(ctx["train_cfg"], seed=_cell_seed(ctx["train_cfg"].seed, size, rep))
+def _run_cell(size, rep, variant, pool_ds, test_eps, checkpoint, model_cfg, train_cfg,
+              grid):
+    """The runs.csv row of one grid cell, or None if the cell is infeasible."""
+    cell_cfg = replace(train_cfg, seed=_cell_seed(train_cfg.seed, size, rep))
     try:
-        sub = dt.subsample_preserving_prevalence(ctx["pool_ds"], size, seed=cell_cfg.seed)
-        result = train_variant(variant, ctx["checkpoint"], sub, cell_cfg,
-                               ctx["model_cfg"], ctx["grid"], test_episodes=ctx["test_eps"])
+        sub = dt.subsample_preserving_prevalence(pool_ds, size, seed=cell_cfg.seed)
+        result = train_variant(variant, checkpoint, sub, cell_cfg, model_cfg, grid,
+                               test_episodes=test_eps)
     except _INFEASIBLE_CELL as exc:
         logger.warning("skipping cell size=%d seed=%d variant=%s: %s",
                        size, rep, variant, exc)
         return None
-    return {
-        "dataset": ctx["pool_ds"].name,
-        "model": GRID_VARIANTS[variant].arch,
-        "mode": GRID_VARIANTS[variant].mode,
-        "size": size,
-        "seed": rep,
-        "fold": 0,
-        "auc_roc": result.metrics.auc_roc,
-        "auc_pr": result.metrics.auc_pr,
-    }
+    v = GRID_VARIANTS[variant]
+    return {"dataset": pool_ds.name, "model": v.arch, "mode": v.mode, "size": size,
+            "seed": rep, "fold": 0, "auc_roc": result.metrics.auc_roc,
+            "auc_pr": result.metrics.auc_pr}
 
 
 def _blas_thread_setter():
@@ -643,12 +639,29 @@ def _blas_thread_setter():
     return None
 
 
+_worker_task = None   # (fn, items), set in a forked worker by _start_worker
+
+
+def _start_worker(set_threads, fn, items):
+    global _worker_task
+    _worker_task = fn, items
+    if set_threads is not None:
+        set_threads(1)
+
+
+def _call_in_worker(index):
+    fn, items = _worker_task
+    return fn(items[index])
+
+
 def _parallel_map(fn, items: list, jobs: int) -> list:
     """`map(fn, items)` in order, over `jobs` forked workers when jobs > 1.
 
-    A forked worker inherits the parent's BLAS threads, so `jobs` workers
-    would run that many threads each on the same cores; each worker runs
-    its OpenBLAS on one thread instead.
+    Each worker gets `fn` and `items` from the pool's initializer, which a
+    fork hands over unpickled, so `fn` may be a closure; only indices and
+    results are pickled, and the parent sets no module state. A forked
+    worker inherits the parent's BLAS threads, so `jobs` workers would run
+    that many threads each on the same cores; each runs one instead.
     """
     if jobs == 1:
         return list(map(fn, items))
@@ -658,13 +671,13 @@ def _parallel_map(fn, items: list, jobs: int) -> list:
     if set_threads is None:
         logger.warning("no OpenBLAS thread setter found: each of the %d workers "
                        "keeps the default BLAS threads", jobs)
-    with mp.get_context("fork").Pool(jobs, set_threads, (1,)) as pool:
-        return pool.map(fn, items)
+    with mp.get_context("fork").Pool(jobs, _start_worker, (set_threads, fn, items)) as pool:
+        return pool.map(_call_in_worker, range(len(items)))
 
 
 def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
                         model_cfg: BatConfig, train_cfg: TrainConfig,
-                        grid: GridConfig) -> tuple[list, list]:
+                        grid: GridConfig) -> tuple[list, list, RunResult | None]:
     """Subsample / train / evaluate every (size, seed, variant) cell.
 
     The 80/20 test split is fixed once from the full dataset; every cell
@@ -673,43 +686,35 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     same subsample, holdout, batch order and dropout streams, and the
     variants differ only in their `Variant` row and rate. Infeasible
     cells (TrainingError, SubsampleError or UndefinedMetricError) are
-    skipped with a warning; any other error propagates. Returns (per-run
-    rows, aggregate rows). Before any cell trains, `check_variants` must
-    pass, and a test split without both classes raises UndefinedMetricError.
+    skipped with a warning; any other error propagates. Cells run on
+    `grid.jobs` workers. Returns (per-run rows, aggregate rows, saved model):
+    one run of `grid.save_model` at `train_cfg`'s seed on the training pool
+    the cells are cut from, or None. Before any cell trains, `check_variants`
+    must pass for every variant the grid trains, and a test split without both
+    classes raises UndefinedMetricError.
     """
-    check_variants(grid.variants, checkpoint, train_cfg)
+    check_variants(grid.trained, checkpoint, train_cfg)
     pool_ds, test_eps = dt.split_test(ds, train_cfg.seed)
     labels = [ep.label for ep in test_eps]
     if 0 not in labels or 1 not in labels:
         raise mt.UndefinedMetricError(f"the test split of cohort {ds.name!r} lacks a class: "
                                       f"{labels.count(1)} positive, {labels.count(0)} negative")
 
-    cells = []
     for size in grid.sizes:
         if size > len(pool_ds):
             logger.warning("skipping size %d: training pool only has %d episodes",
                            size, len(pool_ds))
-            continue
-        for variant in grid.variants:
-            for rep in grid.seeds:
-                cells.append((size, rep, variant))
+    cells = [(size, rep, variant) for size in grid.sizes if size <= len(pool_ds)
+             for variant in grid.variants for rep in grid.seeds]
 
-    global _GRID_CONTEXT
-    _GRID_CONTEXT = {
-        "pool_ds": pool_ds,
-        "test_eps": test_eps,
-        "checkpoint": checkpoint,
-        "model_cfg": model_cfg,
-        "train_cfg": train_cfg,
-        "grid": grid,
-    }
-    try:
-        rows = [row for row in _parallel_map(_run_cell, cells, grid.jobs) if row is not None]
-    finally:
-        _GRID_CONTEXT = {}
+    def run_cell(cell):
+        return _run_cell(*cell, pool_ds, test_eps, checkpoint, model_cfg, train_cfg, grid)
 
+    rows = [row for row in _parallel_map(run_cell, cells, grid.jobs) if row is not None]
     rows.sort(key=lambda r: (r["size"], r["model"], r["mode"], r["seed"]))
-    return rows, aggregate_rows(rows)
+    saved = (train_variant(grid.save_model, checkpoint, pool_ds, train_cfg, model_cfg, grid)
+             if grid.save_model else None)
+    return rows, aggregate_rows(rows), saved
 
 
 def aggregate_rows(rows: list) -> list:

@@ -464,16 +464,24 @@ class TestFinetune:
         assert read(os.path.join(small_dataset_dir, "measurements.csv")) == input_bytes
 
     def test_echo_names_the_checkpoints_model_and_reruns_byte_identical(
-            self, small_dataset_dir, pretrain_out, tmp_path):
+            self, small_dataset_dir, pretrain_out, tmp_path, caplog):
         """The grid trains the checkpoint's model, whatever [model] the
-        command was given, and config.ini says so."""
+        command was given; a warning names the given value it drops, and
+        config.ini names the checkpoint's."""
         ckpt = os.path.join(pretrain_out, "checkpoint.bax")
         first, rerun = tmp_path / "first", tmp_path / "rerun"
-        assert run_cli(*self._finetune_args(small_dataset_dir, ckpt, first,
-                                            ("--set", "model.dropout=0.05"))) == 0
+        with caplog.at_level("WARNING"):
+            assert run_cli(*self._finetune_args(small_dataset_dir, ckpt, first,
+                                                ("--set", "model.dropout=0.05"))) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "dropout=0.05 (checkpoint: 0.1)" in warnings[0]
         assert load_config(first / "config.ini").model == tr.load_checkpoint(ckpt)["model_cfg"]
-        assert run_cli("finetune", "--config", str(first / "config.ini"),
-                       "--out", str(rerun)) == 0
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert run_cli("finetune", "--config", str(first / "config.ini"),
+                           "--out", str(rerun)) == 0
+        assert [r for r in caplog.records if r.levelname == "WARNING"] == []
         for fn in ("runs.csv", "aggregate.csv"):
             assert read(first / fn) == read(rerun / fn)
 
@@ -575,13 +583,27 @@ class TestFinetune:
                                                   pretrain_out, tmp_path):
         ckpt = os.path.join(pretrain_out, "checkpoint.bax")
         one, two = tmp_path / "one", tmp_path / "two"
+        saved = ("--set", "grid.save_model=finetune_head")
         assert run_cli(*self._finetune_args(small_dataset_dir, ckpt, one,
-                                            ("--jobs", "1"))) == 0
+                                            ("--jobs", "1", *saved))) == 0
         assert run_cli(*self._finetune_args(small_dataset_dir, ckpt, two,
-                                            ("--jobs", "2"))) == 0
+                                            ("--jobs", "2", *saved))) == 0
         assert len(read(one / "runs.csv").splitlines()) == 1 + 4
-        for fn in ("runs.csv", "aggregate.csv"):
+        for fn in ("runs.csv", "aggregate.csv", "model.bax"):
             assert read(one / fn) == read(two / fn)
+
+    def test_the_cohort_is_cut_once_for_the_grid_and_the_saved_model(
+            self, small_dataset_dir, pretrain_out, tmp_path, monkeypatch):
+        cuts, split_test = [], dt.split_test
+        monkeypatch.setattr(dt, "split_test",
+                            lambda *args, **kwargs: cuts.append(args) or
+                            split_test(*args, **kwargs))
+        out = tmp_path / "ft"
+        assert run_cli(*self._finetune_args(
+            small_dataset_dir, os.path.join(pretrain_out, "checkpoint.bax"), out,
+            ("--set", "grid.save_model=scratch_bat"))) == 0
+        assert len(cuts) == 1
+        assert tr.load_checkpoint(out / "model.bax", "classifier")["meta"]["split_seed"] == 2
 
     def test_scratch_only_grid_needs_no_checkpoint(self, small_dataset_dir,
                                                    tmp_path):

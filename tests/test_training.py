@@ -181,6 +181,8 @@ class TestLrSchedule:
 class _UntrainedModel:
     """All that `_fit` asks of a model when there are no items to train on."""
 
+    params: dict = {}
+
     def zero_grad(self):
         pass
 
@@ -193,7 +195,7 @@ def fit_stop_epoch(trace, patience, min_delta):
     are `trace`, or None if it runs all len(trace) epochs."""
     losses = iter(trace)
     cfg = tr.TrainConfig(epochs=len(trace), patience=patience, min_delta=min_delta)
-    result = tr._fit(_UntrainedModel(), None, [], cfg, (), None,
+    result = tr._fit(_UntrainedModel(), [], cfg, (), None,
                      lambda: float(next(losses)))
     assert result.val_curve == [float(v) for v in trace[:result.stop_epoch]]
     assert result.best_val == min(result.val_curve)
@@ -634,6 +636,12 @@ class TestParallelMap:
             assert tr._parallel_map(abs, [-3, 1, -2], 2) == [3, 1, 2]
         assert ["no OpenBLAS thread setter" in r.message for r in caplog.records] == [True]
 
+    def test_a_closure_over_local_state_maps_in_order_on_two_workers(self):
+        offset, seen = 10, {"scale": 3}         # a lambda over them cannot be pickled
+        items = list(range(7))
+        assert tr._parallel_map(lambda x: seen["scale"] * x + offset, items, 2) == \
+            [3 * x + 10 for x in items]
+
 
 class TestExperimentGrid:
     @settings(max_examples=200, deadline=None)
@@ -649,7 +657,7 @@ class TestExperimentGrid:
         ds, model_cfg = mortality_ds, checkpoint["model_cfg"]
         grid = tr.GridConfig(sizes=[30, 60], seeds=[0, 1],
                              variants=["finetune_head", "scratch_bat"])
-        rows, aggregates = tr.run_experiment_grid(
+        rows, aggregates, _ = tr.run_experiment_grid(
             ds, checkpoint, model_cfg, tiny_train_cfg(epochs=2), grid)
         assert len(rows) == 8
         assert len(aggregates) == 4
@@ -672,7 +680,7 @@ class TestExperimentGrid:
     def test_infeasible_size_skipped_with_warning(self, mortality_ds, caplog):
         grid = tr.GridConfig(sizes=[10_000], seeds=[0], variants=["scratch_bat"])
         with caplog.at_level("WARNING"):
-            rows, aggregates = tr.run_experiment_grid(
+            rows, aggregates, _ = tr.run_experiment_grid(
                 mortality_ds, None, tiny_model_cfg(), tiny_train_cfg(epochs=1), grid)
         assert rows == [] and aggregates == []
         assert any("skipping size" in rec.message for rec in caplog.records)
@@ -687,19 +695,20 @@ class TestExperimentGrid:
         monkeypatch.setattr(tr, "train_variant", infeasible)
         grid = tr.GridConfig(sizes=[30], seeds=[0, 1], variants=["scratch_bat"])
         with caplog.at_level("WARNING"):
-            rows, _ = tr.run_experiment_grid(
+            rows, _, _ = tr.run_experiment_grid(
                 mortality_ds, None, tiny_model_cfg(), tiny_train_cfg(epochs=1), grid)
         assert rows == []
         assert sum("skipping cell" in rec.message for rec in caplog.records) == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("error", [ValueError("operands could not be broadcast"),
                                        TypeError("gelu computed in float64"),
                                        ZeroDivisionError("division by zero")])
-    def test_other_cell_errors_fail_the_grid(self, mortality_ds, monkeypatch, error):
+    def test_other_cell_errors_fail_the_grid(self, mortality_ds, monkeypatch, error, jobs):
         def buggy(*args, **kwargs):
             raise error
         monkeypatch.setattr(tr, "train_variant", buggy)
-        grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"])
+        grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"], jobs=jobs)
         with pytest.raises(type(error), match=str(error)):
             tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
                                    tiny_train_cfg(epochs=1), grid)
@@ -749,12 +758,56 @@ class TestExperimentGrid:
                                                        n_sensors=4), "mortality")
         grid = tr.GridConfig(sizes=[5, 20], seeds=[0, 1, 2, 3], variants=["scratch_bat"])
         with caplog.at_level("WARNING"):
-            rows, _ = tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
+            rows, _, _ = tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
                                              tiny_train_cfg(epochs=1), grid)
         skipped = [rec for rec in caplog.records if "no negative labels" in rec.message]
         # every subsample holds exactly one negative; the holdout keeps it
         # for training, so no cell lacks a negative
         assert (len(skipped), len(rows)) == (0, 8)
+
+    def test_a_two_job_grid_leaves_the_module_as_it_was(self, mortality_ds):
+        before = dict(vars(tr))
+        grid = tr.GridConfig(sizes=[30], seeds=[0, 1], variants=["scratch_bat"], jobs=2)
+        rows, _, _ = tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
+                                            tiny_train_cfg(epochs=1), grid)
+        assert len(rows) == 2
+        after = vars(tr)
+        assert after.keys() == before.keys()
+        assert [k for k in before if after[k] is not before[k]] == []
+
+    def test_saved_model_is_one_run_on_the_pool_the_cells_are_cut_from(
+            self, mortality_ds, monkeypatch):
+        cfg, model_cfg = tiny_train_cfg(epochs=1), tiny_model_cfg()
+        finetune, trained = tr.finetune, []
+
+        def recording_finetune(pretrained, ds, mode, train_cfg, **kwargs):
+            trained.append((ds, train_cfg.seed))
+            return finetune(pretrained, ds, mode, train_cfg, **kwargs)
+
+        monkeypatch.setattr(tr, "finetune", recording_finetune)
+        grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"],
+                             save_model="scratch_transformer")
+        _, _, saved = tr.run_experiment_grid(mortality_ds, None, model_cfg, cfg, grid)
+        pool, _ = dt.split_test(mortality_ds, cfg.seed)
+        assert trained[-1][1] == cfg.seed
+        assert [ep.patient_id for ep in trained[-1][0].episodes] == \
+            [ep.patient_id for ep in pool.episodes]
+        want = tr.train_variant("scratch_transformer", None, pool, cfg, model_cfg, grid)
+        assert saved.best_val == want.best_val
+        assert all(np.array_equal(saved.params[n], want.params[n]) for n in want.params)
+        grid = replace(grid, save_model="")
+        assert tr.run_experiment_grid(mortality_ds, None, model_cfg, cfg, grid)[2] is None
+
+    def test_saved_model_variant_is_checked_before_any_cell(self, mortality_ds,
+                                                             monkeypatch):
+        calls = []
+        monkeypatch.setattr(tr, "train_variant", lambda *args, **kwargs: calls.append(args))
+        grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"],
+                             save_model="finetune_full")
+        with pytest.raises(ValueError, match=r"variants \['finetune_full'\] require"):
+            tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
+                                   tiny_train_cfg(epochs=1), grid)
+        assert calls == []
 
     def test_missing_checkpoint_for_finetune_variant(self, mortality_ds):
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_full"])
@@ -813,7 +866,7 @@ class TestExperimentGrid:
         rates = {name: 1e-3 * (k + 1) for k, name in enumerate(tr.GRID_VARIANTS)}
         grid = tr.GridConfig(sizes=[30, 40], seeds=[0, 1],
                              **{f"lr_{v}": lr for v, lr in rates.items()})
-        rows, _ = tr.run_experiment_grid(mortality_ds, checkpoint, tiny_model_cfg(),
+        rows, _, _ = tr.run_experiment_grid(mortality_ds, checkpoint, tiny_model_cfg(),
                                          tiny_train_cfg(epochs=1), grid)
         assert len(rows) == len(calls) == len(holdouts) == 2 * 2 * len(tr.GRID_VARIANTS)
 
