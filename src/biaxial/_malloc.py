@@ -4,9 +4,9 @@ Training allocates and frees many multi-megabyte array buffers of
 varying sizes. With glibc defaults those go through mmap/munmap and every
 reuse pays zero-fill page faults. Routing them through the heap freelists
 instead is safe and process-local; on non-glibc platforms this is a no-op.
-On a 2-vCPU VM (medians of alternating 30 s benchmark runs with and
-without it) it raises training throughput by 15-32% and cuts the CLI
-pipeline's wall time by 20%, for up to 11 MB more peak RSS.
+On a 2-vCPU VM (4 alternating pairs of 15 s benchmark runs with and
+without it) it made training steps ~10-15% faster, for ~10-23 MB more
+peak RSS.
 """
 
 from __future__ import annotations

@@ -779,8 +779,6 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int, axis: int,
                       out=_split_heads(dv, axis, heads))
             tv._accumulate(dv, owned=True)
         del shared                                  # freed before ds is made
-        if tq is None and tk is None:
-            return
         ds = g5 @ np.swapaxes(v5, -1, -2)           # dL/d(dropped weights)
         if keep is not None:
             ds = _apply_keep(ds, keep, drop_scale)

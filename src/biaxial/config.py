@@ -5,7 +5,7 @@ are exact-case, in a file as in a flag) are rejected so typos cannot
 silently fall back to defaults. Every command echoes its fully resolved
 config into the output directory; rerunning from it is byte-identical.
 
-Every section is a dataclass: [data] is `DataConfig`, [model]
+Every section is a dataclass: [data] is `data.DataConfig`, [model]
 `BatConfig`, [sampler] `SamplerConfig`, [train] `TrainConfig`, [grid]
 `GridConfig` and [output] `OutputConfig`. A section's keys are its
 fields, in field order: each key's kind is its field's annotation and its
@@ -21,8 +21,9 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
+from biaxial.data import DataConfig
 from biaxial.model import BatConfig
 from biaxial.sampler import SamplerConfig
 from biaxial.training import GridConfig, TrainConfig
@@ -49,20 +50,6 @@ def _keys_of(cls, omit=()) -> dict:
         keys[f.name] = (f.type, f.default if f.default_factory is MISSING
                             else f.default_factory())
     return keys
-
-
-@dataclass
-class DataConfig:
-    """The [data] section: cohort directories, checkpoints, and what
-    `generate` draws."""
-    paths: list[str] = field(default_factory=list)
-    checkpoint: list[str] = field(default_factory=list)
-    n: int = 1000
-    prevalence: float = 0.119
-    mean_stay_hours: float = 48.0
-    sparsity: float = 0.5
-    availability_profile: int = 0
-    name: str = "synthetic"
 
 
 @dataclass

@@ -32,7 +32,7 @@ import csv
 import logging
 import os
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -646,6 +646,39 @@ def _dynamics(n_sensors: int, availability_profile: int) -> dict:
     }
 
 
+@dataclass
+class DataConfig:
+    """The [data] section: cohort directories, checkpoints, and what
+    `generate_synthetic` draws. Its rules are the generator's, so every
+    command rejects a cohort that `generate` could not draw."""
+    paths: list[str] = field(default_factory=list)
+    checkpoint: list[str] = field(default_factory=list)
+    n: int = 1000
+    prevalence: float = 0.119
+    mean_stay_hours: float = 48.0
+    sparsity: float = 0.5
+    availability_profile: int = 0
+    name: str = "synthetic"
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not 0 < self.prevalence < 1:
+            raise ValueError(f"prevalence must be in (0, 1), got {self.prevalence}")
+        if not 0 <= self.sparsity < 1:
+            raise ValueError(f"sparsity must be in [0, 1), got {self.sparsity}")
+        if not self.mean_stay_hours > 0:  # NaN too
+            raise ValueError(f"mean_stay_hours must be > 0, got {self.mean_stay_hours}")
+        k = self.positives  # the closest achievable prevalence is k / n
+        if k < 1 or abs(k / self.n - self.prevalence) > 0.01:
+            raise ValueError(f"cannot calibrate prevalence {self.prevalence} with "
+                             f"n={self.n} (closest achievable {k / self.n:.4f})")
+
+    @property
+    def positives(self) -> int:  # labels generate_synthetic draws as 1
+        return int(np.floor(self.prevalence * self.n + 0.5))
+
+
 def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
                        sparsity: float = 0.5, seed: int = 0,
                        n_sensors: int = len(SENSOR_SCHEMA),
@@ -655,21 +688,12 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
 
     The mortality label is the indicator that mean latent severity over
     the final 6 hours exceeds a threshold calibrated to the requested
-    prevalence. If the closest achievable one, floor(prevalence * n + 1/2)
-    / n, misses it by more than 0.01, it raises ValueError before any draw.
-    sparsity 0 observes every cell; higher values thin the per-sensor
-    observation rates, labs much more aggressively than vitals.
+    prevalence. Its arguments are checked by `DataConfig`'s rules, before
+    any draw. sparsity 0 observes every cell; higher values thin the
+    per-sensor observation rates, labs much more aggressively than vitals.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 < prevalence < 1:
-        raise ValueError(f"prevalence must be in (0, 1), got {prevalence}")
-    if not 0 <= sparsity < 1:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    k = int(np.floor(prevalence * n + 0.5))
-    if k < 1 or abs(k / n - prevalence) > 0.01:
-        raise ValueError(f"cannot calibrate prevalence {prevalence} with n={n} "
-                         f"(closest achievable {k / n:.4f})")
+    k = DataConfig(n=n, prevalence=prevalence, mean_stay_hours=mean_stay_hours,
+                   sparsity=sparsity).positives
     _sensor_prefix(n_sensors)
     dyn = _dynamics(n_sensors, availability_profile)
     rng = substream(seed, "synthetic")

@@ -66,10 +66,9 @@ def time_encoding(hours: np.ndarray, embed_size: int) -> np.ndarray:
     return enc
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
-            shape: tuple | None = None) -> np.ndarray:
+def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, shape or (fan_in, fan_out))
+    return rng.uniform(-bound, bound, (fan_in, fan_out))
 
 
 def _attention(x: Tensor, p: dict, prefix: str, axis: int, heads: int,
@@ -124,8 +123,8 @@ class _ParamModel:
 
     @classmethod
     def _trunk_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
-        """Initial arrays of each trunk layer: each branch's attention block,
-        two layer norms and the FFN, drawn from `rng` in this order."""
+        """Initial arrays of each trunk layer (each branch's attention block,
+        two layer norms, the FFN), then the classifier head, in draw order."""
         e = cfg.value_embed_size
         w, p = e * FFN_WIDTH_FACTOR, {}
         for layer in range(cfg.layers):
@@ -142,6 +141,8 @@ class _ParamModel:
             p[f"layer{layer}/ffn/b1"] = np.zeros(w)
             p[f"layer{layer}/ffn/w2"] = _xavier(rng, w, e)
             p[f"layer{layer}/ffn/b2"] = np.zeros(e)
+        p["head_cls/w"] = _xavier(rng, e + cfg.static_count, 1)
+        p["head_cls/b"] = np.zeros(1)
         return p
 
     def zero_grad(self) -> None:
@@ -206,7 +207,8 @@ class _ParamModel:
 
     def classify(self, values, mask, hours, statics,
                  train: bool = False, rng=None) -> Tensor:
-        """Mortality probability per batch element, in (0, 1)."""
+        """Mortality probability per batch element, in [0, 1]: float32
+        sigmoid returns exactly 1.0 above a logit of about 16.6."""
         x = self.trunk(values, mask, hours, train=train, rng=rng)
         fused = self.pool_and_fuse(x, statics)
         logits = ad.affine(fused, self.params["head_cls/w"], self.params["head_cls/b"])
@@ -228,20 +230,12 @@ class BatModel(_ParamModel):
 
     @classmethod
     def _init_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
-        d, e, s = cfg.sensors_count, cfg.value_embed_size, cfg.static_count
-        p: dict[str, np.ndarray] = {
-            "embed/value_w": rng.normal(0.0, 0.5, e),
-            "embed/value_b": np.zeros(e),
-            "embed/missing": rng.normal(0.0, 0.2, (d, e)),
-            "embed/identity": rng.normal(0.0, 0.2, (d, e)),
-        }
-        p.update(cls._trunk_arrays(cfg, rng))
-        p["head_cls/w"] = _xavier(rng, e + s, 1)
-        p["head_cls/b"] = np.zeros(1)
-        p["head_for/w"] = _xavier(rng, e, cfg.forecast_horizon,
-                                  (e, cfg.forecast_horizon))
-        p["head_for/b"] = np.zeros(cfg.forecast_horizon)
-        return p
+        d, e, h = cfg.sensors_count, cfg.value_embed_size, cfg.forecast_horizon
+        return {"embed/value_w": rng.normal(0.0, 0.5, e), "embed/value_b": np.zeros(e),
+                "embed/missing": rng.normal(0.0, 0.2, (d, e)),
+                "embed/identity": rng.normal(0.0, 0.2, (d, e)),
+                **cls._trunk_arrays(cfg, rng),
+                "head_for/w": _xavier(rng, e, h), "head_for/b": np.zeros(h)}
 
     def embed(self, values: np.ndarray, mask: np.ndarray,
               hours: np.ndarray) -> Tensor:
@@ -295,15 +289,9 @@ class TemporalTransformer(_ParamModel):
 
     @classmethod
     def _init_arrays(cls, cfg: BatConfig, rng: np.random.Generator) -> dict:
-        d, e, s = cfg.sensors_count, cfg.value_embed_size, cfg.static_count
-        p: dict[str, np.ndarray] = {
-            "embed/w": _xavier(rng, d, e),
-            "embed/b": np.zeros(e),
-        }
-        p.update(cls._trunk_arrays(cfg, rng))
-        p["head_cls/w"] = _xavier(rng, e + s, 1)
-        p["head_cls/b"] = np.zeros(1)
-        return p
+        d, e = cfg.sensors_count, cfg.value_embed_size
+        return {"embed/w": _xavier(rng, d, e), "embed/b": np.zeros(e),
+                **cls._trunk_arrays(cfg, rng)}
 
     def embed(self, values: np.ndarray, mask: np.ndarray,
               hours: np.ndarray) -> Tensor:

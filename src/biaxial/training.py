@@ -343,8 +343,10 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
              sampler_cfg: sp.SamplerConfig, n_folds: int = 5) -> PretrainResult:
     """Five-fold self-supervised forecasting over a pooled, unlabeled corpus.
 
-    Each fold fits its own preprocessor on its training split. The fold
-    with the lowest best validation masked loss is selected.
+    The folds rotate over the corpus less its `data.TEST_FRAC` cut, which
+    no pretraining code reads. Each fold fits its own preprocessor on its
+    training split. The fold with the lowest best validation masked loss
+    is selected.
     """
     fold_results = []
     for fold, (train_eps, val_eps) in enumerate(dt.folds(pooled, train_cfg.seed, n_folds)):

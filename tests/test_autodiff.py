@@ -116,6 +116,7 @@ class TestSoftmax:
         out = ad.softmax(tensor([1.0, 2.0]), axis=0)
         np.testing.assert_allclose(out.data, [0.2689, 0.7311], atol=1e-4)
 
+    @pytest.mark.usefixtures("float64")
     def test_sums_to_one_up_to_magnitude_1e4(self):
         rng = np.random.default_rng(3)
         for scale in (1.0, 10.0, 1e3, 1e4):
@@ -252,6 +253,7 @@ class TestElementwisePrimitives:
         ("sigmoid", ad.sigmoid, lambda x: 1 / (1 + np.exp(-x))),
         ("log", ad.log, np.log),
     ])
+    @pytest.mark.usefixtures("float64")
     def test_gradient_vs_finite_differences(self, name, op, np_f):
         rng = np.random.default_rng(8)
         # keep log away from 0, relu away from its kink
@@ -334,6 +336,7 @@ class TestElementwisePrimitives:
         np.testing.assert_allclose(out.data[kept], 1 / 0.75)
         assert ad.dropout(x, 0.25, None, train=False) is x
 
+    @pytest.mark.usefixtures("float64")
     def test_dropout_gradient_with_fixed_mask(self):
         x_np = np.random.default_rng(13).uniform(-2, 2, (5, 5))
 
@@ -394,6 +397,7 @@ class TestGelu:
         assert err.max() <= tol, f"max scaled error {err.max()} > {tol}"
         assert out[-4] == 0.0 and np.signbit(out[-4])        # gelu(-0.0) is -0.0
 
+    @pytest.mark.usefixtures("float64")
     def test_gradient_vs_finite_differences_across_signs(self):
         x_np = np.array([[-5.0, -3.2, -2.0, -1.1, -0.5, -0.2],
                          [-1e-3, -1e-6, 0.0, 1e-6, 1e-3, 0.05],
@@ -489,6 +493,7 @@ class TestGelu:
 
 
 class TestRandomizedPrimitiveSweep:
+    @pytest.mark.usefixtures("float64")
     def test_all_primitives_within_rel_tolerance(self):
         # composite chain over random inputs in [-2, 2]
         rng = np.random.default_rng(14)
@@ -512,6 +517,7 @@ class TestRandomizedPrimitiveSweep:
             assert report.passed, report
 
 
+@pytest.mark.usefixtures("float64")
 class TestGradCheck:
     def test_quadratic_passes(self):
         params = {"w": tensor([1.0, -2.0, 0.5], requires_grad=True)}
@@ -644,6 +650,7 @@ class TestAttentionCore:
     @pytest.mark.parametrize("axis", [1, 2])
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.usefixtures("float64")
     def test_matches_unfused_composition(self, heads, axis, masked, train):
         qkv, w, key_bias = self._inputs(axis, masked)
         outs, grads = [], []
@@ -660,6 +667,7 @@ class TestAttentionCore:
             assert np.max(np.abs(g_fused - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
 
     @pytest.mark.parametrize("heads,axis", [(1, 2), (2, 1)])
+    @pytest.mark.usefixtures("float64")
     def test_grad_check(self, heads, axis):
         qkv, w, key_bias = self._inputs(axis, masked=True, seed=22)
         params = {name: tensor(a, requires_grad=True) for name, a in zip("qkv", qkv)}
@@ -1213,6 +1221,7 @@ class TestOwnedGradients:
 
     @pytest.mark.parametrize("graph", [_fed_twice_to_add, _norm_feeding_two_affines,
                                        _gelu_input_read_elsewhere])
+    @pytest.mark.usefixtures("float64")
     def test_fan_out_gradients_equal_a_read_only_run(self, graph):
         rng = np.random.default_rng(7)
         shapes = {"x": (2, 3, 4), "w1": (4, 5), "b1": (5,), "w2": (4, 5),
@@ -1271,6 +1280,7 @@ def reference_keep(rng, shape, p):
 
 
 class TestDropoutMask:
+    @pytest.mark.usefixtures("float64")
     def test_bitwise_equal_to_float_mask(self):
         x = np.random.default_rng(40).normal(size=(50, 7))
         g = np.random.default_rng(41).normal(size=(50, 7))

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config handling, artifacts, determinism, exit codes."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -67,7 +68,7 @@ def pretrain_out(small_dataset_dir, second_dataset_dir, tmp_path_factory):
 
 # a valid value other than the default for every config key, as --set takes it
 NON_DEFAULT = {
-    "data.paths": "a,b", "data.checkpoint": "c.bax", "data.n": "10",
+    "data.paths": "a,b", "data.checkpoint": "c.bax", "data.n": "100",
     "data.prevalence": "0.3", "data.mean_stay_hours": "30.5", "data.sparsity": "0.25",
     "data.availability_profile": "2", "data.name": "other",
     "model.sensors_count": "6", "model.value_embed_size": "64", "model.layers": "3",
@@ -94,6 +95,17 @@ BAD_SETTING = {
     "model.value_embed_size": ("3", "value_embed_size must be even"),
     "sampler.min_obs_len": ("0", "min_obs_len must be >= 1"),
 }
+
+# (key, a value [data] rejects, the start of the message): the rules
+# generate_synthetic draws under, which every command checks; n=7 cannot
+# reach the default prevalence 0.119
+BAD_DATA = [
+    ("data.n", "0", "n must be >= 1"),
+    ("data.prevalence", "1", "prevalence must be in (0, 1)"),
+    ("data.sparsity", "1", "sparsity must be in [0, 1)"),
+    ("data.mean_stay_hours", "0", "mean_stay_hours must be > 0"),
+    ("data.n", "7", "cannot calibrate prevalence 0.119 with n=7"),
+]
 
 
 def field_value(cfg, dotted):
@@ -154,8 +166,9 @@ class TestConfig:
             load_config(None, {"model.forecast_horizon": "0"})
         with pytest.raises(ConfigError, match="sampler.forecast_horizon: unknown config key"):
             load_config(None, {"sampler.forecast_horizon": "4"})
-        for dotted, (raw, message) in BAD_SETTING.items():
-            with pytest.raises(ConfigError, match=rf"^\[{dotted.split('.')[0]}\] {message}"):
+        for dotted, raw, message in [(d, *bad) for d, bad in BAD_SETTING.items()] + BAD_DATA:
+            with pytest.raises(ConfigError, match=rf"^\[{dotted.split('.')[0]}\] "
+                                                  rf"{re.escape(message)}"):
                 load_config(None, {dotted: raw})
 
     def test_default_typed_views_are_the_dataclass_defaults(self):
@@ -307,6 +320,14 @@ class TestGenerate:
         assert run_cli("generate", "--n", "10", "--prevalence", "0.119",
                        "--sensors-count", "4", "--out", str(out)) == 1
         assert "cannot calibrate prevalence 0.119 with n=10" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_positive_mean_stay_fails_before_any_write(self, tmp_path, capsys):
+        """A mean stay of 0 h would clip every drawn stay to 31 h."""
+        out = tmp_path / "g"
+        assert run_cli("generate", "--n", "60", "--prevalence", "0.2", "--sensors-count", "4",
+                       "--set", "data.mean_stay_hours=0", "--out", str(out)) == 1
+        assert "[data] mean_stay_hours must be > 0, got 0.0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-1"])
@@ -897,17 +918,26 @@ def test_bad_data_directory_fails_before_the_config_echo(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, dotted", [
-    *(("generate", dotted) for dotted in BAD_SETTING), ("pretrain", "grid.jobs"),
-    ("finetune", "model.value_embed_size"), ("finetune", "sampler.min_obs_len"),
-    ("evaluate", "grid.jobs"), ("evaluate", "model.value_embed_size"),
-    ("evaluate", "sampler.min_obs_len")])
+BAD_CASES = [
+    *((command, dotted, *BAD_SETTING[dotted]) for command, dotted in [
+        *(("generate", dotted) for dotted in BAD_SETTING), ("pretrain", "grid.jobs"),
+        ("finetune", "model.value_embed_size"), ("finetune", "sampler.min_obs_len"),
+        ("evaluate", "grid.jobs"), ("evaluate", "model.value_embed_size"),
+        ("evaluate", "sampler.min_obs_len")]),
+    *((command, *bad) for command in ("pretrain", "finetune", "evaluate") for bad in BAD_DATA)]
+
+
+@pytest.mark.parametrize(
+    "command, dotted, raw, message", BAD_CASES,
+    ids=[f"{c}-{d}" if d in BAD_SETTING else f"{c}-{d}={r}" for c, d, r, _ in BAD_CASES])
 def test_bad_value_in_a_section_the_command_never_reads_fails_before_any_write(
-        command, dotted, pretrain_out, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
+        command, dotted, raw, message, pretrain_out, classifier_ckpts, small_dataset_dir,
+        tmp_path, capsys):
     """Every command checks every section: each command's inputs here are
     otherwise valid, and one bad value in a section it never reads makes
     it exit 1 with no --out directory. finetune takes its model from the
-    checkpoint, so it never reads [model]."""
+    checkpoint, so it never reads [model]; only generate draws under
+    [data]'s n, prevalence, sparsity and mean_stay_hours."""
     inputs = {
         "generate": ["--n", "60", "--prevalence", "0.2", "--sensors-count", "4"],
         "pretrain": ["--data", small_dataset_dir, "--set", "model.sensors_count=6",
@@ -919,7 +949,6 @@ def test_bad_value_in_a_section_the_command_never_reads_fails_before_any_write(
                      "--set", "grid.seeds=0", "--set", "grid.variants=finetune_head"],
         "evaluate": ["--data", small_dataset_dir, "--checkpoint", classifier_ckpts[0]],
     }[command]
-    raw, message = BAD_SETTING[dotted]
     out = tmp_path / "out"
     assert run_cli(command, *inputs, "--set", f"{dotted}={raw}", "--out", str(out)) == 1
     assert f"[{dotted.split('.')[0]}] {message}" in capsys.readouterr().err

@@ -913,6 +913,23 @@ class TestGenerator:
                 dt.generate_synthetic(n, prevalence=0.5, seed=0)
         with pytest.raises(dt.SchemaError, match=r"sensor count must be in \[1, 48\], got 49"):
             dt.generate_synthetic(10, prevalence=0.5, seed=0, n_sensors=49)
+        for hours in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match=f"mean_stay_hours must be > 0, got {hours}"):
+                dt.generate_synthetic(10, prevalence=0.5, mean_stay_hours=hours, seed=0)
+
+    @pytest.mark.parametrize("bad", [{"n": 0}, {"prevalence": 1.0}, {"sparsity": 1.0},
+                                     {"mean_stay_hours": 0.0}, {"n": 7}],
+                             ids=["n=0", "prevalence=1", "sparsity=1", "mean_stay_hours=0",
+                                  "n=7"])
+    def test_generator_and_data_section_reject_alike(self, bad):
+        """generate_synthetic checks its arguments by building the [data]
+        section, so both raise one message for a bad value."""
+        args = {"n": 100, "prevalence": 0.119, "mean_stay_hours": 48.0, "sparsity": 0.5, **bad}
+        with pytest.raises(ValueError) as section:
+            dt.DataConfig(**args)
+        with pytest.raises(ValueError) as generator:
+            dt.generate_synthetic(**args, seed=0, n_sensors=4)
+        assert str(generator.value) == str(section.value)
 
     def test_csv_round_trip(self, tmp_path):
         ds = dt.generate_synthetic(15, prevalence=0.2, seed=4, n_sensors=6,

@@ -90,6 +90,7 @@ class TestMaskedForecastLoss:
             m.masked_forecast_loss(tensor(np.zeros((0, 2, 2))),
                                    np.zeros((0, 2, 2)), np.zeros((0, 2, 2), dtype=bool))
 
+    @pytest.mark.usefixtures("float64")
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         pred_np = rng.standard_normal((2, 3, 2))
@@ -103,10 +104,12 @@ class TestMaskedForecastLoss:
 
 
 class TestWeightedBce:
+    @pytest.mark.usefixtures("float64")
     def test_half_probability_positive(self):
         loss = m.weighted_bce(tensor(np.array([0.5])), np.array([1.0]))
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_two_sample_value(self):
         loss = m.weighted_bce(tensor(np.array([0.8, 0.2])), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(-np.log(0.8), abs=1e-12)
@@ -125,6 +128,7 @@ class TestWeightedBce:
         b = m.weighted_bce(tensor(np.array([0.3])), labels, pos_weight=5.0).item()
         assert a == b
 
+    @pytest.mark.usefixtures("float64")
     def test_nonnegative_and_zero_only_at_clamped_perfection(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -144,6 +148,7 @@ class TestWeightedBce:
         with pytest.raises(ValueError, match="empty"):
             m.weighted_bce(tensor(np.zeros(0)), np.zeros(0))
 
+    @pytest.mark.usefixtures("float64")
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         probs = rng.uniform(0.05, 0.95, 8)

@@ -78,6 +78,7 @@ class TestTimeEncoding:
 
 
 class TestEmbedding:
+    @pytest.mark.usefixtures("float64")
     def test_all_missing_ignores_value_buffer(self):
         cfg = small_cfg()
         model = md.BatModel.init(cfg, substream(0, "init"))
@@ -118,6 +119,7 @@ class TestEmbedding:
 
 
 class TestTrunk:
+    @pytest.mark.usefixtures("float64")
     def test_sensor_permutation_equivariance(self):
         cfg = small_cfg()
         model = md.BatModel.init(cfg, substream(4, "init"))
@@ -133,6 +135,7 @@ class TestTrunk:
         out_perm = permuted.trunk(values[:, perm], mask[:, perm], hours).data
         assert np.max(np.abs(out_perm - out[:, perm])) <= 1e-9
 
+    @pytest.mark.usefixtures("float64")
     def test_time_permutation_equivariance(self):
         cfg = small_cfg()
         model = md.BatModel.init(cfg, substream(6, "init"))
@@ -216,6 +219,7 @@ class TestPoolAndFuse:
         fused = model.pool_and_fuse(ad.tensor(x_np), np.zeros((1, 4))).data
         assert fused[0, 4] == 99.0
 
+    @pytest.mark.usefixtures("float64")
     def test_mean_mode_matches_direct_average(self):
         cfg = small_cfg(pooling="mean")
         model = md.BatModel.init(cfg, substream(21, "init"))
@@ -291,6 +295,7 @@ class TestForecastHead:
         assert out.shape == (1, 48, 2)
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.usefixtures("float64")
     def test_forecast_head_gradients_match_finite_differences(self):
         cfg = small_cfg(layers=1)
         model = md.BatModel.init(cfg, substream(35, "init"))
@@ -386,6 +391,7 @@ class TestBaselineTransformer:
             b = model.classify(values, ~mask, hours, statics).data
             assert np.array_equal(a, b), use_mask
 
+    @pytest.mark.usefixtures("float64")
     def test_gradients_match_finite_differences(self):
         cfg = md.BatConfig(sensors_count=3, value_embed_size=4, layers=1, heads=1,
                            forecast_horizon=2)

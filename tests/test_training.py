@@ -101,6 +101,7 @@ class TestAdamW:
         opt.step()
         assert abs(abs(p.data[0]) - 0.01) < 1e-6
 
+    @pytest.mark.usefixtures("float64")
     def test_scalar_trace_matches_hand_rolled_oracle(self):
         lr, wd, g_const = 0.05, 0.01, 2.0
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -138,6 +139,7 @@ class TestAdamW:
         with pytest.raises(tr.NonFiniteGradientError, match="bad_param"):
             opt.step()
 
+    @pytest.mark.usefixtures("float64")
     def test_frozen_params_never_touched(self):
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([2.0]), requires_grad=False)
