@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -242,8 +243,9 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
     labels.csv is optional unless `labeled`; if present, it labels every
     patient in statics once. With `labeled`, measurements.csv must name
     every sensor. A duplicate (patient, sensor, hour) cell keeps its later
-    value with a warning; a row back in time for a patient and sensor is a
-    ParseError. Each failure is a SchemaError or ParseError naming the path.
+    value with a warning; a row back in time for a patient and sensor, or a
+    number that is not finite, is a ParseError. Each failure is a
+    SchemaError or ParseError naming the path.
     """
     if not os.path.isdir(path):
         raise SchemaError(f"data directory not found: {path}")
@@ -261,6 +263,9 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
             vals = [float(x) for x in fields]
         except ValueError as exc:
             raise ParseError(f"{statics_path}:{lineno}: {exc}") from None
+        for column, v in zip(STATICS_HEADER[1:], vals):
+            if not math.isfinite(v):
+                raise ParseError(f"{statics_path}:{lineno}: {column} must be finite, got {v}")
         if pid in statics:
             raise ParseError(f"{statics_path}:{lineno}: duplicate patient_id {pid!r}")
         statics[pid] = (np.array(vals[:4], dtype=np.float64), vals[4])
@@ -296,6 +301,8 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
             raise ParseError(f"{measurements_path}:{lineno}: {exc}") from None
         if hour < 0:
             raise ParseError(f"{measurements_path}:{lineno}: negative hour {hour}")
+        if not math.isfinite(value):
+            raise ParseError(f"{measurements_path}:{lineno}: value must be finite, got {value}")
         if pid not in statics:
             raise SchemaError(
                 f"{measurements_path}:{lineno}: patient {pid!r} missing from statics"
@@ -620,6 +627,8 @@ def stratified_split(ds: Dataset, val_frac: float, rng) -> tuple[list, list]:
 _DYNAMICS_SEED = 202_406
 _SEVERITY_PHI = 0.98
 _SEVERITY_STEP = 0.22
+# every drawn stay is clipped to this range of hours
+SYNTHETIC_STAY_HOURS = (31, 14 * 24)
 
 
 def _dynamics(n_sensors: int, availability_profile: int) -> dict:
@@ -667,8 +676,10 @@ class DataConfig:
             raise ValueError(f"prevalence must be in (0, 1), got {self.prevalence}")
         if not 0 <= self.sparsity < 1:
             raise ValueError(f"sparsity must be in [0, 1), got {self.sparsity}")
-        if not self.mean_stay_hours > 0:  # NaN too
-            raise ValueError(f"mean_stay_hours must be > 0, got {self.mean_stay_hours}")
+        lo, hi = SYNTHETIC_STAY_HOURS
+        if not lo <= self.mean_stay_hours <= hi:  # NaN too
+            raise ValueError(f"mean_stay_hours must be in [{lo}, {hi}], the range every "
+                             f"drawn stay is clipped to, got {self.mean_stay_hours}")
         k = self.positives  # the closest achievable prevalence is k / n
         if k < 1 or abs(k / self.n - self.prevalence) > 0.01:
             raise ValueError(f"cannot calibrate prevalence {self.prevalence} with "
@@ -706,7 +717,7 @@ def generate_synthetic(n: int, prevalence: float, mean_stay_hours: float = 48.0,
         female = float(rng.random() < 0.5)
         height = float(np.clip(rng.normal(176.0 - 12.0 * female, 8.0), 145.0, 205.0))
         weight = float(np.clip(rng.normal(80.0 - 8.0 * female, 15.0), 40.0, 160.0))
-        stay = int(np.clip(rng.gamma(6.0, mean_stay_hours / 6.0), 31, 14 * 24))
+        stay = int(np.clip(rng.gamma(6.0, mean_stay_hours / 6.0), *SYNTHETIC_STAY_HOURS))
         t_len = stay
 
         s = np.empty(t_len)

@@ -67,7 +67,7 @@ class NonFiniteGradientError(RuntimeError):
 
 
 class TrainingError(RuntimeError):
-    """A training run could not proceed (e.g. sampler exhaustion)."""
+    """A training run could not proceed: an empty split, or no stay can anchor a window."""
 
 
 @dataclass
@@ -185,13 +185,12 @@ def _fit(model, items: list, train_cfg: TrainConfig, key: tuple, step,
 
     Each epoch shuffles `items` with the ("order", *key, epoch) substream
     and cuts them into batches. `step(batch, epoch, dropout_rng)` runs the
-    training forward and returns the loss tensor, or None for a batch it
-    skipped; the loop backpropagates and steps its AdamW (over the
-    parameters that require a gradient, at `train_cfg`'s rate and weight
-    decay) at the epoch's decayed lr. An epoch that skips over half its
-    batches raises TrainingError. `val_loss()` is taken after every epoch
-    without a tape, and the returned parameters are those of the epoch
-    with the lowest validation loss.
+    training forward and returns the loss tensor; the loop backpropagates
+    and steps its AdamW (over the parameters that require a gradient, at
+    `train_cfg`'s rate and weight decay) at the epoch's decayed lr.
+    `val_loss()` is taken after every epoch without a tape, and the
+    returned parameters are those of the epoch with the lowest validation
+    loss.
 
     The patience rule: an epoch improves only if its validation loss
     undercuts the lowest loss seen so far by strictly more than
@@ -211,21 +210,13 @@ def _fit(model, items: list, train_cfg: TrainConfig, key: tuple, step,
         lr = lr_at_epoch(train_cfg.learning_rate, train_cfg.lr_gamma, epoch)
         order = substream(seed, "order", *key, epoch).permutation(len(items))
         dropout_rng = substream(seed, "dropout", *key, epoch)
-        batches = list(_chunks([items[i] for i in order], train_cfg.batch_size))
         losses = []
-        for batch in batches:
+        for batch in _chunks([items[i] for i in order], train_cfg.batch_size):
             model.zero_grad()
             loss = step(batch, epoch, dropout_rng)
-            if loss is None:
-                continue
             backward(loss)
             optimizer.step(lr)
             losses.append(loss.item())
-        skipped = len(batches) - len(losses)
-        if skipped > 0.5 * len(batches):
-            raise TrainingError(
-                f"epoch {epoch}: over half the batches "
-                f"({skipped}/{len(batches)}) had no valid window")
         with ad.no_grad():
             val = val_loss()
         train_curve.append(float(np.mean(losses)) if losses else np.nan)
@@ -300,35 +291,17 @@ def _forecast_loss_on_split(model, split, train=False, rng=None):
     return mt.masked_forecast_loss(pred, split.forecast_values, split.forecast_mask)
 
 
-def _fixed_validation_windows(val_episodes, sampler_cfg, batch_size, rng):
-    """Pre-draw one window per validation batch so the validation loss is
-    comparable across epochs."""
-    windows = []
-    for batch in _chunks(val_episodes, batch_size):
-        try:
-            windows.append(sp.sample_window(batch, sampler_cfg, rng))
-        except sp.SamplerExhaustedError:
-            logger.warning("validation batch of %d episodes had no valid window",
-                           len(batch))
-    if not windows:
-        raise TrainingError("no validation batch yielded a valid window")
-    return windows
-
-
 def _train_one_fold(train_eps, val_eps, model_cfg, train_cfg, sampler_cfg, fold):
     seed = train_cfg.seed
     model = BatModel.init(model_cfg, substream(seed, "init", fold))
-    val_windows = _fixed_validation_windows(
-        val_eps, sampler_cfg, train_cfg.batch_size, substream(seed, "valwin", fold))
+    # one window per validation batch, drawn once: a loss comparable across epochs
+    valwin_rng = substream(seed, "valwin", fold)
+    val_windows = [sp.sample_window(batch, sampler_cfg, valwin_rng)
+                   for batch in _chunks(val_eps, train_cfg.batch_size)]
     sampler_rng = functools.cache(lambda epoch: substream(seed, "sampler", fold, epoch))
 
     def step(batch, epoch, dropout_rng):
-        try:
-            split = sp.sample_window(batch, sampler_cfg, sampler_rng(epoch))
-        except sp.SamplerExhaustedError:
-            logger.warning("fold %d epoch %d: skipping batch with no valid window",
-                           fold, epoch)
-            return None
+        split = sp.sample_window(batch, sampler_cfg, sampler_rng(epoch))
         return _forecast_loss_on_split(model, split, train=True, rng=dropout_rng)
 
     def val_loss():
@@ -343,11 +316,22 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
              sampler_cfg: sp.SamplerConfig, n_folds: int = 5) -> PretrainResult:
     """Five-fold self-supervised forecasting over a pooled, unlabeled corpus.
 
-    The folds rotate over the corpus less its `data.TEST_FRAC` cut, which
-    no pretraining code reads. Each fold fits its own preprocessor on its
+    Stays in which `sampler.valid_indices` finds no split index cannot
+    anchor a window; they are dropped with one warning before the folds
+    are cut, and a corpus with none left raises TrainingError. The folds
+    rotate over the corpus less its `data.TEST_FRAC` cut, which no
+    pretraining code reads. Each fold fits its own preprocessor on its
     training split. The fold with the lowest best validation masked loss
     is selected.
     """
+    kept = [ep for ep in pooled.episodes
+            if sp.valid_indices(ep.mask.any(axis=0), sampler_cfg).size]
+    if not kept:
+        raise TrainingError(f"no stay of {pooled.name!r} can anchor a forecasting window")
+    if len(kept) < len(pooled):
+        logger.warning("dropping %d of %d stays that cannot anchor a forecasting window",
+                       len(pooled) - len(kept), len(pooled))
+        pooled = dt.Dataset.from_episodes(pooled.name, kept)
     fold_results = []
     for fold, (train_eps, val_eps) in enumerate(dt.folds(pooled, train_cfg.seed, n_folds)):
         pp = dt.fit_preprocessor(train_eps, fitted_on=f"{pooled.name}/fold{fold}")

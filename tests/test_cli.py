@@ -69,7 +69,7 @@ def pretrain_out(small_dataset_dir, second_dataset_dir, tmp_path_factory):
 # a valid value other than the default for every config key, as --set takes it
 NON_DEFAULT = {
     "data.paths": "a,b", "data.checkpoint": "c.bax", "data.n": "100",
-    "data.prevalence": "0.3", "data.mean_stay_hours": "30.5", "data.sparsity": "0.25",
+    "data.prevalence": "0.3", "data.mean_stay_hours": "36.5", "data.sparsity": "0.25",
     "data.availability_profile": "2", "data.name": "other",
     "model.sensors_count": "6", "model.value_embed_size": "64", "model.layers": "3",
     "model.heads": "2", "model.dropout": "0.1", "model.attn_dropout": "0.05",
@@ -103,7 +103,8 @@ BAD_DATA = [
     ("data.n", "0", "n must be >= 1"),
     ("data.prevalence", "1", "prevalence must be in (0, 1)"),
     ("data.sparsity", "1", "sparsity must be in [0, 1)"),
-    ("data.mean_stay_hours", "0", "mean_stay_hours must be > 0"),
+    *(("data.mean_stay_hours", hours, "mean_stay_hours must be in [31, 336]")
+      for hours in ("0", "30", "337")),
     ("data.n", "7", "cannot calibrate prevalence 0.119 with n=7"),
 ]
 
@@ -327,7 +328,7 @@ class TestGenerate:
         out = tmp_path / "g"
         assert run_cli("generate", "--n", "60", "--prevalence", "0.2", "--sensors-count", "4",
                        "--set", "data.mean_stay_hours=0", "--out", str(out)) == 1
-        assert "[data] mean_stay_hours must be > 0, got 0.0" in capsys.readouterr().err
+        assert "[data] mean_stay_hours must be in [31, 336]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("n", ["0", "-1"])
@@ -897,10 +898,12 @@ def test_typed_flag_is_parsed_by_the_config_schema(command, flag, key, tmp_path,
 @pytest.mark.parametrize("command, case", [
     ("pretrain", "missing"), ("finetune", "missing"), ("evaluate", "missing"),
     ("finetune", "unlabeled"), ("evaluate", "unlabeled"),
-    ("pretrain", "malformed"), ("finetune", "malformed"), ("evaluate", "malformed")])
+    ("pretrain", "malformed"), ("finetune", "malformed"), ("evaluate", "malformed"),
+    ("pretrain", "non_finite")])
 def test_bad_data_directory_fails_before_the_config_echo(
         command, case, pretrain_out, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
-    """Each model reads 6 sensors; the malformed cohort names a seventh."""
+    """Each model reads 6 sensors; the malformed cohort names a seventh,
+    and the non-finite one measures a value of nan on line 2."""
     data = tmp_path / "cohort"
     if case != "missing":
         shutil.copytree(small_dataset_dir, data)
@@ -909,12 +912,18 @@ def test_bad_data_directory_fails_before_the_config_echo(
     if case == "malformed":
         with open(data / "measurements.csv", "a", encoding="utf-8") as fh:
             fh.write(f"p000000,0,{dt.SENSOR_SCHEMA[6]},1.0\n")
+    if case == "non_finite":
+        header, first, *rest = read(data / "measurements.csv").decode().splitlines(True)
+        first = first.rsplit(",", 1)[0] + ",nan\n"
+        (data / "measurements.csv").write_text("".join([header, first, *rest]), encoding="utf-8")
     model = {"pretrain": ["--set", "model.sensors_count=6"],
              "finetune": ["--checkpoint", os.path.join(pretrain_out, "checkpoint.bax")],
              "evaluate": ["--checkpoint", classifier_ckpts[0]]}[command]
     out = tmp_path / "out"
     assert run_cli(command, "--data", str(data), *model, "--out", str(out)) == 1
-    assert str(data) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(data) in err
+    assert case != "non_finite" or "measurements.csv:2: value must be finite, got nan" in err
     assert not out.exists()
 
 

@@ -146,6 +146,20 @@ class TestLoadDataset:
         with pytest.raises(dt.ParseError, match="negative hour"):
             load_csvs(tmp_path, "a,-1,heart_rate,80\n", "a,60,1,165,70,8\n")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["value", *dt.STATICS_HEADER[1:]])
+    def test_non_finite_number_is_parse_error_with_line(self, tmp_path, column, text):
+        """float() reads these; a measurement, static or stay length must be
+        finite. The bad number is on line 3 of its table."""
+        row = dict(zip(dt.STATICS_HEADER[1:], ["60", "1", "165", "70", "8"]), value="85")
+        row[column] = text
+        m = f"a,0,heart_rate,80\na,1,heart_rate,{row.pop('value')}\n"
+        s = f"b,45,0,180,90,6\na,{','.join(row.values())}\n"
+        table = "measurements" if column == "value" else "statics"
+        with pytest.raises(dt.ParseError,
+                           match=rf"{table}\.csv:3: {column} must be finite, got {text}$"):
+            load_csvs(tmp_path, m, s)
+
     def test_unknown_patient_in_measurements(self, tmp_path):
         with pytest.raises(dt.SchemaError, match="missing from statics"):
             load_csvs(tmp_path, "ghost,0,heart_rate,80\n", "a,60,1,165,70,8\n")
@@ -184,8 +198,9 @@ class TestLoadDataset:
 def _per_cell_load(measurements_path, statics_path, sensors):
     """The loader as it was before its series dict, kept as the oracle:
     one dict entry per cell, a last hour per (patient, sensor), a maximum
-    hour per patient, and a fill loop over the cells. Statics are read
-    without checks and labels are left out; that code did not change."""
+    hour per patient, and a fill loop over the cells. A value that is not
+    finite is a ParseError, as in the loader. Statics are read without
+    checks and labels are left out."""
     sensor_index = {s: i for i, s in enumerate(sensors)}
     statics = {pid: (np.array([float(x) for x in fields[:4]]), float(fields[4]))
                for _, (pid, *fields) in dt.read_table(statics_path, dt.STATICS_HEADER)}
@@ -203,6 +218,9 @@ def _per_cell_load(measurements_path, statics_path, sensors):
             raise dt.ParseError(f"{measurements_path}:{lineno}: {exc}") from None
         if hour < 0:
             raise dt.ParseError(f"{measurements_path}:{lineno}: negative hour {hour}")
+        if not np.isfinite(value):
+            raise dt.ParseError(
+                f"{measurements_path}:{lineno}: value must be finite, got {value}")
         if pid not in statics:
             raise dt.SchemaError(
                 f"{measurements_path}:{lineno}: patient {pid!r} missing from statics")
@@ -913,9 +931,12 @@ class TestGenerator:
                 dt.generate_synthetic(n, prevalence=0.5, seed=0)
         with pytest.raises(dt.SchemaError, match=r"sensor count must be in \[1, 48\], got 49"):
             dt.generate_synthetic(10, prevalence=0.5, seed=0, n_sensors=49)
-        for hours in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match=f"mean_stay_hours must be > 0, got {hours}"):
+        for hours in (0.0, -1.0, float("nan"), 30, 337):
+            with pytest.raises(ValueError, match=rf"mean_stay_hours must be in \[31, 336\], "
+                                                 rf"the range .*, got {hours}$"):
                 dt.generate_synthetic(10, prevalence=0.5, mean_stay_hours=hours, seed=0)
+        for hours in dt.SYNTHETIC_STAY_HOURS:   # the bounds are in range
+            assert dt.DataConfig(mean_stay_hours=hours).mean_stay_hours == hours
 
     @pytest.mark.parametrize("bad", [{"n": 0}, {"prevalence": 1.0}, {"sparsity": 1.0},
                                      {"mean_stay_hours": 0.0}, {"n": 7}],

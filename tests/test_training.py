@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from biaxial import autodiff as ad
 from biaxial import data as dt
 from biaxial import metrics as mt
+from biaxial import sampler as sp
 from biaxial import training as tr
 from biaxial.autodiff import Tensor
 from biaxial.model import BatConfig, BatModel
@@ -232,6 +233,17 @@ class TestEarlyStopping:
             assert fit_stop_epoch(trace, patience, min_delta) == want
 
 
+def unanchorable_stay(pid, observed_hours=8, n_hours=40):
+    """A 6-sensor stay observed only in its first `observed_hours` hours:
+    up to 14 leave no split index at the default min_obs_len 12 and
+    forecast horizon 2."""
+    mask = np.zeros((6, n_hours), dtype=bool)
+    mask[:, :observed_hours] = True
+    return dt.EpisodeRecord(patient_id=pid, values=np.ones((6, n_hours)), mask=mask,
+                            statics=np.array([50.0, 0.0, 170.0, 70.0]),
+                            stay_hours=float(n_hours), label=None)
+
+
 class TestPretrain:
     def test_learning_progress_and_selection(self, pooled_pretrain_ds):
         result = tr.pretrain(pooled_pretrain_ds, tiny_model_cfg(),
@@ -280,19 +292,47 @@ class TestPretrain:
         assert best.best_val < 0.02 * best.val_curve[0]
         assert best.best_val < 0.2
 
-    def test_sampler_exhaustion_aborts(self):
-        episodes = []
-        for i in range(40):
-            t = 8  # too short for min_obs_len 12
-            episodes.append(dt.EpisodeRecord(
-                patient_id=f"s{i}", values=np.zeros((6, t)),
-                mask=np.ones((6, t), dtype=bool),
-                statics=np.array([50.0, 0.0, 170.0, 70.0]),
-                stay_hours=float(t), label=None))
-        ds = dt.Dataset.from_episodes("short", episodes)
-        with pytest.raises(tr.TrainingError):
+    def test_sampler_exhaustion_aborts(self, monkeypatch):
+        """A corpus in which no stay can anchor a window fails before any
+        fold trains."""
+        ds = dt.Dataset.from_episodes("short", [unanchorable_stay(f"s{i}") for i in range(40)])
+        monkeypatch.setattr(tr, "_train_one_fold", None)   # a fold that trains fails
+        with pytest.raises(tr.TrainingError, match="no stay of 'short' can anchor"):
             tr.pretrain(ds, tiny_model_cfg(), tiny_train_cfg(epochs=1),
                         SamplerConfig(), n_folds=2)
+
+    def test_stays_that_cannot_anchor_are_dropped_once_with_a_warning(
+            self, pooled_pretrain_ds, caplog):
+        """Interleaving stays that cannot anchor a window changes no fold's
+        curves or parameters and no selection, bitwise; one warning counts
+        them, and the corpus without them logs none."""
+        sampler_cfg = SamplerConfig()
+        clean = [ep for ep in pooled_pretrain_ds.episodes
+                 if sp.valid_indices(ep.mask.any(axis=0), sampler_cfg).size]
+        assert len(clean) < len(pooled_pretrain_ds)   # the fixture holds a few itself
+        noisy = list(pooled_pretrain_ds.episodes)
+        for k in range(4):
+            noisy.insert(17 * k, unanchorable_stay(f"x{k}", observed_hours=8 + 2 * k))
+        dropped = len(noisy) - len(clean)
+        results = []
+        for episodes in (clean, noisy):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                results.append(tr.pretrain(
+                    dt.Dataset.from_episodes(pooled_pretrain_ds.name, episodes),
+                    tiny_model_cfg(), tiny_train_cfg(epochs=2), sampler_cfg, n_folds=2))
+            results.append([r.getMessage() for r in caplog.records if r.levelname == "WARNING"])
+        want, clean_warnings, got, noisy_warnings = results
+        assert clean_warnings == []
+        assert noisy_warnings == [f"dropping {dropped} of {len(noisy)} stays that cannot "
+                                  f"anchor a forecasting window"]
+        assert got.selected_fold == want.selected_fold
+        for a, b in zip(got.fold_results, want.fold_results, strict=True):
+            assert (a.train_curve, a.val_curve, a.best_epoch) == \
+                (b.train_curve, b.val_curve, b.best_epoch)
+            assert a.params.keys() == b.params.keys()
+            for name in a.params:
+                assert a.params[name].tobytes() == b.params[name].tobytes(), name
 
 
 class TestFinetune:
