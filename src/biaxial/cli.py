@@ -1,11 +1,11 @@
 """Command-line entry point: generate, pretrain, finetune, evaluate.
 
-Every command has `config.load_config` resolve (flags > file > defaults)
-and check every section of its configuration, `training.load_checkpoint`
-check its checkpoints and `data.load_dataset_dir` read and check its
-cohorts, and only then echoes the configuration to <out>/config.ini; it
-writes only deterministic artifacts, so a rerun with the same config and
-seed is byte-identical.
+Every command resolves (flags > file > defaults) and checks its settings
+(`config.load_config`), checkpoints (`training.load_checkpoint`) and
+cohorts (`data.load_dataset_dir`, and the splits' ten-stay floor) before
+it echoes the configuration to <out>/config.ini; `pretrain` echoes once
+`training.pretrain` returns. Its artifacts are deterministic, so a rerun
+with the same config and seed is byte-identical.
 Exit codes: 0 success, 1 validation error (usage errors included), 2 runtime failure.
 `evaluate` draws each test split with the `split_seed` that `finetune`
 saved in the model, not with `--seed`, so it never scores a model on the
@@ -85,10 +85,9 @@ def cmd_pretrain(cfg) -> int:
         raise ConfigError("pretrain requires at least one dataset path (data.paths)")
     datasets = [dt.load_dataset_dir(p, cfg.model.sensors_count) for p in paths]
     pooled = dt.apply_exclusions(dt.pool_datasets(datasets), "pretrain")
-    _echo_config(cfg)
     logger.info("pooled %d episodes from %d datasets", len(pooled), len(datasets))
     result = tr.pretrain(pooled, cfg.model, cfg.train, cfg.sampler)
-
+    _echo_config(cfg)
     for fold, run in enumerate(result.fold_results):
         with dt.open_output(os.path.join(out_dir, f"fold{fold}.log")) as fh:
             for epoch, (trn, val, lr) in enumerate(
@@ -139,9 +138,11 @@ def cmd_finetune(cfg) -> int:
         cfg = replace(cfg, model=checkpoint["model_cfg"])
     ds = dt.apply_exclusions(
         dt.load_dataset_dir(paths[0], cfg.model.sensors_count, labeled=True), "mortality")
+    pool_ds, test_eps = dt.split_test(ds, cfg.train.seed)
     _echo_config(cfg)
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
-    rows, aggregates, model = tr.run_experiment_grid(ds, checkpoint, cfg.model, cfg.train, grid)
+    rows, aggregates, model = tr.run_experiment_grid(pool_ds, test_eps, checkpoint, cfg.model,
+                                                     cfg.train, grid)
     _write_rows(os.path.join(out_dir, "runs.csv"), METRIC_CSV_FIELDS, rows)
     _write_rows(os.path.join(out_dir, "aggregate.csv"), AGGREGATE_FIELDS, aggregates)
     print(f"grid complete: {len(rows)} runs, {len(aggregates)} aggregate rows")

@@ -41,6 +41,8 @@ class BatConfig:
     static_count: int = 4            # S = len(data.STATIC_SCHEMA)
 
     def __post_init__(self):
+        if self.value_embed_size < 2:
+            raise ValueError(f"value_embed_size must be >= 2, got {self.value_embed_size}")
         if self.value_embed_size % max(self.heads, 1) != 0:
             raise ValueError("value_embed_size must be divisible by heads")
         if self.value_embed_size % 2 != 0:

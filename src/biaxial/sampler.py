@@ -1,10 +1,10 @@
 """Dynamic observation/forecasting window construction during batch loading.
 
-A batch of episodes is padded to a common hour grid; one randomly chosen
-episode anchors the split index t1, which must be an observed hour at
-least `min_obs_len` into the stay with room for a full forecast horizon
-before the anchor's last observed hour. The whole batch is then sliced at
-the same t1: observation window [t0, t1), forecast window [t1, t1 + H).
+A batch is padded to a common hour grid; one episode drawn at random
+anchors the split index t1: an observed hour at least `min_obs_len` into
+the stay with a full forecast horizon before its last observed hour, so
+every episode must be able to anchor, as `training.pretrain` ensures. The
+batch is sliced at t1: observation [t0, t1), forecast [t1, t1 + H).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ DEFAULT_FORECAST_HORIZON = 2
 
 
 class SamplerExhaustedError(RuntimeError):
-    """Raised when no batch element yields a valid split index."""
+    """The drawn anchor has no valid index. Every stay in a batch must be
+    able to anchor; `training.pretrain` keeps only stays that can."""
 
 
 @dataclass
@@ -39,7 +40,6 @@ class SamplerConfig:
 @dataclass
 class WindowSplit:
     """One batch sliced at a split index; arrays are (B, D, len)."""
-    episode_id: str      # the anchor episode that fixed t1
     t0: int
     t1: int
     obs_values: np.ndarray
@@ -85,29 +85,22 @@ def sample_window(batch: list, cfg: SamplerConfig,
                   rng: np.random.Generator) -> WindowSplit:
     """Draw a split for one batch; deterministic given the rng state.
 
-    Anchors are sampled uniformly with replacement; an anchor with no
-    valid index costs one try, and the error fires after as many failed
-    anchors as the batch has episodes.
+    One anchor is drawn uniformly from the batch, then t1 uniformly from
+    its valid indices. Every stay in a batch must be able to anchor, which
+    `training.pretrain` guarantees; SamplerExhaustedError names one that cannot.
     """
     if not batch:
         raise ValueError("sample_window requires a nonempty batch")
     values, mask, statics = collate(batch)
-    b = len(batch)
-
-    for _ in range(b):
-        i = int(rng.integers(0, b))
-        c = valid_indices(mask[i].any(axis=0), cfg)
-        if c.size:
-            t1 = int(c[rng.integers(0, c.size)])
-            anchor = batch[i].patient_id
-            break
-    else:
-        raise SamplerExhaustedError("no valid index found in batch")
+    i = int(rng.integers(0, len(batch)))
+    c = valid_indices(mask[i].any(axis=0), cfg)
+    if not c.size:
+        raise SamplerExhaustedError(f"no valid index in drawn stay {batch[i].patient_id!r}")
+    t1 = int(c[rng.integers(0, c.size)])
 
     t0 = 0 if cfg.max_obs is None else max(0, t1 - cfg.max_obs)
     t2 = t1 + cfg.forecast_horizon
     return WindowSplit(
-        episode_id=anchor,
         t0=t0,
         t1=t1,
         obs_values=values[:, :, t0:t1],

@@ -67,7 +67,7 @@ class NonFiniteGradientError(RuntimeError):
 
 
 class TrainingError(RuntimeError):
-    """A training run could not proceed: an empty split, or no stay can anchor a window."""
+    """A fine-tuning run could not proceed: an empty train or validation split."""
 
 
 @dataclass
@@ -317,17 +317,14 @@ def pretrain(pooled: dt.Dataset, model_cfg: BatConfig, train_cfg: TrainConfig,
     """Five-fold self-supervised forecasting over a pooled, unlabeled corpus.
 
     Stays in which `sampler.valid_indices` finds no split index cannot
-    anchor a window; they are dropped with one warning before the folds
-    are cut, and a corpus with none left raises TrainingError. The folds
-    rotate over the corpus less its `data.TEST_FRAC` cut, which no
-    pretraining code reads. Each fold fits its own preprocessor on its
-    training split. The fold with the lowest best validation masked loss
-    is selected.
+    anchor a window; they are dropped with one warning, so every batch can
+    anchor, and the folds (`data.folds`, a ValueError below 10 stays) rotate
+    over the rest less its `data.TEST_FRAC` cut, which no pretraining code
+    reads. Each fold fits its own preprocessor on its training split. The
+    fold with the lowest best validation masked loss is selected.
     """
     kept = [ep for ep in pooled.episodes
             if sp.valid_indices(ep.mask.any(axis=0), sampler_cfg).size]
-    if not kept:
-        raise TrainingError(f"no stay of {pooled.name!r} can anchor a forecasting window")
     if len(kept) < len(pooled):
         logger.warning("dropping %d of %d stays that cannot anchor a forecasting window",
                        len(pooled) - len(kept), len(pooled))
@@ -539,8 +536,8 @@ class GridConfig:
                 raise ValueError(f"{name} must not be empty")
             if len(set(entries)) < len(entries):
                 raise ValueError(f"{name} repeats an entry: {entries}")
-        if min(self.sizes) < 2:
-            raise ValueError(f"every size must be >= 2, got {min(self.sizes)}")
+        if min(self.sizes) < 3:   # a size-2 subsample's lone stay per class trains
+            raise ValueError(f"every size must be >= 3, got {min(self.sizes)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for v in self.trained:
@@ -661,15 +658,15 @@ def _parallel_map(fn, items: list, jobs: int) -> list:
         return pool.map(_call_in_worker, range(len(items)))
 
 
-def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
+def run_experiment_grid(pool_ds: dt.Dataset, test_eps: list, checkpoint: dict | None,
                         model_cfg: BatConfig, train_cfg: TrainConfig,
                         grid: GridConfig) -> tuple[list, list, RunResult | None]:
     """Subsample / train / evaluate every (size, seed, variant) cell.
 
-    The 80/20 test split is fixed once from the full dataset; every cell
-    evaluates on it. Cells are paired: the cell seed depends on the size
-    and seed alone, so every variant at one (size, seed) trains on the
-    same subsample, holdout, batch order and dropout streams, and the
+    Cells subsample `pool_ds` and evaluate on `test_eps`, a cohort's
+    `data.split_test` cut. Cells are paired: the cell seed depends on the
+    size and seed alone, so every variant at one (size, seed) trains on
+    the same subsample, holdout, batch order and dropout streams, and the
     variants differ only in their `Variant` row and rate. Infeasible
     cells (TrainingError, SubsampleError or UndefinedMetricError) are
     skipped with a warning; any other error propagates. Cells run on
@@ -680,11 +677,11 @@ def run_experiment_grid(ds: dt.Dataset, checkpoint: dict | None,
     classes raises UndefinedMetricError.
     """
     check_variants(grid.trained, checkpoint, train_cfg)
-    pool_ds, test_eps = dt.split_test(ds, train_cfg.seed)
     labels = [ep.label for ep in test_eps]
     if 0 not in labels or 1 not in labels:
-        raise mt.UndefinedMetricError(f"the test split of cohort {ds.name!r} lacks a class: "
-                                      f"{labels.count(1)} positive, {labels.count(0)} negative")
+        raise mt.UndefinedMetricError(
+            f"the test split of cohort {pool_ds.name!r} lacks a class: "
+            f"{labels.count(1)} positive, {labels.count(0)} negative")
 
     for size in grid.sizes:
         if size > len(pool_ds):

@@ -50,6 +50,16 @@ def second_dataset_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def eight_stay_dir(tmp_path_factory):
+    """A 2-sensor cohort left with 4 stays after exclusions: below the
+    ten-stay floor of the test cut and the pretraining folds."""
+    out = tmp_path_factory.mktemp("data") / "eight"
+    assert run_cli("generate", "--n", "8", "--prevalence", "0.25", "--sensors-count", "2",
+                   "--seed", "3", "--out", str(out)) == 0
+    return str(out)
+
+
+@pytest.fixture(scope="module")
 def pretrain_out(small_dataset_dir, second_dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("runs") / "pretrain"
     code = run_cli("pretrain",
@@ -384,6 +394,31 @@ class TestPretrain:
         assert opened, "loader was never exercised"
         assert not any(str(held_out) in p for p in opened)
 
+    @pytest.mark.parametrize("corpus, sensors, extra, left", [
+        ("eight_stay_dir", 2, (), 4),
+        ("small_dataset_dir", 6, ("--set", "sampler.min_obs_len=400"), 0)],
+        ids=["too_few_stays", "no_stay_can_anchor"])
+    def test_corpus_below_the_fold_floor_fails_before_any_write(
+            self, request, tmp_path, capsys, corpus, sensors, extra, left):
+        """Too few stays and no stay that can anchor a window are one input
+        error, raised before config.ini is written."""
+        out = tmp_path / "p"
+        assert run_cli("pretrain", "--data", request.getfixturevalue(corpus),
+                       "--out", str(out), "--set", f"model.sensors_count={sensors}",
+                       *extra) == 1
+        assert f"need at least 10 episodes to split, got {left}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["0", "-8"])
+    def test_embed_size_below_two_fails_before_any_write(self, small_dataset_dir, tmp_path,
+                                                         capsys, size):
+        out = tmp_path / "p"
+        assert run_cli("pretrain", "--data", small_dataset_dir, "--out", str(out),
+                       "--set", "model.sensors_count=6",
+                       "--set", f"model.value_embed_size={size}") == 1
+        assert f"[model] value_embed_size must be >= 2, got {size}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sensor_count_beyond_the_schema_fails_before_the_config_echo(
             self, small_dataset_dir, tmp_path, capsys):
         out = tmp_path / "p"
@@ -429,8 +464,8 @@ class TestFinetune:
 
     @pytest.mark.parametrize("args", [
         ("--jobs", "0"), ("--jobs", "-3"), ("--set", "grid.sizes=1"),
-        ("--set", "grid.sizes=40,1"), ("--set", "grid.sizes="), ("--set", "grid.seeds="),
-        ("--set", "grid.variants=")])
+        ("--set", "grid.sizes=2"), ("--set", "grid.sizes=40,1"), ("--set", "grid.sizes="),
+        ("--set", "grid.seeds="), ("--set", "grid.variants=")])
     def test_grid_that_runs_nothing_is_validation_error(self, small_dataset_dir, tmp_path,
                                                         capsys, args):
         out = tmp_path / "ft"
@@ -440,6 +475,15 @@ class TestFinetune:
                        *[x for item in small for x in ("--set", item)], *args) == 1
         assert "[grid]" in capsys.readouterr().err
         assert not os.path.exists(out / "runs.csv")
+
+    def test_cohort_below_the_test_cut_floor_fails_before_any_write(
+            self, eight_stay_dir, tmp_path, capsys):
+        out = tmp_path / "ft"
+        assert run_cli("finetune", "--data", eight_stay_dir, "--out", str(out),
+                       "--set", "model.sensors_count=2", "--set", "grid.variants=scratch_bat",
+                       "--set", "grid.sizes=5", "--set", "grid.seeds=0") == 1
+        assert "need at least 10 episodes to split, got 4" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("sizes", "30,30"), ("seeds", "0,1,0"), ("variants", "scratch_bat,scratch_bat")])

@@ -56,6 +56,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisible"):
             md.BatConfig(value_embed_size=10, heads=3)
 
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_embed_size_below_two_rejected(self, size):
+        """Both sizes are even and divisible by one head, so only the
+        lower bound rejects them."""
+        with pytest.raises(ValueError, match=f"value_embed_size must be >= 2, got {size}"):
+            md.BatConfig(value_embed_size=size)
+
     def test_round_trip_dict(self):
         cfg = small_cfg(pooling="mean")
         assert md.BatConfig(**asdict(cfg)) == cfg

@@ -105,26 +105,39 @@ class TestSampleWindow:
         assert split.t0 == split.t1 - 6
         assert split.obs_values.shape[-1] == 6
 
-    def test_exhaustion_after_batch_size_tries(self):
+    def test_exhaustion_on_one_unanchorable_draw(self):
         short = [episode_from_mask(np.ones((2, 8), dtype=bool), pid=f"p{i}")
                  for i in range(4)]
         with pytest.raises(sp.SamplerExhaustedError, match="[Nn]o valid index"):
             sp.sample_window(short, sp.SamplerConfig(), np.random.default_rng(3))
 
-    def test_retries_settle_on_feasible_element(self):
+    def test_the_drawn_anchor_alone_decides_and_a_bad_one_is_named(self):
+        """One anchor is drawn, with no retry: a draw of the stay that cannot
+        anchor raises naming it, even though the other stay could."""
         bad = episode_from_mask(np.ones((2, 8), dtype=bool), pid="bad")
         good = episode_from_mask(np.ones((2, 24), dtype=bool), pid="good")
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            split = sp.sample_window([bad, good], sp.SamplerConfig(), rng)
-            assert split.episode_id == "good"
+        outcomes = set()
+        for seed in range(20):
+            drawn = [bad, good][int(np.random.default_rng(seed).integers(0, 2))]
+            if drawn is bad:
+                with pytest.raises(sp.SamplerExhaustedError,
+                                   match="no valid index in drawn stay 'bad'"):
+                    sp.sample_window([bad, good], sp.SamplerConfig(),
+                                     np.random.default_rng(seed))
+            else:
+                split = sp.sample_window([bad, good], sp.SamplerConfig(),
+                                         np.random.default_rng(seed))
+                assert 12 <= split.t1 <= 21
+            outcomes.add(drawn.patient_id)
+        assert outcomes == {"bad", "good"}
 
     def test_deterministic_for_fixed_rng_state(self):
         eps = [episode_from_mask(np.random.default_rng(i).random((3, 30)) < 0.5,
                                  pid=f"p{i}") for i in range(6)]
         s1 = sp.sample_window(eps, sp.SamplerConfig(), np.random.default_rng(7))
         s2 = sp.sample_window(eps, sp.SamplerConfig(), np.random.default_rng(7))
-        assert s1.episode_id == s2.episode_id and s1.t1 == s2.t1
+        assert s1.t1 == s2.t1
+        np.testing.assert_array_equal(s1.obs_values, s2.obs_values)
         np.testing.assert_array_equal(s1.obs_mask, s2.obs_mask)
 
     def test_empty_batch_rejected(self):

@@ -233,6 +233,13 @@ class TestEarlyStopping:
             assert fit_stop_epoch(trace, patience, min_delta) == want
 
 
+def run_grid(ds, checkpoint, model_cfg, train_cfg, grid):
+    """`run_experiment_grid` on the cohort's test cut at the run seed, as
+    `cli.cmd_finetune` calls it."""
+    return tr.run_experiment_grid(*dt.split_test(ds, train_cfg.seed), checkpoint,
+                                  model_cfg, train_cfg, grid)
+
+
 def unanchorable_stay(pid, observed_hours=8, n_hours=40):
     """A 6-sensor stay observed only in its first `observed_hours` hours:
     up to 14 leave no split index at the default min_obs_len 12 and
@@ -292,14 +299,18 @@ class TestPretrain:
         assert best.best_val < 0.02 * best.val_curve[0]
         assert best.best_val < 0.2
 
-    def test_sampler_exhaustion_aborts(self, monkeypatch):
-        """A corpus in which no stay can anchor a window fails before any
-        fold trains."""
+    def test_sampler_exhaustion_aborts(self, monkeypatch, caplog):
+        """A corpus in which no stay can anchor a window is a corpus of too
+        few stays: the warning counts them all, then the folds' ten-stay
+        floor rejects it before any fold trains."""
         ds = dt.Dataset.from_episodes("short", [unanchorable_stay(f"s{i}") for i in range(40)])
         monkeypatch.setattr(tr, "_train_one_fold", None)   # a fold that trains fails
-        with pytest.raises(tr.TrainingError, match="no stay of 'short' can anchor"):
+        with caplog.at_level("WARNING"), \
+                pytest.raises(ValueError, match="need at least 10 episodes to split, got 0"):
             tr.pretrain(ds, tiny_model_cfg(), tiny_train_cfg(epochs=1),
                         SamplerConfig(), n_folds=2)
+        assert [rec.message for rec in caplog.records] == [
+            "dropping 40 of 40 stays that cannot anchor a forecasting window"]
 
     def test_stays_that_cannot_anchor_are_dropped_once_with_a_warning(
             self, pooled_pretrain_ds, caplog):
@@ -699,7 +710,7 @@ class TestExperimentGrid:
         ds, model_cfg = mortality_ds, checkpoint["model_cfg"]
         grid = tr.GridConfig(sizes=[30, 60], seeds=[0, 1],
                              variants=["finetune_head", "scratch_bat"])
-        rows, aggregates, _ = tr.run_experiment_grid(
+        rows, aggregates, _ = run_grid(
             ds, checkpoint, model_cfg, tiny_train_cfg(epochs=2), grid)
         assert len(rows) == 8
         assert len(aggregates) == 4
@@ -722,7 +733,7 @@ class TestExperimentGrid:
     def test_infeasible_size_skipped_with_warning(self, mortality_ds, caplog):
         grid = tr.GridConfig(sizes=[10_000], seeds=[0], variants=["scratch_bat"])
         with caplog.at_level("WARNING"):
-            rows, aggregates, _ = tr.run_experiment_grid(
+            rows, aggregates, _ = run_grid(
                 mortality_ds, None, tiny_model_cfg(), tiny_train_cfg(epochs=1), grid)
         assert rows == [] and aggregates == []
         assert any("skipping size" in rec.message for rec in caplog.records)
@@ -737,7 +748,7 @@ class TestExperimentGrid:
         monkeypatch.setattr(tr, "train_variant", infeasible)
         grid = tr.GridConfig(sizes=[30], seeds=[0, 1], variants=["scratch_bat"])
         with caplog.at_level("WARNING"):
-            rows, _, _ = tr.run_experiment_grid(
+            rows, _, _ = run_grid(
                 mortality_ds, None, tiny_model_cfg(), tiny_train_cfg(epochs=1), grid)
         assert rows == []
         assert sum("skipping cell" in rec.message for rec in caplog.records) == 2
@@ -752,8 +763,8 @@ class TestExperimentGrid:
         monkeypatch.setattr(tr, "train_variant", buggy)
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"], jobs=jobs)
         with pytest.raises(type(error), match=str(error)):
-            tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
-                                   tiny_train_cfg(epochs=1), grid)
+            run_grid(mortality_ds, None, tiny_model_cfg(),
+                     tiny_train_cfg(epochs=1), grid)
 
     @pytest.mark.parametrize("inherit", [False, True])
     @pytest.mark.parametrize("with_checkpoint", [False, True])
@@ -777,8 +788,8 @@ class TestExperimentGrid:
         monkeypatch.setattr(tr, "train_variant", lambda *args, **kwargs: calls.append(args))
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_head", "scratch_bat"])
         with pytest.raises(ValueError, match=r"variants \['scratch_bat'\] train from scratch"):
-            tr.run_experiment_grid(mortality_ds, checkpoint, checkpoint["model_cfg"],
-                                   tiny_train_cfg(standardization="inherit"), grid)
+            run_grid(mortality_ds, checkpoint, checkpoint["model_cfg"],
+                     tiny_train_cfg(standardization="inherit"), grid)
         assert calls == []
 
     def test_test_split_without_a_class_fails_before_any_cell(self, monkeypatch):
@@ -791,8 +802,8 @@ class TestExperimentGrid:
                              variants=["scratch_bat", "scratch_transformer"])
         with pytest.raises(mt.UndefinedMetricError,
                            match=re.escape(f"{ds.name!r} lacks a class: 0 positive, 9 negative")):
-            tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
-                                   tiny_train_cfg(epochs=1), grid)
+            run_grid(ds, None, tiny_model_cfg(sensors_count=4),
+                     tiny_train_cfg(epochs=1), grid)
         assert calls == []
 
     def test_lone_negative_trains_so_no_cell_skips(self, caplog):
@@ -800,8 +811,8 @@ class TestExperimentGrid:
                                                        n_sensors=4), "mortality")
         grid = tr.GridConfig(sizes=[5, 20], seeds=[0, 1, 2, 3], variants=["scratch_bat"])
         with caplog.at_level("WARNING"):
-            rows, _, _ = tr.run_experiment_grid(ds, None, tiny_model_cfg(sensors_count=4),
-                                             tiny_train_cfg(epochs=1), grid)
+            rows, _, _ = run_grid(ds, None, tiny_model_cfg(sensors_count=4),
+                                  tiny_train_cfg(epochs=1), grid)
         skipped = [rec for rec in caplog.records if "no negative labels" in rec.message]
         # every subsample holds exactly one negative; the holdout keeps it
         # for training, so no cell lacks a negative
@@ -810,8 +821,8 @@ class TestExperimentGrid:
     def test_a_two_job_grid_leaves_the_module_as_it_was(self, mortality_ds):
         before = dict(vars(tr))
         grid = tr.GridConfig(sizes=[30], seeds=[0, 1], variants=["scratch_bat"], jobs=2)
-        rows, _, _ = tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
-                                            tiny_train_cfg(epochs=1), grid)
+        rows, _, _ = run_grid(mortality_ds, None, tiny_model_cfg(),
+                              tiny_train_cfg(epochs=1), grid)
         assert len(rows) == 2
         after = vars(tr)
         assert after.keys() == before.keys()
@@ -829,7 +840,7 @@ class TestExperimentGrid:
         monkeypatch.setattr(tr, "finetune", recording_finetune)
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"],
                              save_model="scratch_transformer")
-        _, _, saved = tr.run_experiment_grid(mortality_ds, None, model_cfg, cfg, grid)
+        _, _, saved = run_grid(mortality_ds, None, model_cfg, cfg, grid)
         pool, _ = dt.split_test(mortality_ds, cfg.seed)
         assert trained[-1][1] == cfg.seed
         assert [ep.patient_id for ep in trained[-1][0].episodes] == \
@@ -838,7 +849,7 @@ class TestExperimentGrid:
         assert saved.best_val == want.best_val
         assert all(np.array_equal(saved.params[n], want.params[n]) for n in want.params)
         grid = replace(grid, save_model="")
-        assert tr.run_experiment_grid(mortality_ds, None, model_cfg, cfg, grid)[2] is None
+        assert run_grid(mortality_ds, None, model_cfg, cfg, grid)[2] is None
 
     def test_saved_model_variant_is_checked_before_any_cell(self, mortality_ds,
                                                              monkeypatch):
@@ -847,15 +858,15 @@ class TestExperimentGrid:
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["scratch_bat"],
                              save_model="finetune_full")
         with pytest.raises(ValueError, match=r"variants \['finetune_full'\] require"):
-            tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
-                                   tiny_train_cfg(epochs=1), grid)
+            run_grid(mortality_ds, None, tiny_model_cfg(),
+                     tiny_train_cfg(epochs=1), grid)
         assert calls == []
 
     def test_missing_checkpoint_for_finetune_variant(self, mortality_ds):
         grid = tr.GridConfig(sizes=[30], seeds=[0], variants=["finetune_full"])
         with pytest.raises(ValueError, match="require a checkpoint"):
-            tr.run_experiment_grid(mortality_ds, None, tiny_model_cfg(),
-                                   tiny_train_cfg(), grid)
+            run_grid(mortality_ds, None, tiny_model_cfg(),
+                     tiny_train_cfg(), grid)
 
     @pytest.mark.parametrize("setting", [{"variants": ["zero_shot"]},
                                          {"save_model": "zero_shot"}],
@@ -870,8 +881,9 @@ class TestExperimentGrid:
 
     @pytest.mark.parametrize("setting, message", [
         ({"jobs": 0}, "jobs must be >= 1"), ({"jobs": -3}, "jobs must be >= 1"),
-        ({"sizes": [1]}, "every size must be >= 2"),
-        ({"sizes": [30, 0]}, "every size must be >= 2"),
+        ({"sizes": [1]}, "every size must be >= 3"),
+        ({"sizes": [2]}, "every size must be >= 3"),
+        ({"sizes": [30, 0]}, "every size must be >= 3"),
         ({"sizes": []}, "sizes must not be empty"), ({"seeds": []}, "seeds must not be empty"),
         ({"variants": []}, "variants must not be empty"),
         ({"sizes": [30, 60, 30]}, r"sizes repeats an entry: \[30, 60, 30\]"),
@@ -908,8 +920,8 @@ class TestExperimentGrid:
         rates = {name: 1e-3 * (k + 1) for k, name in enumerate(tr.GRID_VARIANTS)}
         grid = tr.GridConfig(sizes=[30, 40], seeds=[0, 1],
                              **{f"lr_{v}": lr for v, lr in rates.items()})
-        rows, _, _ = tr.run_experiment_grid(mortality_ds, checkpoint, tiny_model_cfg(),
-                                         tiny_train_cfg(epochs=1), grid)
+        rows, _, _ = run_grid(mortality_ds, checkpoint, tiny_model_cfg(),
+                              tiny_train_cfg(epochs=1), grid)
         assert len(rows) == len(calls) == len(holdouts) == 2 * 2 * len(tr.GRID_VARIANTS)
 
         cells = {}   # (size, cell seed) -> {variant: (training ids, holdout ids)}
