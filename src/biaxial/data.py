@@ -8,8 +8,16 @@ of the sensor list.
 
 On disk a dataset is a directory of three UTF-8 CSV tables ('.' decimals,
 no thousands separators), measurements.csv, statics.csv and labels.csv,
-with headers MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER;
-`load_dataset_dir` is its one reader and makes every check of it.
+with headers MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER; a
+field may be quoted and a line may end with CRLF. `load_dataset_dir` is
+its one reader and makes every check of it, a column at a time.
+
+`read_table` splits a table BLOCK_LINES lines at a time, so reading holds
+one block of a file as strings, never the whole file. It has two
+splitters: str.split, for a file with no '"', '\r' or NUL, and the csv
+module for any other. On text without those characters the two give the
+same fields, and str.split is the faster; quotes and CRLF need the csv
+module.
 
 Sensor names are lowercase with underscores for spaces; parenthesised
 qualifiers and unit symbols are folded in (e.g. "bilirubin_direct",
@@ -23,17 +31,19 @@ pick stays by their index in the cohort and keep its order.
 
 Stays are frozen, and no code writes their arrays, so every Dataset that
 holds a stay shares them; a changed field makes a new record (`replace`).
-Only a stay cut to its first 24 hours gets new arrays.
+Only a stay cut to its first 24 hours gets new arrays. The stays of one
+`transform_all` call share one block of standardized values, each holding
+a view of its own hours.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
-import math
 import os
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -121,6 +131,10 @@ STD_FLOOR = 1e-6
 TEST_FRAC = 0.2   # of a cohort, held out as its test split
 VAL_FRAC = 0.2    # of a training set, held out for validation
 
+# lines of a table split and checked at once: reading a table holds one
+# block of it as strings, never the whole file
+BLOCK_LINES = 1024
+
 
 class SchemaError(ValueError):
     """A file or dataset disagrees with the feature schema."""
@@ -190,27 +204,113 @@ class PreprocessorState:
 # file ingestion
 
 
-def read_table(path, header, empty_ok: bool = False):
-    """Yield (line number, row) for each non-blank row of a UTF-8 CSV table.
+def _text_blocks(path):
+    """Yield (first line number, text) for each block of `path`, decoded as
+    UTF-8. A line that does not decode raises ParseError, naming it, after
+    the text of the lines before it."""
+    with open(path, "rb") as fh:
+        start = 1
+        while raw := list(islice(fh, BLOCK_LINES)):
+            data = b"".join(raw)
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                begin = data.rfind(b"\n", 0, exc.start) + 1  # of the line that fails
+                if begin:
+                    yield start, data[:begin].decode("utf-8")
+                line = start + data.count(b"\n", 0, begin)
+                bad = UnicodeDecodeError(exc.encoding, data[begin:], exc.start - begin,
+                                         exc.end - begin, exc.reason)
+                raise ParseError(f"{path}:{line}: {bad}") from None
+            yield start, text
+            start += len(raw)
 
-    The first line must be `header` and every row must have one field per
-    header column; anything else raises ParseError("path:line: ...").
-    With empty_ok, a file with no lines at all is an empty table.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = csv.reader(fh)
-        first = next(rows, None)
-        if first is None and empty_ok:
+
+def _split_blocks(path):
+    """Yield (first line number, field counts, fields) for each block of a
+    file that holds no '"', '\r' or NUL: the number of fields on each line
+    (0 for a blank one) and the fields of all its lines in order, split by
+    str.split. A field longer than the csv module's field_size_limit()
+    raises ParseError after the lines before it."""
+    limit = csv.field_size_limit()
+    for start, text in _text_blocks(path):
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        long = None
+        if max(map(len, lines), default=0) > limit:
+            long = next((i for i, line in enumerate(lines)
+                         if max(map(len, line.split(","))) > limit), None)
+        if long is not None:
+            del lines[long:]
+        widths = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp,
+                             count=len(lines)) + 1
+        widths[np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)) == 0] = 0
+        if lines:
+            yield start, widths, ",".join(filter(None, lines)).split(",") if widths.any() else []
+        if long is not None:
+            raise ParseError(f"{path}:{start + long}: field larger than field limit ({limit})")
+
+
+def _csv_blocks(path):
+    """Yield (first line number, field counts, fields) for each block of a
+    file read by the csv module, which splits quoted fields and '\r\n' line
+    ends: the number of fields in each row (0 for a blank line) and the
+    fields of all its rows in order; each row counts as one line. Text the
+    csv module rejects raises ParseError after the rows before it."""
+    reader = csv.reader(line for _, text in _text_blocks(path)
+                        for line in io.StringIO(text, newline=""))
+    start = 1
+    while True:
+        rows, error = [], None
+        try:
+            rows.extend(islice(reader, BLOCK_LINES))
+        except csv.Error as exc:
+            error = ParseError(f"{path}:{start + len(rows)}: {exc}")
+        except ParseError as exc:
+            error = exc
+        if rows:
+            yield (start, np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)),
+                   list(chain.from_iterable(rows)))
+        if error is not None:
+            raise error
+        if len(rows) < BLOCK_LINES:
             return
-        if first != list(header):
-            raise ParseError(f"{path}:1: expected header {','.join(header)}")
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
+        start += len(rows)
+
+
+def read_table(path, header, empty_ok: bool = False):
+    """Yield the non-blank rows of a UTF-8 CSV table in blocks of at most
+    BLOCK_LINES lines, each as (line numbers, columns): an int array and one
+    list of strings per header column.
+
+    A file that holds a '"' or a '\r' is split by the csv module, any other
+    by str.split, which gives the same fields for such text (a NUL, which
+    Python 3.10's csv module rejects, also goes to it). The first line
+    must be `header` and every row must have one field per header column;
+    anything else, text that is not UTF-8, and text the csv module rejects
+    raise ParseError("path:line: ...") once the rows before that line are
+    yielded. With empty_ok, a file with no lines at all is an empty table.
+    """
+    with open(path, "rb") as fh:
+        quoted = any(b'"' in chunk or b"\r" in chunk or b"\0" in chunk
+                     for chunk in iter(lambda: fh.read(1 << 20), b""))
+    blocks = (_csv_blocks if quoted else _split_blocks)(path)
+    first = next(blocks, None)
+    if first is None and empty_ok:
+        return
+    _, widths, fields = first or (1, [0], [])
+    if fields[:widths[0]] != list(header):
+        raise ParseError(f"{path}:1: expected header {','.join(header)}")
+    w = len(header)
+    for start, widths, fields in chain([(2, widths[1:], fields[w:])], blocks):
+        wrong = np.flatnonzero((widths != w) & (widths != 0))
+        stop = wrong[0] if wrong.size else len(widths)
+        lines = start + np.flatnonzero(widths[:stop])
+        if lines.size:
+            yield lines, [fields[k:w * lines.size:w] for k in range(w)]
+        if wrong.size:
+            raise ParseError(f"{path}:{start + stop}: expected {w} fields, got {widths[stop]}")
 
 
 def open_output(path):
@@ -236,6 +336,53 @@ def _sensor_prefix(n_sensors: int, where: str = "") -> tuple:
     return SENSOR_SCHEMA[:n_sensors]
 
 
+def _numbers(column, kind):
+    """The strings of `column` read by `kind` (int or float) into an int64 or
+    float64 array, flags on the first one it cannot read, and why; that one
+    and those after it read 0."""
+    dtype = np.int64 if kind is int else np.float64
+    bad = np.zeros(len(column), dtype=bool)
+    try:
+        return np.fromiter(map(kind, column), dtype=dtype, count=len(column)), bad, None
+    except (ValueError, OverflowError):
+        pass
+    out = np.zeros(len(column), dtype=dtype)
+    for i, text in enumerate(column):
+        try:
+            out[i] = kind(text)
+        except (ValueError, OverflowError) as exc:
+            bad[i] = True
+            return out, bad, str(exc)
+
+
+def _codes(column, index: dict) -> np.ndarray:
+    """The position in `index` of each string of `column`; -1 where it has none."""
+    codes = {key: index.get(key, -1) for key in set(column)}
+    return np.fromiter(map(codes.__getitem__, column), dtype=np.intp, count=len(column))
+
+
+def _repeats(column, seen) -> np.ndarray:
+    """Flags on the strings of `column` that are in `seen` or earlier in `column`."""
+    n = len(column)
+    first = dict(zip(column[::-1], range(n - 1, -1, -1)))
+    return (np.fromiter(map(first.__getitem__, column), dtype=np.intp, count=n) != np.arange(n)) \
+        | np.fromiter(map(seen.__contains__, column), dtype=bool, count=n)
+
+
+def _first_error(n: int, checks: list):
+    """(row, error) for the earliest failing row of a block of `n` rows, or
+    (n, None). `checks` pairs an array flagging rows with a function that
+    makes a row's error, in the order one row is checked, so of the checks
+    that flag the earliest row, the first names it."""
+    flagged = np.zeros(n, dtype=bool)
+    for bad, _ in checks:
+        flagged |= bad
+    if not flagged.any():
+        return n, None
+    row = int(flagged.argmax())
+    return row, next(error(row) for bad, error in checks if bad[row])
+
+
 def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
     """Read the cohort in directory `path` over the schema's first
     `n_sensors` sensors, as a Dataset named after the directory.
@@ -245,7 +392,8 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
     every sensor. A duplicate (patient, sensor, hour) cell keeps its later
     value with a warning; a row back in time for a patient and sensor, or a
     number that is not finite, is a ParseError. Each failure is a
-    SchemaError or ParseError naming the path.
+    SchemaError or ParseError naming the path, and the line of the earliest
+    row that fails.
     """
     if not os.path.isdir(path):
         raise SchemaError(f"data directory not found: {path}")
@@ -256,111 +404,162 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
     if labeled and not os.path.exists(labels_path):
         raise SchemaError(f"{path} has no labels.csv; this command needs a labeled cohort")
 
-    statics: dict[str, tuple[np.ndarray, float]] = {}
-    order: list[str] = []
-    for lineno, (pid, *fields) in read_table(statics_path, STATICS_HEADER):
-        try:
-            vals = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ParseError(f"{statics_path}:{lineno}: {exc}") from None
-        for column, v in zip(STATICS_HEADER[1:], vals):
-            if not math.isfinite(v):
-                raise ParseError(f"{statics_path}:{lineno}: {column} must be finite, got {v}")
-        if pid in statics:
-            raise ParseError(f"{statics_path}:{lineno}: duplicate patient_id {pid!r}")
-        statics[pid] = (np.array(vals[:4], dtype=np.float64), vals[4])
-        order.append(pid)
+    index: dict[str, int] = {}  # patient -> position in statics.csv
+    stat_blocks = []
+    for lines, (pids, *columns) in read_table(statics_path, STATICS_HEADER):
+        parsed = [_numbers(column, float) for column in columns]
+        vals = np.stack([v for v, _, _ in parsed], axis=1)
+        unread = np.stack([bad for _, bad, _ in parsed], axis=1)
+        infinite = ~np.isfinite(vals)
+
+        def unread_error(i):
+            return ParseError(f"{statics_path}:{lines[i]}: {parsed[unread[i].argmax()][2]}")
+
+        def infinite_error(i):
+            c = infinite[i].argmax()
+            return ParseError(f"{statics_path}:{lines[i]}: {STATICS_HEADER[1 + c]} "
+                              f"must be finite, got {vals[i, c]}")
+
+        _, error = _first_error(len(pids), [
+            (unread.any(axis=1), unread_error),
+            (infinite.any(axis=1), infinite_error),
+            (_repeats(pids, index), lambda i: ParseError(
+                f"{statics_path}:{lines[i]}: duplicate patient_id {pids[i]!r}")),
+        ])
+        if error:
+            raise error
+        index.update(zip(pids, range(len(index), len(index) + len(pids))))
+        stat_blocks.append(vals)
+    stats = np.concatenate(stat_blocks) if stat_blocks else np.zeros((0, len(STATIC_SCHEMA) + 1))
+    order = list(index)
 
     labels: dict[str, int] = {}
     if os.path.exists(labels_path):
-        for lineno, (pid, mortality) in read_table(labels_path, LABELS_HEADER):
-            if mortality not in ("0", "1"):
-                raise ParseError(f"{labels_path}:{lineno}: mortality must be 0 or 1")
-            if pid not in statics:
-                raise SchemaError(
-                    f"{labels_path}:{lineno}: patient {pid!r} missing from statics")
-            if pid in labels:
-                raise ParseError(f"{labels_path}:{lineno}: duplicate patient_id {pid!r}")
-            labels[pid] = int(mortality)
+        for lines, (pids, mortality) in read_table(labels_path, LABELS_HEADER):
+            _, error = _first_error(len(pids), [
+                (_codes(mortality, {"0": 0, "1": 1}) < 0, lambda i: ParseError(
+                    f"{labels_path}:{lines[i]}: mortality must be 0 or 1")),
+                (_codes(pids, index) < 0, lambda i: SchemaError(
+                    f"{labels_path}:{lines[i]}: patient {pids[i]!r} missing from statics")),
+                (_repeats(pids, labels), lambda i: ParseError(
+                    f"{labels_path}:{lines[i]}: duplicate patient_id {pids[i]!r}")),
+            ])
+            if error:
+                raise error
+            labels.update(zip(pids, map(int, mortality)))
         unlabeled = [pid for pid in order if pid not in labels]
         if unlabeled:
             raise SchemaError(f"{labels_path}: no label for patient {unlabeled[0]!r}")
 
-    # (patient, sensor index) -> (hours, values), hours strictly increasing
-    series: dict[tuple[str, int], tuple[list, list]] = defaultdict(lambda: ([], []))
-    for lineno, (pid, hour_s, sensor, value_s) in read_table(
+    # accepted rows, block by block: patient position, sensor index, hour, value
+    accepted = []
+    last_hour = np.full(len(order) * n_sensors, -1, dtype=np.int64)  # per (patient, sensor)
+    for lines, (pids, hour_col, sensor_col, value_col) in read_table(
             measurements_path, MEASUREMENTS_HEADER, empty_ok=True):
-        if sensor not in sensor_index:
-            raise SchemaError(
-                f"{measurements_path}:{lineno}: unknown sensor {sensor!r}"
-            )
-        try:
-            hour = int(hour_s)
-            value = float(value_s)
-        except ValueError as exc:
-            raise ParseError(f"{measurements_path}:{lineno}: {exc}") from None
-        if hour < 0:
-            raise ParseError(f"{measurements_path}:{lineno}: negative hour {hour}")
-        if not math.isfinite(value):
-            raise ParseError(f"{measurements_path}:{lineno}: value must be finite, got {value}")
-        if pid not in statics:
-            raise SchemaError(
-                f"{measurements_path}:{lineno}: patient {pid!r} missing from statics"
-            )
-        hours, vals = series[pid, sensor_index[sensor]]
-        if hours and hour <= hours[-1]:
-            if hour < hours[-1]:
-                raise ParseError(
-                    f"{measurements_path}:{lineno}: non-monotone timestamp for "
-                    f"({pid}, {sensor}): hour {hour} after hour {hours[-1]}")
-            logger.warning("%s:%d: duplicate cell (%s, %s, %d); keeping the later value",
-                           measurements_path, lineno, pid, sensor, hour)
-            vals[-1] = value
-        else:
-            hours.append(hour)
-            vals.append(value)
+        n = len(lines)
+        patient = _codes(pids, index)
+        sensor = _codes(sensor_col, sensor_index)
+        hours, bad_hour, hour_reason = _numbers(hour_col, int)
+        values, bad_value, value_reason = _numbers(value_col, float)
+        # each row's previous hour in its series: the row before it in the
+        # block, or the series' last hour in earlier blocks (-1 for none)
+        key = np.where((patient >= 0) & (sensor >= 0), patient * n_sensors + sensor, 0)
+        by_key = np.argsort(key, kind="stable")
+        k, h = key[by_key], hours[by_key]
+        follows = np.zeros(n, dtype=bool)
+        follows[1:] = k[1:] == k[:-1]
+        prev = np.empty(n, dtype=np.int64)
+        prev[by_key] = np.where(follows, np.roll(h, 1), last_hour[k])
 
-    if labeled and (named := len({d for _, d in series})) < n_sensors:
+        def at(i):
+            return f"{measurements_path}:{lines[i]}"
+
+        stop, error = _first_error(n, [
+            (sensor < 0, lambda i: SchemaError(f"{at(i)}: unknown sensor {sensor_col[i]!r}")),
+            (bad_hour, lambda i: ParseError(f"{at(i)}: {hour_reason}")),
+            (bad_value, lambda i: ParseError(f"{at(i)}: {value_reason}")),
+            (hours < 0, lambda i: ParseError(f"{at(i)}: negative hour {hours[i]}")),
+            (~np.isfinite(values), lambda i: ParseError(
+                f"{at(i)}: value must be finite, got {values[i]}")),
+            (patient < 0, lambda i: SchemaError(
+                f"{at(i)}: patient {pids[i]!r} missing from statics")),
+            (hours < prev, lambda i: ParseError(
+                f"{at(i)}: non-monotone timestamp for ({pids[i]}, {sensor_col[i]}): "
+                f"hour {hours[i]} after hour {prev[i]}")),
+        ])
+        for i in np.flatnonzero(hours[:stop] == prev[:stop]):
+            logger.warning("%s:%d: duplicate cell (%s, %s, %d); keeping the later value",
+                           measurements_path, lines[i], pids[i], sensor_col[i], hours[i])
+        if error:
+            raise error
+        ends = np.ones(n, dtype=bool)
+        ends[:-1] = k[1:] != k[:-1]
+        last_hour[k[ends]] = h[ends]
+        accepted.append((patient, sensor, hours, values))
+
+    empty = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.int64), np.zeros(0))
+    patient, sensor, hours, values = map(np.concatenate, zip(empty, *accepted))
+    if labeled and (named := len(np.unique(sensor))) < n_sensors:
         raise SchemaError(f"{path}: measurements.csv names {named} sensors, "
                           f"but model.sensors_count is {n_sensors}")
 
+    # by patient, then sensor, then hour; of two duplicate cells the later holds
+    key = patient * n_sensors + sensor
+    cells = np.argsort(key, kind="stable")
+    k, h = key[cells], hours[cells]
+    later = np.ones(len(cells), dtype=bool)
+    later[:-1] = (k[1:] != k[:-1]) | (h[1:] != h[:-1])
+    cells = cells[later]
+    patient, sensor, hours, values = patient[cells], sensor[cells], hours[cells], values[cells]
+    bounds = np.searchsorted(patient, np.arange(len(order) + 1))
+
     episodes = []
-    for pid in order:
-        stat_vec, stay = statics[pid]
-        rows = [(d, series[pid, d]) for d in range(n_sensors) if (pid, d) in series]
-        t_len = max(int(np.ceil(max(stay, 0.0))), 1, *(hours[-1] + 1 for _, (hours, _) in rows))
-        values = np.zeros((n_sensors, t_len))
+    stays = stats[:, -1].tolist()
+    for i, pid in enumerate(order):
+        rows = slice(bounds[i], bounds[i + 1])
+        stay = stays[i]
+        t_len = max(int(np.ceil(max(stay, 0.0))), 1, int(hours[rows].max(initial=0)) + 1)
+        ep_values = np.zeros((n_sensors, t_len))
         mask = np.zeros((n_sensors, t_len), dtype=bool)
-        for d, (hours, vals) in rows:
-            values[d, hours] = vals
-            mask[d, hours] = True
+        ep_values[sensor[rows], hours[rows]] = values[rows]
+        mask[sensor[rows], hours[rows]] = True
         episodes.append(EpisodeRecord(
             patient_id=pid,
-            values=values,
+            values=ep_values,
             mask=mask,
-            statics=stat_vec,
+            statics=stats[i, :-1],
             stay_hours=stay,
             label=labels.get(pid),
         ))
     return Dataset.from_episodes(os.path.basename(os.path.normpath(path)), episodes)
 
 
+def _csv_field(text: str) -> str:
+    """`text` as the csv module writes it as one field of a row of several."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_dataset_csvs(ds: Dataset, out_dir) -> None:
     """Write measurements/statics/labels CSVs; deterministic row order.
-    A dataset with labels on some stays but not all is a SchemaError."""
-    def measurement_rows():
-        for ep in ds.episodes:
-            d_idx, t_idx = np.nonzero(ep.mask)
-            for d, t, value in zip(d_idx.tolist(), t_idx.tolist(),
-                                   ep.values[d_idx, t_idx].tolist()):
-                yield ep.patient_id, t, SENSOR_SCHEMA[d], f"{value:.4f}"
+    A dataset with labels on some stays but not all is a SchemaError.
 
+    A stay's measurement lines are formatted in one pass, its patient id
+    quoted once by the csv module; they are the bytes csv.writer writes for
+    rows (patient_id, hour, sensor, f"{value:.4f}")."""
     n_labeled = sum(ep.label is not None for ep in ds.episodes)
     if 0 < n_labeled < len(ds):
         raise SchemaError(f"{ds.name}: {len(ds) - n_labeled} of {len(ds)} stays have no label")
     os.makedirs(out_dir, exist_ok=True)
-    write_table(os.path.join(out_dir, "measurements.csv"), MEASUREMENTS_HEADER,
-                measurement_rows())
+    with open_output(os.path.join(out_dir, "measurements.csv")) as fh:
+        fh.write(",".join(MEASUREMENTS_HEADER) + "\n")
+        for ep in ds.episodes:
+            d_idx, t_idx = np.nonzero(ep.mask)
+            line = _csv_field(ep.patient_id).replace("%", "%%") + ",%d,%s,%.4f\n"
+            fh.write("".join(map(line.__mod__, zip(
+                t_idx.tolist(), map(SENSOR_SCHEMA.__getitem__, d_idx.tolist()),
+                ep.values[d_idx, t_idx].tolist()))))
     write_table(os.path.join(out_dir, "statics.csv"), STATICS_HEADER, (
         (ep.patient_id, f"{ep.statics[0]:.1f}", int(ep.statics[1]),
          f"{ep.statics[2]:.1f}", f"{ep.statics[3]:.1f}", int(ep.stay_hours))
@@ -450,36 +649,38 @@ def fit_preprocessor(train: list, fitted_on: str = "train") -> PreprocessorState
     return PreprocessorState(tv_mean, tv_std, static_mean, static_std, fitted_on)
 
 
-def _forward_fill(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-sensor forward fill; unfilled leading cells come back as NaN.
+def transform_all(episodes: list, pp: PreprocessorState) -> list:
+    """Impute and standardize episodes in one pass over their hours,
+    concatenated along time; each stay gets a view of the result.
 
-    Reads `values` only at observed positions.
-    """
-    d, t = values.shape
-    idx = np.where(mask, np.arange(t)[None, :], -1)
-    idx = np.maximum.accumulate(idx, axis=1)
-    gathered = values[np.arange(d)[:, None], np.clip(idx, 0, None)]
-    return np.where(idx >= 0, gathered, np.nan)
-
-
-def transform(ep: EpisodeRecord, pp: PreprocessorState) -> EpisodeRecord:
-    """Impute and standardize one episode.
-
-    Values are forward-filled within the stay, leading gaps take the
-    training mean, then everything is standardized. The original mask is
-    kept as the missingness indicator; cells with mask false are never
+    Values are forward-filled within each stay, leading gaps take the
+    training mean, then everything is standardized. Each stay keeps its
+    mask as the missingness indicator; cells with mask false are never
     read, only overwritten.
     """
-    filled = _forward_fill(ep.values, ep.mask)
-    lead = np.isnan(filled)
-    if lead.any():
-        filled[lead] = np.broadcast_to(pp.tv_mean[:, None], filled.shape)[lead]
-    standardized = (filled - pp.tv_mean[:, None]) / pp.tv_std[:, None]
-    return replace(ep, values=standardized, statics=(ep.statics - pp.static_mean) / pp.static_std)
-
-
-def transform_all(episodes: list, pp: PreprocessorState) -> list:
-    return [transform(ep, pp) for ep in episodes]
+    if not episodes:
+        return []
+    hours = [ep.n_hours for ep in episodes]
+    ends = np.cumsum(hours)
+    starts = ends - hours
+    values = np.concatenate([ep.values for ep in episodes], axis=1)
+    mask = np.concatenate([ep.mask for ep in episodes], axis=1)
+    # per cell, the last observed hour of its stay so far, or the hour before
+    # the stay's first if it has none yet
+    first = np.repeat(starts, hours)
+    seen = np.where(mask, np.arange(values.shape[1]), first - 1)
+    np.maximum.accumulate(seen, axis=1, out=seen)
+    standardized = np.take_along_axis(values, seen, axis=1)
+    lead = seen < first
+    # a NaN observed, and the hours it fills, take the mean as a leading gap does
+    lead |= np.isnan(standardized)
+    mean, std = pp.tv_mean[:, None], pp.tv_std[:, None]
+    np.copyto(standardized, mean, where=lead)
+    standardized -= mean
+    standardized /= std
+    statics = (np.stack([ep.statics for ep in episodes]) - pp.static_mean) / pp.static_std
+    return [replace(ep, values=standardized[:, a:b], statics=s)
+            for ep, a, b, s in zip(episodes, starts, ends, statics)]
 
 
 # ---------------------------------------------------------------------------

@@ -971,6 +971,33 @@ def test_bad_data_directory_fails_before_the_config_echo(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table, line, message", [
+    ("measurements", 4, "field larger than field limit (131072)"),
+    ("statics", 2, "'utf-8' codec can't decode byte 0xe9 in position 0: invalid continuation byte")],
+    ids=["field_over_the_csv_limit", "not_utf8"])
+def test_data_file_the_splitters_reject_is_a_parse_error(table, line, message, tmp_path, capsys):
+    """A patient id on line 4 of measurements.csv quoted and padded to
+    140,000 characters, past the csv module's field limit, or byte 0xE9 at
+    the start of line 2 of statics.csv: exit 1, naming the file and line,
+    and no output directory."""
+    data = tmp_path / "four"
+    assert run_cli("generate", "--n", "60", "--prevalence", "0.2", "--sensors-count", "4",
+                   "--seed", "3", "--out", str(data)) == 0
+    path = data / f"{table}.csv"
+    lines = read(path).split(b"\n")
+    if table == "measurements":
+        pid, rest = lines[line - 1].split(b",", 1)
+        lines[line - 1] = b'"' + pid.ljust(140_000, b"x") + b'",' + rest
+    else:
+        lines[line - 1] = b"\xe9" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    assert run_cli("pretrain", "--data", str(data), "--set", "model.sensors_count=4",
+                   "--out", str(out)) == 1
+    assert f"error: {path}:{line}: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 BAD_CASES = [
     *((command, dotted, *BAD_SETTING[dotted]) for command, dotted in [
         *(("generate", dotted) for dotted in BAD_SETTING), ("pretrain", "grid.jobs"),

@@ -1,9 +1,12 @@
 """Data model, ingestion, preprocessing, pooling, splits and the generator."""
 
+import csv
+import io
 import logging
 import os
 import tempfile
 from dataclasses import FrozenInstanceError, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,6 +163,28 @@ class TestLoadDataset:
                            match=rf"{table}\.csv:3: {column} must be finite, got {text}$"):
             load_csvs(tmp_path, m, s)
 
+    @pytest.mark.parametrize("row", [
+        "ghost,-1,midichlorian_count,nan", "ghost,x,heart_rate,y", "ghost,1,heart_rate,y",
+        "ghost,-1,heart_rate,nan", "ghost,1,heart_rate,nan", "ghost,0,heart_rate,80",
+        "a,1,heart_rate,80"])
+    def test_a_row_failing_several_checks_is_named_by_the_first(self, tmp_path, row):
+        """Line 3 fails each check from the one named in it on; the error
+        is the per-cell loader's, word for word."""
+        write_csvs(tmp_path, f"a,2,heart_rate,80\n{row}\n", "a,60,1,165,70,8\n")
+        paths = (str(tmp_path / "measurements.csv"), str(tmp_path / "statics.csv"))
+        want = _outcome(lambda: _per_cell_load(*paths, dt.SENSOR_SCHEMA))
+        assert isinstance(want[0], tuple) and ":3: " in want[0][1]
+        assert _outcome(lambda: dt.load_dataset_dir(str(tmp_path), 48).episodes) == want
+
+    @pytest.mark.parametrize("row, message", [
+        ("a,x,y,nan,70,8", "could not convert string to float: 'x'"),
+        ("a,60,1,nan,x,8", "could not convert string to float: 'x'"),
+        ("a,inf,1,nan,70,8", "age must be finite, got inf"),
+        ("b,60,1,nan,70,8", "height_cm must be finite, got nan")])
+    def test_a_statics_row_names_its_first_bad_field(self, tmp_path, row, message):
+        with pytest.raises(dt.ParseError, match=rf"statics\.csv:3: {message}$"):
+            load_csvs(tmp_path, "", f"b,60,1,165,70,8\n{row}\n")
+
     def test_unknown_patient_in_measurements(self, tmp_path):
         with pytest.raises(dt.SchemaError, match="missing from statics"):
             load_csvs(tmp_path, "ghost,0,heart_rate,80\n", "a,60,1,165,70,8\n")
@@ -195,6 +220,25 @@ class TestLoadDataset:
             dt.load_dataset_dir(tmp_path, 2, labeled=True)
 
 
+def _read_rows(path, header, empty_ok=False):
+    """The row-by-row reader the block reader replaced, kept as the oracle:
+    (line number, row) for each non-blank row, read by the csv module."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh)
+        first = next(rows, None)
+        if first is None and empty_ok:
+            return
+        if first != list(header):
+            raise dt.ParseError(f"{path}:1: expected header {','.join(header)}")
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise dt.ParseError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+
 def _per_cell_load(measurements_path, statics_path, sensors):
     """The loader as it was before its series dict, kept as the oracle:
     one dict entry per cell, a last hour per (patient, sensor), a maximum
@@ -203,11 +247,11 @@ def _per_cell_load(measurements_path, statics_path, sensors):
     checks and labels are left out."""
     sensor_index = {s: i for i, s in enumerate(sensors)}
     statics = {pid: (np.array([float(x) for x in fields[:4]]), float(fields[4]))
-               for _, (pid, *fields) in dt.read_table(statics_path, dt.STATICS_HEADER)}
+               for _, (pid, *fields) in _read_rows(statics_path, dt.STATICS_HEADER)}
     cells = {pid: {} for pid in statics}
     last_hour = {}
     max_hour = {}
-    for lineno, (pid, hour_s, sensor, value_s) in dt.read_table(
+    for lineno, (pid, hour_s, sensor, value_s) in _read_rows(
             measurements_path, dt.MEASUREMENTS_HEADER, empty_ok=True):
         if sensor not in sensor_index:
             raise dt.SchemaError(f"{measurements_path}:{lineno}: unknown sensor {sensor!r}")
@@ -283,18 +327,38 @@ def _outcome(load):
 ROWS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 5),
                           st.floats(allow_nan=False, width=64)), max_size=40)
 
+# how the tables are laid out: blank lines before these rows, CRLF line
+# ends, patient ids quoted because they hold ',' or '"', no line end after
+# the last measurement row, and a row with one field too few or too many
+LAYOUT = st.fixed_dictionaries({
+    "blank_at": st.sets(st.integers(0, 40), max_size=3), "crlf": st.booleans(),
+    "quoted_ids": st.booleans(), "end_newline": st.booleans(),
+    "wrong_at": st.integers(-1, 40)})
+
+
+def _csv_line(fields, end):
+    """A table line as the csv module writes `fields`, ended by `end`."""
+    return ",".join('"' + f.replace('"', '""') + '"' if "," in f or '"' in f else f
+                    for f in fields) + end
+
 
 class TestLoaderOracle:
+    @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 3])
     @settings(max_examples=200, deadline=None)
     @given(stays=st.lists(st.sampled_from([0.0, 1.0, 2.5, 6.0, 19.0, 40.0]),
                           min_size=1, max_size=5),
-           rows=ROWS, backward_at=st.integers(-1, 40), zero_byte=st.booleans())
-    def test_matches_the_per_cell_loader(self, stays, rows, backward_at, zero_byte):
+           rows=ROWS, backward_at=st.integers(-1, 40), zero_byte=st.booleans(), layout=LAYOUT)
+    def test_matches_the_per_cell_loader(self, block_lines, stays, rows, backward_at,
+                                         zero_byte, layout):
         """Interleaved patients, duplicate cells, patients with no rows,
         stays longer than their last row, an empty or zero-byte measurements
-        file and, at `backward_at`, a row that goes back in time: the arrays
-        are bitwise equal, and the warnings and errors word for word."""
+        file, at `backward_at` a row that goes back in time, and the lines of
+        `layout`, read in blocks of the default size and of 3 lines: the
+        arrays are bitwise equal, and the warnings and errors word for word."""
         sensors = dt.SENSOR_SCHEMA[:3]
+        names = (["p,0", 'p"1', "p2", '"p3"', 'p,"4'] if layout["quoted_ids"]
+                 else [f"p{p}" for p in range(5)])
+        end = "\r\n" if layout["crlf"] else "\n"
         last, lines = {}, []
         for i, (p, d, step, value) in enumerate(rows):
             p %= len(stays)
@@ -302,19 +366,30 @@ class TestLoaderOracle:
             if i == backward_at and last.get((p, d), 0) > 0:
                 hour = last[p, d] - 1
             last[p, d] = hour
-            lines.append(f"p{p},{hour},{sensors[d]},{value!r}\n")
+            fields = [names[p], str(hour), sensors[d], repr(value)]
+            if i == layout["wrong_at"]:
+                fields = fields[:-1] if i % 2 else fields + ["1"]
+            lines.append(_csv_line(fields, end))
+        statics = [_csv_line([names[p], str(40 + p), "1", "170", "70", repr(stay)], end)
+                   for p, stay in enumerate(stays)]
+        for i in sorted(layout["blank_at"], reverse=True):
+            lines.insert(min(i, len(lines)), end)
+            statics.insert(min(i, len(statics)), end)
+        text = "".join(lines)
+        if text and not layout["end_newline"]:
+            text = text[:-len(end)]
         with tempfile.TemporaryDirectory() as tmp:
             mpath = os.path.join(tmp, "measurements.csv")
             spath = os.path.join(tmp, "statics.csv")
-            with open(mpath, "w") as fh:
+            with open(mpath, "w", encoding="utf-8", newline="") as fh:
                 if lines or not zero_byte:
-                    fh.write("patient_id,hour,sensor,value\n" + "".join(lines))
-            with open(spath, "w") as fh:
-                fh.write("patient_id,age,female,height_cm,weight_kg,stay_hours\n" + "".join(
-                    f"p{p},{40 + p},1,170,70,{stay!r}\n" for p, stay in enumerate(stays)))
+                    fh.write(_csv_line(dt.MEASUREMENTS_HEADER, end) + text)
+            with open(spath, "w", encoding="utf-8", newline="") as fh:
+                fh.write(_csv_line(dt.STATICS_HEADER, end) + "".join(statics))
             want, want_warnings = _outcome(lambda: _per_cell_load(mpath, spath, sensors))
-            got, got_warnings = _outcome(
-                lambda: dt.load_dataset_dir(tmp, len(sensors)).episodes)
+            with mock.patch.object(dt, "BLOCK_LINES", block_lines):
+                got, got_warnings = _outcome(
+                    lambda: dt.load_dataset_dir(tmp, len(sensors)).episodes)
         assert got_warnings == want_warnings
         if isinstance(want, tuple):
             assert got == want
@@ -325,6 +400,92 @@ class TestLoaderOracle:
                 a, b = getattr(g, field), getattr(w, field)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert (g.stay_hours, g.label) == (w.stay_hours, w.label)
+
+
+def _measurement_rows(ds):
+    """The rows the writer wrote through csv.writer before it formatted a
+    stay's lines in one pass, kept as the oracle."""
+    for ep in ds.episodes:
+        d_idx, t_idx = np.nonzero(ep.mask)
+        for d, t, value in zip(d_idx.tolist(), t_idx.tolist(),
+                               ep.values[d_idx, t_idx].tolist()):
+            yield ep.patient_id, t, dt.SENSOR_SCHEMA[d], f"{value:.4f}"
+
+
+# a field of one line: neither ',' nor a line end
+FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',\n"\r\x00'),
+                max_size=4)
+
+
+class TestTableIO:
+    @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(FIELD, max_size=4), max_size=12), end_newline=st.booleans())
+    def test_splitters_give_the_same_fields(self, block_lines, rows, end_newline):
+        """On text without '"', '\\r' or NUL, str.split and the csv module
+        give the same fields, blank lines included, block by block."""
+        text = "\n".join(",".join(row) for row in rows) + ("\n" if end_newline else "")
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(dt, "BLOCK_LINES", block_lines):
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            split = [(start, widths.tolist(), fields)
+                     for start, widths, fields in dt._split_blocks(path)]
+            read = [(start, widths.tolist(), fields)
+                    for start, widths, fields in dt._csv_blocks(path)]
+        assert split == read
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["str.split", "csv"])
+    def test_a_field_over_the_csv_limit_is_one_parse_error(self, tmp_path, end):
+        """Either splitter rejects a field longer than csv.field_size_limit()
+        with one message, and reads one of exactly that length."""
+        limit = csv.field_size_limit()
+        for size, error, message in [
+                (limit + 1, dt.ParseError, rf"field larger than field limit \({limit}\)$"),
+                (limit, dt.SchemaError, r"patient 'xxx.*' missing from statics$")]:
+            write_csvs(tmp_path, "", "a,60,1,165,70,8\n")
+            (tmp_path / "measurements.csv").write_text(end.join([
+                ",".join(dt.MEASUREMENTS_HEADER), "a,0,heart_rate,80",
+                f"{'x' * size},1,heart_rate,80", ""]), encoding="utf-8")
+            with pytest.raises(error, match=rf"measurements\.csv:3: {message}"):
+                dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["str.split", "csv"])
+    @pytest.mark.parametrize("bad_line, message", [
+        (2, r"statics\.csv:2: 'utf-8' codec can't decode byte 0xe9 in position 0"),
+        (4, r"statics\.csv:3: duplicate patient_id 'a'")])
+    def test_text_that_is_not_utf8_is_a_parse_error_at_its_line(
+            self, tmp_path, end, bad_line, message):
+        """A byte that does not decode is named by its line, unless an
+        earlier line fails first."""
+        lines = [",".join(dt.STATICS_HEADER), "a,60,1,165,70,8", "a,60,1,165,70,8",
+                 "b,60,1,165,70,8", ""]
+        data = bytearray(end.join(lines).encode())
+        data.insert(data.index(b"a,60" if bad_line == 2 else b"b,60"), 0xE9)
+        write_csvs(tmp_path, "", "")
+        (tmp_path / "statics.csv").write_bytes(bytes(data))
+        with pytest.raises(dt.ParseError, match=message):
+            dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True),
+           values=st.lists(st.floats(width=64), min_size=1, max_size=8), seed=st.integers(0, 99))
+    def test_writes_the_bytes_of_csv_writer(self, ids, values, seed):
+        """Any patient id, quoted or not, and any value, -0.0, nan and inf
+        among them: measurements.csv holds the bytes csv.writer writes."""
+        ds = dt.generate_synthetic(10, prevalence=0.2, seed=seed, n_sensors=3)
+        ds = dt.Dataset.from_episodes("x", [
+            replace(ep, patient_id=pid, values=np.resize(values, ep.values.shape))
+            for ep, pid in zip(ds.episodes, ids)])
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(dt.MEASUREMENTS_HEADER)
+        writer.writerows(_measurement_rows(ds))
+        with tempfile.TemporaryDirectory() as tmp:
+            dt.write_dataset_csvs(ds, tmp)
+            with open(os.path.join(tmp, "measurements.csv"), "rb") as fh:
+                assert fh.read() == want.getvalue().encode("utf-8")
 
 
 class TestExclusions:
@@ -439,6 +600,26 @@ class TestPreprocessor:
             dt.fit_preprocessor([])
 
 
+def _forward_fill(values, mask):
+    """Per-sensor forward fill of one stay; unfilled leading cells are NaN."""
+    d, t = values.shape
+    idx = np.where(mask, np.arange(t)[None, :], -1)
+    idx = np.maximum.accumulate(idx, axis=1)
+    gathered = values[np.arange(d)[:, None], np.clip(idx, 0, None)]
+    return np.where(idx >= 0, gathered, np.nan)
+
+
+def transform(ep, pp):
+    """The per-stay transform that `transform_all` replaced, kept as the
+    oracle: forward fill, the training mean in leading gaps, standardize."""
+    filled = _forward_fill(ep.values, ep.mask)
+    lead = np.isnan(filled)
+    if lead.any():
+        filled[lead] = np.broadcast_to(pp.tv_mean[:, None], filled.shape)[lead]
+    standardized = (filled - pp.tv_mean[:, None]) / pp.tv_std[:, None]
+    return replace(ep, values=standardized, statics=(ep.statics - pp.static_mean) / pp.static_std)
+
+
 class TestTransform:
     def test_forward_fill_then_mean_fill(self):
         mask = np.array([[False, True, False, True]])
@@ -447,7 +628,7 @@ class TestTransform:
         pp = dt.PreprocessorState(
             tv_mean=np.array([4.0]), tv_std=np.array([1.0]),
             static_mean=np.zeros(4), static_std=np.ones(4))
-        out = dt.transform(ep, pp)
+        out = dt.transform_all([ep], pp)[0]
         # pre-standardization [4, 3, 3, 5], standardized by mean 4 / std 1
         np.testing.assert_allclose(out.values[0], [0.0, -1.0, -1.0, 1.0])
         np.testing.assert_array_equal(out.mask, mask)
@@ -457,7 +638,7 @@ class TestTransform:
         ep = make_episode(d=1, t=3, mask=np.ones((1, 3), dtype=bool), values=values)
         pp = dt.PreprocessorState(np.array([0.0]), np.array([1.0]),
                                   np.zeros(4), np.ones(4))
-        out = dt.transform(ep, pp)
+        out = dt.transform_all([ep], pp)[0]
         np.testing.assert_array_equal(out.values, values)
 
     def test_value_at_mean_standardizes_to_zero(self):
@@ -465,14 +646,14 @@ class TestTransform:
                           values=np.array([[3.0]]))
         pp = dt.PreprocessorState(np.array([3.0]), np.array([1.0]),
                                   np.zeros(4), np.ones(4))
-        assert dt.transform(ep, pp).values[0, 0] == 0.0
+        assert dt.transform_all([ep], pp)[0].values[0, 0] == 0.0
 
     def test_statics_standardized(self):
         ep = make_episode(age=60.0)
         pp = dt.PreprocessorState(np.zeros(3), np.ones(3),
                                   np.array([50.0, 0.0, 0.0, 0.0]),
                                   np.array([10.0, 1.0, 1.0, 1.0]))
-        assert dt.transform(ep, pp).statics[0] == 1.0
+        assert dt.transform_all([ep], pp)[0].statics[0] == 1.0
 
     def test_sentinels_never_reach_output(self):
         rng = np.random.default_rng(1)
@@ -484,12 +665,49 @@ class TestTransform:
             poisoned = np.where(mask, values, sentinel)
             eps = [make_episode(d=d, t=t, mask=mask, values=poisoned)]
             pp = dt.fit_preprocessor(eps)
-            out = dt.transform(eps[0], pp)
+            out = dt.transform_all(eps, pp)[0]
             assert np.abs(out.values).max() < 1e6
             # and the clean/poisoned transforms agree exactly
-            clean = dt.transform(make_episode(d=d, t=t, mask=mask,
-                                              values=np.where(mask, values, 0.0)), pp)
+            clean = dt.transform_all([make_episode(d=d, t=t, mask=mask,
+                                                    values=np.where(mask, values, 0.0))],
+                                      pp)[0]
             assert np.array_equal(out.values, clean.values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stays=st.lists(st.tuples(st.integers(0, 12), st.floats(0.0, 1.0)), max_size=6),
+           n_sensors=st.integers(1, 4), never=st.booleans(),
+           unobserved=st.sampled_from([0.0, 1e12, np.nan]), nan_rate=st.sampled_from([0.0, 0.2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_stay_transform(self, stays, n_sensors, never, unobserved,
+                                            nan_rate, seed):
+        """Stays of different lengths (0 to 12 hours) and observation rates,
+        so leading gaps, with the last sensor never observed when `never`,
+        `unobserved` in the cells no mask marks and NaN in a `nan_rate` share
+        of those it marks: each stay's values are bitwise the per-stay
+        transform's, its statics equal, and its mask is its own array."""
+        rng = np.random.default_rng(seed)
+        episodes = []
+        for i, (t, rate) in enumerate(stays):
+            mask = rng.random((n_sensors, t)) < rate
+            if never:
+                mask[-1] = False
+            observed = np.where(rng.random((n_sensors, t)) < nan_rate, np.nan,
+                                rng.normal(50.0, 20.0, (n_sensors, t)))
+            values = np.where(mask, observed, unobserved)
+            episodes.append(make_episode(pid=f"p{i}", d=n_sensors, t=t, mask=mask,
+                                         values=values, age=float(rng.uniform(18, 90))))
+        pp = dt.PreprocessorState(rng.normal(size=n_sensors), rng.uniform(0.5, 2.0, n_sensors),
+                                  rng.normal(size=4), rng.uniform(0.5, 2.0, 4))
+        got = dt.transform_all(episodes, pp)
+        assert len(got) == len(episodes)
+        for g, ep in zip(got, episodes):
+            w = transform(ep, pp)
+            assert (g.values.dtype, g.values.shape) == (w.values.dtype, w.values.shape)
+            assert np.ascontiguousarray(g.values).tobytes() == w.values.tobytes()
+            assert g.statics.tobytes() == w.statics.tobytes()
+            assert g.mask is ep.mask
+            assert (g.patient_id, g.stay_hours, g.label) == (ep.patient_id, ep.stay_hours,
+                                                             ep.label)
 
 
 class TestPooling:
@@ -591,7 +809,7 @@ class TestSharing:
 
     def test_transform_shares_the_mask(self):
         ep = make_episode()
-        out = dt.transform(ep, dt.fit_preprocessor([ep]))
+        (out,) = dt.transform_all([ep], dt.fit_preprocessor([ep]))
         assert np.shares_memory(out.mask, ep.mask)
 
     def test_a_stay_cannot_be_relabeled_in_place(self):
