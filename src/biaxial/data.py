@@ -9,15 +9,12 @@ of the sensor list.
 On disk a dataset is a directory of three UTF-8 CSV tables ('.' decimals,
 no thousands separators), measurements.csv, statics.csv and labels.csv,
 with headers MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER; a
-field may be quoted and a line may end with CRLF. `load_dataset_dir` is
-its one reader and makes every check of it, a column at a time.
+field may be quoted and a line may end with LF or CRLF. `load_dataset_dir`
+is its one reader and makes every check of it, a column at a time.
 
-`read_table` splits a table BLOCK_LINES lines at a time, so reading holds
-one block of a file as strings, never the whole file. It has two
-splitters: str.split, for a file with no '"', '\r' or NUL, and the csv
-module for any other. On text without those characters the two give the
-same fields, and str.split is the faster; quotes and CRLF need the csv
-module.
+`read_table` splits a table with one csv.reader, BLOCK_LINES rows at a
+time, so reading holds one block of a file as strings, never the whole
+file.
 
 Sensor names are lowercase with underscores for spaces; parenthesised
 qualifiers and unit symbols are folded in (e.g. "bilirubin_direct",
@@ -43,7 +40,7 @@ import io
 import logging
 import os
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -125,6 +122,7 @@ MORTALITY_MIN_STAY_HOURS = 30
 MIN_VALID_POINTS = 4
 MAX_GAP_HOURS = 12
 MIN_AGE_YEARS = 18
+MAX_HOUR = 365 * 24  # the latest measurement hour and longest stay_hours a cohort may hold
 
 STD_FLOOR = 1e-6
 
@@ -204,113 +202,53 @@ class PreprocessorState:
 # file ingestion
 
 
-def _text_blocks(path):
-    """Yield (first line number, text) for each block of `path`, decoded as
-    UTF-8. A line that does not decode raises ParseError, naming it, after
-    the text of the lines before it."""
-    with open(path, "rb") as fh:
-        start = 1
-        while raw := list(islice(fh, BLOCK_LINES)):
-            data = b"".join(raw)
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                begin = data.rfind(b"\n", 0, exc.start) + 1  # of the line that fails
-                if begin:
-                    yield start, data[:begin].decode("utf-8")
-                line = start + data.count(b"\n", 0, begin)
-                bad = UnicodeDecodeError(exc.encoding, data[begin:], exc.start - begin,
-                                         exc.end - begin, exc.reason)
-                raise ParseError(f"{path}:{line}: {bad}") from None
-            yield start, text
-            start += len(raw)
-
-
-def _split_blocks(path):
-    """Yield (first line number, field counts, fields) for each block of a
-    file that holds no '"', '\r' or NUL: the number of fields on each line
-    (0 for a blank one) and the fields of all its lines in order, split by
-    str.split. A field longer than the csv module's field_size_limit()
-    raises ParseError after the lines before it."""
-    limit = csv.field_size_limit()
-    for start, text in _text_blocks(path):
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        long = None
-        if max(map(len, lines), default=0) > limit:
-            long = next((i for i, line in enumerate(lines)
-                         if max(map(len, line.split(","))) > limit), None)
-        if long is not None:
-            del lines[long:]
-        widths = np.fromiter(map(str.count, lines, repeat(",")), dtype=np.intp,
-                             count=len(lines)) + 1
-        widths[np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)) == 0] = 0
-        if lines:
-            yield start, widths, ",".join(filter(None, lines)).split(",") if widths.any() else []
-        if long is not None:
-            raise ParseError(f"{path}:{start + long}: field larger than field limit ({limit})")
-
-
-def _csv_blocks(path):
-    """Yield (first line number, field counts, fields) for each block of a
-    file read by the csv module, which splits quoted fields and '\r\n' line
-    ends: the number of fields in each row (0 for a blank line) and the
-    fields of all its rows in order; each row counts as one line. Text the
-    csv module rejects raises ParseError after the rows before it."""
-    reader = csv.reader(line for _, text in _text_blocks(path)
-                        for line in io.StringIO(text, newline=""))
-    start = 1
-    while True:
-        rows, error = [], None
-        try:
-            rows.extend(islice(reader, BLOCK_LINES))
-        except csv.Error as exc:
-            error = ParseError(f"{path}:{start + len(rows)}: {exc}")
-        except ParseError as exc:
-            error = exc
-        if rows:
-            yield (start, np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)),
-                   list(chain.from_iterable(rows)))
-        if error is not None:
-            raise error
-        if len(rows) < BLOCK_LINES:
-            return
-        start += len(rows)
-
-
 def read_table(path, header, empty_ok: bool = False):
     """Yield the non-blank rows of a UTF-8 CSV table in blocks of at most
-    BLOCK_LINES lines, each as (line numbers, columns): an int array and one
-    list of strings per header column.
+    BLOCK_LINES rows, each as (line numbers, columns): the line each row
+    starts on, an int array, and one sequence of strings per header column.
 
-    A file that holds a '"' or a '\r' is split by the csv module, any other
-    by str.split, which gives the same fields for such text (a NUL, which
-    Python 3.10's csv module rejects, also goes to it). The first line
-    must be `header` and every row must have one field per header column;
-    anything else, text that is not UTF-8, and text the csv module rejects
-    raise ParseError("path:line: ...") once the rows before that line are
+    One csv.reader splits the file's lines, each decoded as it is read, so
+    a field may be quoted and span lines, and a line may end with LF or
+    CRLF; a bare CR is text the csv module rejects. The first row must be
+    `header` and every row must have one field per header column; anything
+    else, text that is not UTF-8, and text the csv module rejects raise
+    ParseError("path:line: ...") once the rows before that line are
     yielded. With empty_ok, a file with no lines at all is an empty table.
     """
-    with open(path, "rb") as fh:
-        quoted = any(b'"' in chunk or b"\r" in chunk or b"\0" in chunk
-                     for chunk in iter(lambda: fh.read(1 << 20), b""))
-    blocks = (_csv_blocks if quoted else _split_blocks)(path)
-    first = next(blocks, None)
-    if first is None and empty_ok:
-        return
-    _, widths, fields = first or (1, [0], [])
-    if fields[:widths[0]] != list(header):
-        raise ParseError(f"{path}:1: expected header {','.join(header)}")
     w = len(header)
-    for start, widths, fields in chain([(2, widths[1:], fields[w:])], blocks):
-        wrong = np.flatnonzero((widths != w) & (widths != 0))
-        stop = wrong[0] if wrong.size else len(widths)
-        lines = start + np.flatnonzero(widths[:stop])
-        if lines.size:
-            yield lines, [fields[k:w * lines.size:w] for k in range(w)]
-        if wrong.size:
-            raise ParseError(f"{path}:{start + stop}: expected {w} fields, got {widths[stop]}")
+    with open(path, "rb") as fh:
+        reader = csv.reader(map(bytes.decode, fh))
+        numbered = ((reader.line_num, row) for row in reader)  # (the line it ends on, row)
+        end = 0  # the line the rows read so far end on
+        while True:
+            rows, error = [], None
+            try:
+                rows.extend(islice(numbered, BLOCK_LINES))
+            except UnicodeDecodeError as exc:  # in the line after the last one read
+                error = ParseError(f"{path}:{reader.line_num + 1}: {exc}")
+            except csv.Error as exc:  # in the row after the last one read
+                error = ParseError(f"{path}:{(rows[-1][0] if rows else end) + 1}: {exc}")
+            ends, rows = zip(*rows) if rows else ((), ())
+            lines = np.array((end, *ends), dtype=np.int64)[:-1] + 1
+            if end == 0 and (rows or error is None):  # the first row is the header
+                if not rows and empty_ok:
+                    return
+                if rows[:1] != (list(header),):
+                    raise ParseError(f"{path}:1: expected header {','.join(header)}")
+                lines, rows = lines[1:], rows[1:]
+            widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+            wrong = np.flatnonzero((widths != w) & (widths != 0))
+            stop = wrong[0] if wrong.size else len(rows)
+            kept = widths[:stop] != 0
+            if kept.any():
+                yield lines[:stop][kept], list(zip(*filter(None, rows[:stop])))
+            if wrong.size:
+                raise ParseError(f"{path}:{lines[stop]}: expected {w} fields, got {widths[stop]}")
+            if error is not None:
+                raise error
+            if len(ends) < BLOCK_LINES:
+                return
+            end = ends[-1]
 
 
 def open_output(path):
@@ -390,8 +328,9 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
     labels.csv is optional unless `labeled`; if present, it labels every
     patient in statics once. With `labeled`, measurements.csv must name
     every sensor. A duplicate (patient, sensor, hour) cell keeps its later
-    value with a warning; a row back in time for a patient and sensor, or a
-    number that is not finite, is a ParseError. Each failure is a
+    value with a warning; a row back in time for a patient and sensor, a
+    number that is not finite, or an hour or stay_hours above MAX_HOUR is a
+    ParseError. Each failure is a
     SchemaError or ParseError naming the path, and the line of the earliest
     row that fails.
     """
@@ -423,6 +362,9 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
         _, error = _first_error(len(pids), [
             (unread.any(axis=1), unread_error),
             (infinite.any(axis=1), infinite_error),
+            (vals[:, -1] > MAX_HOUR, lambda i: ParseError(
+                f"{statics_path}:{lines[i]}: stay_hours must be at most {MAX_HOUR}, "
+                f"got {vals[i, -1]}")),
             (_repeats(pids, index), lambda i: ParseError(
                 f"{statics_path}:{lines[i]}: duplicate patient_id {pids[i]!r}")),
         ])
@@ -481,6 +423,8 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
             (hours < 0, lambda i: ParseError(f"{at(i)}: negative hour {hours[i]}")),
             (~np.isfinite(values), lambda i: ParseError(
                 f"{at(i)}: value must be finite, got {values[i]}")),
+            (hours > MAX_HOUR, lambda i: ParseError(
+                f"{at(i)}: hour must be at most {MAX_HOUR}, got {hours[i]}")),
             (patient < 0, lambda i: SchemaError(
                 f"{at(i)}: patient {pids[i]!r} missing from statics")),
             (hours < prev, lambda i: ParseError(
@@ -535,7 +479,11 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
 
 
 def _csv_field(text: str) -> str:
-    """`text` as the csv module writes it as one field of a row of several."""
+    """`text` as one field of a row of several, quoted as csv.writer quotes
+    it from Python 3.13 on: earlier versions leave a '\r' bare, which no
+    reader of LF or CRLF lines reads back."""
+    if "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([text, ""])
     return buf.getvalue()[:-2]
@@ -545,28 +493,32 @@ def write_dataset_csvs(ds: Dataset, out_dir) -> None:
     """Write measurements/statics/labels CSVs; deterministic row order.
     A dataset with labels on some stays but not all is a SchemaError.
 
-    A stay's measurement lines are formatted in one pass, its patient id
-    quoted once by the csv module; they are the bytes csv.writer writes for
-    rows (patient_id, hour, sensor, f"{value:.4f}")."""
+    Each stay's patient id is quoted once, by `_csv_field`, and its lines
+    are formatted in one pass: the bytes Python 3.13's csv.writer writes
+    for rows (patient_id, hour, sensor, f"{value:.4f}"), (patient_id,
+    f"{age:.1f}", int(female), f"{height_cm:.1f}", f"{weight_kg:.1f}",
+    int(stay_hours)) and (patient_id, mortality)."""
     n_labeled = sum(ep.label is not None for ep in ds.episodes)
     if 0 < n_labeled < len(ds):
         raise SchemaError(f"{ds.name}: {len(ds) - n_labeled} of {len(ds)} stays have no label")
     os.makedirs(out_dir, exist_ok=True)
+    stays = [(_csv_field(ep.patient_id), ep) for ep in ds.episodes]
     with open_output(os.path.join(out_dir, "measurements.csv")) as fh:
         fh.write(",".join(MEASUREMENTS_HEADER) + "\n")
-        for ep in ds.episodes:
+        for pid, ep in stays:
             d_idx, t_idx = np.nonzero(ep.mask)
-            line = _csv_field(ep.patient_id).replace("%", "%%") + ",%d,%s,%.4f\n"
+            line = pid.replace("%", "%%") + ",%d,%s,%.4f\n"
             fh.write("".join(map(line.__mod__, zip(
                 t_idx.tolist(), map(SENSOR_SCHEMA.__getitem__, d_idx.tolist()),
                 ep.values[d_idx, t_idx].tolist()))))
-    write_table(os.path.join(out_dir, "statics.csv"), STATICS_HEADER, (
-        (ep.patient_id, f"{ep.statics[0]:.1f}", int(ep.statics[1]),
-         f"{ep.statics[2]:.1f}", f"{ep.statics[3]:.1f}", int(ep.stay_hours))
-        for ep in ds.episodes))
+    with open_output(os.path.join(out_dir, "statics.csv")) as fh:
+        fh.write(",".join(STATICS_HEADER) + "\n")
+        fh.writelines(f"{pid},{ep.statics[0]:.1f},{int(ep.statics[1])},{ep.statics[2]:.1f},"
+                      f"{ep.statics[3]:.1f},{int(ep.stay_hours)}\n" for pid, ep in stays)
     if n_labeled:
-        write_table(os.path.join(out_dir, "labels.csv"), LABELS_HEADER,
-                    ((ep.patient_id, ep.label) for ep in ds.episodes))
+        with open_output(os.path.join(out_dir, "labels.csv")) as fh:
+            fh.write(",".join(LABELS_HEADER) + "\n")
+            fh.writelines(f"{pid},{ep.label}\n" for pid, ep in stays)
 
 
 # ---------------------------------------------------------------------------

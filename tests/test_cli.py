@@ -943,11 +943,12 @@ def test_typed_flag_is_parsed_by_the_config_schema(command, flag, key, tmp_path,
     ("pretrain", "missing"), ("finetune", "missing"), ("evaluate", "missing"),
     ("finetune", "unlabeled"), ("evaluate", "unlabeled"),
     ("pretrain", "malformed"), ("finetune", "malformed"), ("evaluate", "malformed"),
-    ("pretrain", "non_finite")])
+    ("pretrain", "non_finite"), ("pretrain", "absurd_hour")])
 def test_bad_data_directory_fails_before_the_config_echo(
         command, case, pretrain_out, classifier_ckpts, small_dataset_dir, tmp_path, capsys):
     """Each model reads 6 sensors; the malformed cohort names a seventh,
-    and the non-finite one measures a value of nan on line 2."""
+    the non-finite one measures a value of nan on line 2, and the absurd
+    one an hour of 10**12 there."""
     data = tmp_path / "cohort"
     if case != "missing":
         shutil.copytree(small_dataset_dir, data)
@@ -956,9 +957,11 @@ def test_bad_data_directory_fails_before_the_config_echo(
     if case == "malformed":
         with open(data / "measurements.csv", "a", encoding="utf-8") as fh:
             fh.write(f"p000000,0,{dt.SENSOR_SCHEMA[6]},1.0\n")
-    if case == "non_finite":
+    if case in ("non_finite", "absurd_hour"):
         header, first, *rest = read(data / "measurements.csv").decode().splitlines(True)
-        first = first.rsplit(",", 1)[0] + ",nan\n"
+        pid, hour, sensor, value = first.split(",")
+        first = ",".join([pid, hour, sensor, "nan\n"] if case == "non_finite"
+                         else [pid, str(10**12), sensor, value])
         (data / "measurements.csv").write_text("".join([header, first, *rest]), encoding="utf-8")
     model = {"pretrain": ["--set", "model.sensors_count=6"],
              "finetune": ["--checkpoint", os.path.join(pretrain_out, "checkpoint.bax")],
@@ -968,6 +971,8 @@ def test_bad_data_directory_fails_before_the_config_echo(
     err = capsys.readouterr().err
     assert str(data) in err
     assert case != "non_finite" or "measurements.csv:2: value must be finite, got nan" in err
+    assert case != "absurd_hour" or \
+        f"measurements.csv:2: hour must be at most {dt.MAX_HOUR}, got {10**12}" in err
     assert not out.exists()
 
 
@@ -975,7 +980,7 @@ def test_bad_data_directory_fails_before_the_config_echo(
     ("measurements", 4, "field larger than field limit (131072)"),
     ("statics", 2, "'utf-8' codec can't decode byte 0xe9 in position 0: invalid continuation byte")],
     ids=["field_over_the_csv_limit", "not_utf8"])
-def test_data_file_the_splitters_reject_is_a_parse_error(table, line, message, tmp_path, capsys):
+def test_data_file_the_reader_rejects_is_a_parse_error(table, line, message, tmp_path, capsys):
     """A patient id on line 4 of measurements.csv quoted and padded to
     140,000 characters, past the csv module's field limit, or byte 0xE9 at
     the start of line 2 of statics.csv: exit 1, naming the file and line,

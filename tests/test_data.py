@@ -149,6 +149,25 @@ class TestLoadDataset:
         with pytest.raises(dt.ParseError, match="negative hour"):
             load_csvs(tmp_path, "a,-1,heart_rate,80\n", "a,60,1,165,70,8\n")
 
+    @pytest.mark.parametrize("table, column, hour, stay, got", [
+        ("measurements", "hour", 10**12, "8", "1000000000000"),
+        ("statics", "stay_hours", 0, "1e12", "1000000000000.0")])
+    def test_an_hour_above_max_hour_is_parse_error_with_line(
+            self, tmp_path, table, column, hour, stay, got):
+        """A stay's grid is as long as its last hour or its stay_hours, so
+        one of 10**12 would take 349 TiB. The number is on line 3 of its
+        table."""
+        m = f"a,0,heart_rate,80\na,{hour},heart_rate,85\n"
+        s = f"b,45,0,180,90,6\na,60,1,165,70,{stay}\n"
+        with pytest.raises(dt.ParseError, match=rf"{table}\.csv:3: {column} must be "
+                                                rf"at most {dt.MAX_HOUR}, got {got}$"):
+            load_csvs(tmp_path, m, s)
+
+    def test_hours_up_to_max_hour_load(self, tmp_path):
+        ds = load_csvs(tmp_path, f"a,{dt.MAX_HOUR},heart_rate,85\n",
+                       f"a,60,1,165,70,{dt.MAX_HOUR}\n")
+        assert ds.episodes[0].n_hours == dt.MAX_HOUR + 1
+
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("column", ["value", *dt.STATICS_HEADER[1:]])
     def test_non_finite_number_is_parse_error_with_line(self, tmp_path, column, text):
@@ -165,8 +184,8 @@ class TestLoadDataset:
 
     @pytest.mark.parametrize("row", [
         "ghost,-1,midichlorian_count,nan", "ghost,x,heart_rate,y", "ghost,1,heart_rate,y",
-        "ghost,-1,heart_rate,nan", "ghost,1,heart_rate,nan", "ghost,0,heart_rate,80",
-        "a,1,heart_rate,80"])
+        "ghost,-1,heart_rate,nan", "ghost,1,heart_rate,nan", "ghost,8761,heart_rate,nan",
+        "ghost,8761,heart_rate,80", "ghost,0,heart_rate,80", "a,1,heart_rate,80"])
     def test_a_row_failing_several_checks_is_named_by_the_first(self, tmp_path, row):
         """Line 3 fails each check from the one named in it on; the error
         is the per-cell loader's, word for word."""
@@ -222,7 +241,8 @@ class TestLoadDataset:
 
 def _read_rows(path, header, empty_ok=False):
     """The row-by-row reader the block reader replaced, kept as the oracle:
-    (line number, row) for each non-blank row, read by the csv module."""
+    (the line it starts on, row) for each non-blank row, read by the csv
+    module."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
         first = next(rows, None)
@@ -230,7 +250,9 @@ def _read_rows(path, header, empty_ok=False):
             return
         if first != list(header):
             raise dt.ParseError(f"{path}:1: expected header {','.join(header)}")
-        for lineno, row in enumerate(rows, start=2):
+        end = rows.line_num
+        for row in rows:
+            lineno, end = end + 1, rows.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -243,8 +265,8 @@ def _per_cell_load(measurements_path, statics_path, sensors):
     """The loader as it was before its series dict, kept as the oracle:
     one dict entry per cell, a last hour per (patient, sensor), a maximum
     hour per patient, and a fill loop over the cells. A value that is not
-    finite is a ParseError, as in the loader. Statics are read without
-    checks and labels are left out."""
+    finite, or an hour above MAX_HOUR, is a ParseError, as in the loader.
+    Statics are read without checks and labels are left out."""
     sensor_index = {s: i for i, s in enumerate(sensors)}
     statics = {pid: (np.array([float(x) for x in fields[:4]]), float(fields[4]))
                for _, (pid, *fields) in _read_rows(statics_path, dt.STATICS_HEADER)}
@@ -265,6 +287,9 @@ def _per_cell_load(measurements_path, statics_path, sensors):
         if not np.isfinite(value):
             raise dt.ParseError(
                 f"{measurements_path}:{lineno}: value must be finite, got {value}")
+        if hour > dt.MAX_HOUR:
+            raise dt.ParseError(
+                f"{measurements_path}:{lineno}: hour must be at most {dt.MAX_HOUR}, got {hour}")
         if pid not in statics:
             raise dt.SchemaError(
                 f"{measurements_path}:{lineno}: patient {pid!r} missing from statics")
@@ -328,8 +353,9 @@ ROWS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), st.integers(0, 5
                           st.floats(allow_nan=False, width=64)), max_size=40)
 
 # how the tables are laid out: blank lines before these rows, CRLF line
-# ends, patient ids quoted because they hold ',' or '"', no line end after
-# the last measurement row, and a row with one field too few or too many
+# ends, patient ids quoted because they hold ',', '"' or a line end, no line
+# end after the last measurement row, and a row with one field too few or
+# too many
 LAYOUT = st.fixed_dictionaries({
     "blank_at": st.sets(st.integers(0, 40), max_size=3), "crlf": st.booleans(),
     "quoted_ids": st.booleans(), "end_newline": st.booleans(),
@@ -338,7 +364,7 @@ LAYOUT = st.fixed_dictionaries({
 
 def _csv_line(fields, end):
     """A table line as the csv module writes `fields`, ended by `end`."""
-    return ",".join('"' + f.replace('"', '""') + '"' if "," in f or '"' in f else f
+    return ",".join('"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\n') else f
                     for f in fields) + end
 
 
@@ -356,7 +382,7 @@ class TestLoaderOracle:
         `layout`, read in blocks of the default size and of 3 lines: the
         arrays are bitwise equal, and the warnings and errors word for word."""
         sensors = dt.SENSOR_SCHEMA[:3]
-        names = (["p,0", 'p"1', "p2", '"p3"', 'p,"4'] if layout["quoted_ids"]
+        names = (["p,0", 'p"1', "p\n2", '"p3"', 'p,"4'] if layout["quoted_ids"]
                  else [f"p{p}" for p in range(5)])
         end = "\r\n" if layout["crlf"] else "\n"
         last, lines = {}, []
@@ -412,34 +438,24 @@ def _measurement_rows(ds):
             yield ep.patient_id, t, dt.SENSOR_SCHEMA[d], f"{value:.4f}"
 
 
-# a field of one line: neither ',' nor a line end
-FIELD = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',\n"\r\x00'),
-                max_size=4)
+def _table_rows(ds):
+    """Each table's header and the rows the writer wrote through
+    csv.writer, kept as the oracle."""
+    return {
+        "measurements": (dt.MEASUREMENTS_HEADER, _measurement_rows(ds)),
+        "statics": (dt.STATICS_HEADER, (
+            (ep.patient_id, f"{ep.statics[0]:.1f}", int(ep.statics[1]),
+             f"{ep.statics[2]:.1f}", f"{ep.statics[3]:.1f}", int(ep.stay_hours))
+            for ep in ds.episodes)),
+        "labels": (dt.LABELS_HEADER, ((ep.patient_id, ep.label) for ep in ds.episodes)),
+    }
 
 
 class TestTableIO:
-    @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 3])
-    @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.lists(FIELD, max_size=4), max_size=12), end_newline=st.booleans())
-    def test_splitters_give_the_same_fields(self, block_lines, rows, end_newline):
-        """On text without '"', '\\r' or NUL, str.split and the csv module
-        give the same fields, blank lines included, block by block."""
-        text = "\n".join(",".join(row) for row in rows) + ("\n" if end_newline else "")
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(dt, "BLOCK_LINES", block_lines):
-            path = os.path.join(tmp, "t.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            split = [(start, widths.tolist(), fields)
-                     for start, widths, fields in dt._split_blocks(path)]
-            read = [(start, widths.tolist(), fields)
-                    for start, widths, fields in dt._csv_blocks(path)]
-        assert split == read
-
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["str.split", "csv"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
     def test_a_field_over_the_csv_limit_is_one_parse_error(self, tmp_path, end):
-        """Either splitter rejects a field longer than csv.field_size_limit()
-        with one message, and reads one of exactly that length."""
+        """The reader rejects a field longer than csv.field_size_limit()
+        with the csv module's message, and reads one of exactly that length."""
         limit = csv.field_size_limit()
         for size, error, message in [
                 (limit + 1, dt.ParseError, rf"field larger than field limit \({limit}\)$"),
@@ -451,8 +467,9 @@ class TestTableIO:
             with pytest.raises(error, match=rf"measurements\.csv:3: {message}"):
                 dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
 
-    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["str.split", "csv"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
     @pytest.mark.parametrize("bad_line, message", [
+        (1, r"statics\.csv:1: 'utf-8' codec can't decode byte 0xe9 in position 0"),
         (2, r"statics\.csv:2: 'utf-8' codec can't decode byte 0xe9 in position 0"),
         (4, r"statics\.csv:3: duplicate patient_id 'a'")])
     def test_text_that_is_not_utf8_is_a_parse_error_at_its_line(
@@ -462,30 +479,93 @@ class TestTableIO:
         lines = [",".join(dt.STATICS_HEADER), "a,60,1,165,70,8", "a,60,1,165,70,8",
                  "b,60,1,165,70,8", ""]
         data = bytearray(end.join(lines).encode())
-        data.insert(data.index(b"a,60" if bad_line == 2 else b"b,60"), 0xE9)
+        data.insert(data.index({1: b"patient_id", 2: b"a,60", 4: b"b,60"}[bad_line]), 0xE9)
         write_csvs(tmp_path, "", "")
         (tmp_path / "statics.csv").write_bytes(bytes(data))
         with pytest.raises(dt.ParseError, match=message):
             dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
 
+    @pytest.mark.parametrize("table", ["measurements", "statics", "labels"])
+    def test_a_bare_cr_line_end_is_a_parse_error(self, tmp_path, table):
+        """Lines end with LF or CRLF; a table whose lines end with a bare CR
+        is one line the csv module rejects."""
+        write_csvs(tmp_path, "a,0,heart_rate,80\n", "a,60,1,165,70,8\n", "a,1\n")
+        path = tmp_path / f"{table}.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        with pytest.raises(dt.ParseError, match=rf"{table}\.csv:1: new-line character seen"):
+            dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
+
+    @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 3])
+    def test_a_row_is_named_by_the_line_it_starts_on(self, tmp_path, block_lines):
+        """Patient 'a\\nb' is quoted over two lines, so the measurement rows
+        start on lines 2, 4 and 6 and the bad value is on line 8; the
+        duplicate cell on line 6 is warned of first."""
+        write_csvs(tmp_path, "".join(f'"a\nb",{hour},heart_rate,{value}\n' for hour, value in
+                                     [(0, "80"), (1, "81"), (1, "82"), (2, "x")]),
+                   '"a\nb",60,1,165,70,8\nc,60,1,165,70,inf\n')
+        with mock.patch.object(dt, "BLOCK_LINES", block_lines), \
+                pytest.raises(dt.ParseError, match=r"statics\.csv:4: stay_hours must be finite"):
+            dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
+        (tmp_path / "statics.csv").write_text(
+            ",".join(dt.STATICS_HEADER) + '\n"a\nb",60,1,165,70,8\n')
+        with _Warnings() as messages, mock.patch.object(dt, "BLOCK_LINES", block_lines), \
+                pytest.raises(dt.ParseError, match=r"measurements\.csv:8: could not convert"):
+            dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
+        assert messages == [f"{tmp_path / 'measurements.csv'}:6: duplicate cell "
+                            "(a\nb, heart_rate, 1); keeping the later value"]
+
     @settings(max_examples=100, deadline=None)
-    @given(ids=st.lists(st.text(max_size=6), min_size=1, max_size=4, unique=True),
+    @given(ids=st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters="\r"), max_size=6),
+                        min_size=1, max_size=4, unique=True),
            values=st.lists(st.floats(width=64), min_size=1, max_size=8), seed=st.integers(0, 99))
     def test_writes_the_bytes_of_csv_writer(self, ids, values, seed):
-        """Any patient id, quoted or not, and any value, -0.0, nan and inf
-        among them: measurements.csv holds the bytes csv.writer writes."""
+        """Any patient id without a '\\r', quoted or not, and any value,
+        -0.0, nan and inf among them: each table holds the bytes csv.writer
+        writes."""
         ds = dt.generate_synthetic(10, prevalence=0.2, seed=seed, n_sensors=3)
         ds = dt.Dataset.from_episodes("x", [
             replace(ep, patient_id=pid, values=np.resize(values, ep.values.shape))
             for ep, pid in zip(ds.episodes, ids)])
-        want = io.StringIO()
-        writer = csv.writer(want, lineterminator="\n")
-        writer.writerow(dt.MEASUREMENTS_HEADER)
-        writer.writerows(_measurement_rows(ds))
         with tempfile.TemporaryDirectory() as tmp:
             dt.write_dataset_csvs(ds, tmp)
-            with open(os.path.join(tmp, "measurements.csv"), "rb") as fh:
-                assert fh.read() == want.getvalue().encode("utf-8")
+            for table, (header, rows) in _table_rows(ds).items():
+                want = io.StringIO()
+                writer = csv.writer(want, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+                with open(os.path.join(tmp, f"{table}.csv"), "rb") as fh:
+                    assert fh.read() == want.getvalue().encode("utf-8")
+
+    def test_a_patient_id_holding_a_cr_is_quoted(self, tmp_path):
+        """csv.writer before Python 3.13 leaves a '\\r' in a field bare,
+        which no reader of LF or CRLF lines reads back; the writer quotes it."""
+        ds = dt.generate_synthetic(2, prevalence=0.5, seed=0, n_sensors=1)
+        dt.write_dataset_csvs(dt.Dataset.from_episodes(
+            "x", [replace(ds.episodes[0], patient_id='a\r"b')]), tmp_path)
+        for table in ("measurements", "statics", "labels"):
+            assert (tmp_path / f"{table}.csv").read_bytes().split(b"\n")[1].startswith(
+                b'"a\r""b",')
+
+    @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.text(st.sampled_from(',"\n\r') | st.characters(
+               blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
+               min_size=1, max_size=4, unique=True), seed=st.integers(0, 99))
+    def test_any_patient_id_round_trips(self, block_lines, ids, seed):
+        """Any patient id but one holding a NUL or a lone surrogate, ',',
+        '"', line ends and non-ASCII text among them, loads back as written,
+        with its stay's mask and label."""
+        ds = dt.generate_synthetic(10, prevalence=0.2, seed=seed, n_sensors=3)
+        ds = dt.Dataset.from_episodes("x", [replace(ep, patient_id=pid)
+                                            for ep, pid in zip(ds.episodes, ids)])
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(dt, "BLOCK_LINES", block_lines):
+            dt.write_dataset_csvs(ds, tmp)
+            back = dt.load_dataset_dir(tmp, 3)
+        assert [ep.patient_id for ep in back.episodes] == ids
+        for got, want in zip(back.episodes, ds.episodes):
+            assert np.array_equal(got.mask, want.mask) and got.label == want.label
 
 
 class TestExclusions:
