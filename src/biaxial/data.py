@@ -9,8 +9,10 @@ of the sensor list.
 On disk a dataset is a directory of three UTF-8 CSV tables ('.' decimals,
 no thousands separators), measurements.csv, statics.csv and labels.csv,
 with headers MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER; a
-field may be quoted and a line may end with LF or CRLF. `load_dataset_dir`
-is its one reader and makes every check of it, a column at a time.
+field may be quoted and a line may end with LF or CRLF; a NUL byte is an
+error. `load_dataset_dir` is its one reader and makes every check of it:
+row by row in statics.csv and labels.csv, which hold a row per stay, and
+in column passes in measurements.csv, which holds a row per measurement.
 
 `read_table` splits a table with one csv.reader, BLOCK_LINES rows at a
 time, so reading holds one block of a file as strings, never the whole
@@ -38,6 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -258,12 +261,23 @@ def open_output(path):
     return open(path, "w", encoding="utf-8", errors="surrogateescape", newline="")
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one field of a row of several, quoted as csv.writer quotes
+    it from Python 3.13 on: earlier versions leave a '\r' bare, which no
+    reader of LF or CRLF lines reads back."""
+    if "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_table(path, header, rows) -> None:
-    """Write a CSV table: `header`, then each row's cells as given."""
+    """Write a CSV table: `header`, then each row's strings as given, each
+    quoted by `_csv_field`."""
     with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in (header, *rows):
+            fh.write(",".join(map(_csv_field, row)) + "\n")
 
 
 def _sensor_prefix(n_sensors: int, where: str = "") -> tuple:
@@ -299,14 +313,6 @@ def _codes(column, index: dict) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, column), dtype=np.intp, count=len(column))
 
 
-def _repeats(column, seen) -> np.ndarray:
-    """Flags on the strings of `column` that are in `seen` or earlier in `column`."""
-    n = len(column)
-    first = dict(zip(column[::-1], range(n - 1, -1, -1)))
-    return (np.fromiter(map(first.__getitem__, column), dtype=np.intp, count=n) != np.arange(n)) \
-        | np.fromiter(map(seen.__contains__, column), dtype=bool, count=n)
-
-
 def _first_error(n: int, checks: list):
     """(row, error) for the earliest failing row of a block of `n` rows, or
     (n, None). `checks` pairs an array flagging rows with a function that
@@ -329,10 +335,12 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
     patient in statics once. With `labeled`, measurements.csv must name
     every sensor. A duplicate (patient, sensor, hour) cell keeps its later
     value with a warning; a row back in time for a patient and sensor, a
-    number that is not finite, or an hour or stay_hours above MAX_HOUR is a
-    ParseError. Each failure is a
+    number that is not finite, an hour or stay_hours above MAX_HOUR, or a
+    patient id in statics holding a NUL is a ParseError. Each failure is a
     SchemaError or ParseError naming the path, and the line of the earliest
-    row that fails.
+    row that fails. statics.csv and labels.csv, a row per stay, are checked
+    row by row; measurements.csv, a row per measurement and so nearly all of
+    a cohort's lines, in numpy passes over each block's columns.
     """
     if not os.path.isdir(path):
         raise SchemaError(f"data directory not found: {path}")
@@ -344,51 +352,40 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
         raise SchemaError(f"{path} has no labels.csv; this command needs a labeled cohort")
 
     index: dict[str, int] = {}  # patient -> position in statics.csv
-    stat_blocks = []
-    for lines, (pids, *columns) in read_table(statics_path, STATICS_HEADER):
-        parsed = [_numbers(column, float) for column in columns]
-        vals = np.stack([v for v, _, _ in parsed], axis=1)
-        unread = np.stack([bad for _, bad, _ in parsed], axis=1)
-        infinite = ~np.isfinite(vals)
-
-        def unread_error(i):
-            return ParseError(f"{statics_path}:{lines[i]}: {parsed[unread[i].argmax()][2]}")
-
-        def infinite_error(i):
-            c = infinite[i].argmax()
-            return ParseError(f"{statics_path}:{lines[i]}: {STATICS_HEADER[1 + c]} "
-                              f"must be finite, got {vals[i, c]}")
-
-        _, error = _first_error(len(pids), [
-            (unread.any(axis=1), unread_error),
-            (infinite.any(axis=1), infinite_error),
-            (vals[:, -1] > MAX_HOUR, lambda i: ParseError(
-                f"{statics_path}:{lines[i]}: stay_hours must be at most {MAX_HOUR}, "
-                f"got {vals[i, -1]}")),
-            (_repeats(pids, index), lambda i: ParseError(
-                f"{statics_path}:{lines[i]}: duplicate patient_id {pids[i]!r}")),
-        ])
-        if error:
-            raise error
-        index.update(zip(pids, range(len(index), len(index) + len(pids))))
-        stat_blocks.append(vals)
-    stats = np.concatenate(stat_blocks) if stat_blocks else np.zeros((0, len(STATIC_SCHEMA) + 1))
+    stats = []  # per patient: the statics, then stay_hours
+    for lines, columns in read_table(statics_path, STATICS_HEADER):
+        for line, pid, *fields in zip(lines, *columns):
+            at = f"{statics_path}:{line}"
+            if "\0" in pid:  # Python 3.10's csv module rejects it, later ones read it
+                raise ParseError(f"{at}: line contains NUL")
+            try:
+                row = [float(text) for text in fields]
+            except ValueError as exc:
+                raise ParseError(f"{at}: {exc}") from None
+            for name, number in zip(STATICS_HEADER[1:], row):
+                if not math.isfinite(number):
+                    raise ParseError(f"{at}: {name} must be finite, got {number}")
+            if row[-1] > MAX_HOUR:
+                raise ParseError(f"{at}: stay_hours must be at most {MAX_HOUR}, got {row[-1]}")
+            if pid in index:
+                raise ParseError(f"{at}: duplicate patient_id {pid!r}")
+            index[pid] = len(index)
+            stats.append(row)
+    stats = np.array(stats).reshape(len(index), len(STATICS_HEADER) - 1)
     order = list(index)
 
     labels: dict[str, int] = {}
     if os.path.exists(labels_path):
-        for lines, (pids, mortality) in read_table(labels_path, LABELS_HEADER):
-            _, error = _first_error(len(pids), [
-                (_codes(mortality, {"0": 0, "1": 1}) < 0, lambda i: ParseError(
-                    f"{labels_path}:{lines[i]}: mortality must be 0 or 1")),
-                (_codes(pids, index) < 0, lambda i: SchemaError(
-                    f"{labels_path}:{lines[i]}: patient {pids[i]!r} missing from statics")),
-                (_repeats(pids, labels), lambda i: ParseError(
-                    f"{labels_path}:{lines[i]}: duplicate patient_id {pids[i]!r}")),
-            ])
-            if error:
-                raise error
-            labels.update(zip(pids, map(int, mortality)))
+        for lines, columns in read_table(labels_path, LABELS_HEADER):
+            for line, pid, mortality in zip(lines, *columns):
+                at = f"{labels_path}:{line}"
+                if mortality not in ("0", "1"):
+                    raise ParseError(f"{at}: mortality must be 0 or 1")
+                if pid not in index:
+                    raise SchemaError(f"{at}: patient {pid!r} missing from statics")
+                if pid in labels:
+                    raise ParseError(f"{at}: duplicate patient_id {pid!r}")
+                labels[pid] = int(mortality)
         unlabeled = [pid for pid in order if pid not in labels]
         if unlabeled:
             raise SchemaError(f"{labels_path}: no label for patient {unlabeled[0]!r}")
@@ -476,17 +473,6 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
             label=labels.get(pid),
         ))
     return Dataset.from_episodes(os.path.basename(os.path.normpath(path)), episodes)
-
-
-def _csv_field(text: str) -> str:
-    """`text` as one field of a row of several, quoted as csv.writer quotes
-    it from Python 3.13 on: earlier versions leave a '\r' bare, which no
-    reader of LF or CRLF lines reads back."""
-    if "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
 
 
 def write_dataset_csvs(ds: Dataset, out_dir) -> None:

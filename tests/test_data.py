@@ -110,15 +110,44 @@ class TestLoadDataset:
         with pytest.raises(dt.ParseError, match=rf"{table}\.csv:4: {fields}"):
             load_csvs(tmp_path, m, s, l)
 
+    @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 1])
     @pytest.mark.parametrize("labels, error, message", [
         ("a,1\n", dt.SchemaError, r"labels\.csv: no label for patient 'b'"),
         ("a,1\nb,0\nghost,1\n", dt.SchemaError,
          r"labels\.csv:4: patient 'ghost' missing from statics"),
         ("a,1\nb,0\na,0\n", dt.ParseError, r"labels\.csv:4: duplicate patient_id 'a'"),
     ], ids=["missing", "unknown", "duplicate"])
-    def test_labels_name_every_stay_in_statics_once(self, tmp_path, labels, error, message):
-        with pytest.raises(error, match=message):
+    def test_labels_name_every_stay_in_statics_once(self, tmp_path, labels, error, message,
+                                                    block_lines):
+        with mock.patch.object(dt, "BLOCK_LINES", block_lines), \
+                pytest.raises(error, match=message):
             load_csvs(tmp_path, "", "a,60,1,165,70,8\nb,45,0,180,90,6\n", labels)
+
+    @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 2])
+    def test_a_statics_id_repeated_in_a_later_block_is_named(self, tmp_path, block_lines):
+        """In blocks of 2 rows, the header and 'a' are one block and 'b' and
+        the second 'a' the next."""
+        with mock.patch.object(dt, "BLOCK_LINES", block_lines), \
+                pytest.raises(dt.ParseError, match=r"statics\.csv:4: duplicate patient_id 'a'$"):
+            load_csvs(tmp_path, "", "a,60,1,165,70,8\nb,45,0,180,90,6\na,60,1,165,70,8\n")
+
+    @pytest.mark.parametrize("table, column", [
+        (table, column) for table, header in [("measurements", dt.MEASUREMENTS_HEADER),
+                                              ("statics", dt.STATICS_HEADER),
+                                              ("labels", dt.LABELS_HEADER)]
+        for column in range(len(header))])
+    def test_a_nul_byte_in_any_field_is_an_error_naming_its_file(self, tmp_path, table, column):
+        """Python 3.10's csv module rejects a NUL, later ones read it into
+        the field; either way the cohort does not load. In a statics id it
+        is the message 3.10 gives."""
+        tables = {"measurements": "a,0,heart_rate,80", "statics": "a,60,1,165,70,8",
+                  "labels": "a,1"}
+        fields = tables[table].split(",")
+        fields[column] = fields[column][:1] + "\0" + fields[column][1:]
+        tables[table] = ",".join(fields)
+        message = "line contains NUL" if (table, column) == ("statics", 0) else ""
+        with pytest.raises(ValueError, match=rf"{table}\.csv:2: {message}"):
+            load_csvs(tmp_path, *(tables[t] + "\n" for t in ("measurements", "statics", "labels")))
 
     def test_single_cell_mapping(self, tmp_path):
         ds = load_csvs(tmp_path, "a,5,heart_rate,80\n", "a,60,1,165,70,8\n")
@@ -547,15 +576,37 @@ class TestTableIO:
             assert (tmp_path / f"{table}.csv").read_bytes().split(b"\n")[1].startswith(
                 b'"a\r""b",')
 
+    def test_write_table_quotes_a_cr_and_reads_it_back(self, tmp_path):
+        """csv.writer before Python 3.13 leaves the '\\r' bare."""
+        path = tmp_path / "runs.csv"
+        dt.write_table(path, ["name", "n"], [["x\ry", "1"]])
+        assert path.read_bytes() == b'name,n\n"x\ry",1\n'
+        assert [(lines.tolist(), columns) for lines, columns in dt.read_table(
+            path, ("name", "n"))] == [([2], [("x\ry",), ("1",)])]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.text(st.sampled_from(',"\n ') | st.characters(
+               blacklist_categories=("Cs",), blacklist_characters="\r"), max_size=4),
+               min_size=2, max_size=2), max_size=3))
+    def test_write_table_writes_the_bytes_of_csv_writer(self, rows):
+        """Any strings without a '\\r', quoted or not."""
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([["a", "b"], *rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            dt.write_table(path, ["a", "b"], rows)
+            with open(path, "rb") as fh:
+                assert fh.read() == want.getvalue().encode("utf-8")
+
     @pytest.mark.parametrize("block_lines", [dt.BLOCK_LINES, 3])
     @settings(max_examples=100, deadline=None)
     @given(ids=st.lists(st.text(st.sampled_from(',"\n\r') | st.characters(
                blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
                min_size=1, max_size=4, unique=True), seed=st.integers(0, 99))
     def test_any_patient_id_round_trips(self, block_lines, ids, seed):
-        """Any patient id but one holding a NUL or a lone surrogate, ',',
-        '"', line ends and non-ASCII text among them, loads back as written,
-        with its stay's mask and label."""
+        """Any patient id but one holding a NUL (the loader rejects it) or a
+        lone surrogate, ',', '"', line ends and non-ASCII text among them,
+        loads back as written, with its stay's mask and label."""
         ds = dt.generate_synthetic(10, prevalence=0.2, seed=seed, n_sensors=3)
         ds = dt.Dataset.from_episodes("x", [replace(ep, patient_id=pid)
                                             for ep, pid in zip(ds.episodes, ids)])
