@@ -113,10 +113,10 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _GELU_P = 0.3275911 / math.sqrt(2.0)
 _GELU_POLY = tuple(-0.5 * a for a in (0.254829592, -0.284496736, 1.421413741,
                                       -1.453152027, 1.061405429))
-# Elements per pass of the GELU kernel: the input, output and scratch
-# blocks (plus the gradient's and a second scratch block in backward) stay
-# within a core's L2.
-_GELU_BLOCK = 1 << 15
+# Elements per pass of the GELU kernel, by measurement on a 2-core Xeon VM
+# (2 MiB L2 per core): 2^16 float32 elements ran the forward 3-14% faster
+# than 2^15 at training's FFN sizes, 1.2M and 4.7M; backward within noise.
+_GELU_BLOCK = 1 << 16
 
 # Switched by `no_grad` and `compute_dtype`; per process, like the rest of
 # the tape state.

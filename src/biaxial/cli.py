@@ -2,10 +2,11 @@
 
 Every command resolves (flags > file > defaults) and checks its settings
 (`config.load_config`), checkpoints (`training.load_checkpoint`) and
-cohorts (`data.load_dataset_dir`, and the splits' ten-stay floor) before
-it echoes the configuration to <out>/config.ini; `pretrain` echoes once
-`training.pretrain` returns. Its artifacts are deterministic, so a rerun
-with the same config and seed is byte-identical.
+cohorts (`data.load_dataset_dir`, the splits' ten-stay floor, a test split
+of both classes) before it echoes the configuration to <out>/config.ini;
+`pretrain` echoes once `training.pretrain` returns, `evaluate` once it has
+scored every checkpoint. Its artifacts are deterministic, so a rerun with the
+same config and seed is byte-identical.
 Exit codes: 0 success, 1 validation error (usage errors included), 2 runtime failure.
 `evaluate` draws each test split with the `split_seed` that `finetune`
 saved in the model, not with `--seed`, so it never scores a model on the
@@ -139,6 +140,10 @@ def cmd_finetune(cfg) -> int:
     ds = dt.apply_exclusions(
         dt.load_dataset_dir(paths[0], cfg.model.sensors_count, labeled=True), "mortality")
     pool_ds, test_eps = dt.split_test(ds, cfg.train.seed)
+    tr.check_test_split(ds.name, test_eps)
+    if min(grid.sizes) > len(pool_ds):  # the grid would skip every size
+        raise ConfigError(f"no size of grid.sizes {grid.sizes} fits the training pool of "
+                          f"cohort {ds.name!r}: it has {len(pool_ds)} episodes")
     _echo_config(cfg)
     logger.info("fine-tuning dataset %s: %d episodes after exclusions", ds.name, len(ds))
     rows, aggregates, model = tr.run_experiment_grid(pool_ds, test_eps, checkpoint, cfg.model,
@@ -167,17 +172,18 @@ def cmd_evaluate(cfg) -> int:
                                               "mortality")
                for n in dict.fromkeys(b["model_cfg"].sensors_count for b in bundles)
                for path in paths}
-    _echo_config(cfg)
     rows = []
     for ckpt_path, bundle in zip(ckpts, bundles):
         for path in paths:
             ds = cohorts[path, bundle["model_cfg"].sensors_count]
             _, test = dt.split_test(ds, bundle["meta"]["split_seed"])
+            tr.check_test_split(ds.name, test)
             probs = tr.predict_probs(bundle["arch"], bundle["model_cfg"], bundle["params"],
                                      bundle["preprocessor"], test, cfg.train.batch_size)
             report = mt.evaluate_probs(probs, [ep.label for ep in test])
             rows.append({"checkpoint": os.path.basename(ckpt_path), "dataset": ds.name,
                          **asdict(report)})
+    _echo_config(cfg)
     _write_rows(os.path.join(cfg.output.dir, "evaluate.csv"), EVALUATE_FIELDS, rows)
     for row in rows:
         print(f"{row['checkpoint']} on {row['dataset']}: "

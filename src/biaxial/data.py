@@ -8,15 +8,15 @@ of the sensor list.
 
 On disk a dataset is a directory of three UTF-8 CSV tables ('.' decimals,
 no thousands separators), measurements.csv, statics.csv and labels.csv,
-with headers MEASUREMENTS_HEADER, STATICS_HEADER and LABELS_HEADER; a
-field may be quoted and a line may end with LF or CRLF; a NUL byte is an
-error. `load_dataset_dir` is its one reader and makes every check of it:
-row by row in statics.csv and labels.csv, which hold a row per stay, and
-in column passes in measurements.csv, which holds a row per measurement.
+each led by its header (MEASUREMENTS_HEADER, STATICS_HEADER, LABELS_HEADER);
+a field may be quoted, a line may end with LF or CRLF, and a NUL byte is
+an error. `load_dataset_dir` is its one reader and makes every check of
+it: row by row in statics.csv and labels.csv, a row per stay, and in
+column passes in measurements.csv, a row per measurement.
 
-`read_table` splits a table with one csv.reader, BLOCK_LINES rows at a
-time, so reading holds one block of a file as strings, never the whole
-file.
+`read_table` splits any table with one csv.reader, BLOCK_LINES rows at a
+time, never holding the whole file as strings; every field written, of a
+cohort or a result table, is quoted by `_csv_field`'s one rule.
 
 Sensor names are lowercase with underscores for spaces; parenthesised
 qualifiers and unit symbols are folded in (e.g. "bilirubin_direct",
@@ -38,7 +38,6 @@ a view of its own hours.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 import os
@@ -205,7 +204,7 @@ class PreprocessorState:
 # file ingestion
 
 
-def read_table(path, header, empty_ok: bool = False):
+def read_table(path, header):
     """Yield the non-blank rows of a UTF-8 CSV table in blocks of at most
     BLOCK_LINES rows, each as (line numbers, columns): the line each row
     starts on, an int array, and one sequence of strings per header column.
@@ -213,10 +212,10 @@ def read_table(path, header, empty_ok: bool = False):
     One csv.reader splits the file's lines, each decoded as it is read, so
     a field may be quoted and span lines, and a line may end with LF or
     CRLF; a bare CR is text the csv module rejects. The first row must be
-    `header` and every row must have one field per header column; anything
-    else, text that is not UTF-8, and text the csv module rejects raise
-    ParseError("path:line: ...") once the rows before that line are
-    yielded. With empty_ok, a file with no lines at all is an empty table.
+    `header` (a file with no lines fails on line 1) and every row must have
+    one field per header column; anything else, text that is not UTF-8, and
+    text the csv module rejects raise ParseError("path:line: ...") once the
+    rows before that line are yielded.
     """
     w = len(header)
     with open(path, "rb") as fh:
@@ -234,8 +233,6 @@ def read_table(path, header, empty_ok: bool = False):
             ends, rows = zip(*rows) if rows else ((), ())
             lines = np.array((end, *ends), dtype=np.int64)[:-1] + 1
             if end == 0 and (rows or error is None):  # the first row is the header
-                if not rows and empty_ok:
-                    return
                 if rows[:1] != (list(header),):
                     raise ParseError(f"{path}:1: expected header {','.join(header)}")
                 lines, rows = lines[1:], rows[1:]
@@ -262,19 +259,17 @@ def open_output(path):
 
 
 def _csv_field(text: str) -> str:
-    """`text` as one field of a row of several, quoted as csv.writer quotes
-    it from Python 3.13 on: earlier versions leave a '\r' bare, which no
-    reader of LF or CRLF lines reads back."""
-    if "\r" in text:
+    """`text` as one field of a row of several, quoted with its '"' doubled
+    if it holds ',', '"', '\n' or '\r': csv.writer's bytes from Python 3.13
+    on (earlier ones leave a '\r' bare, which no LF or CRLF reader reads back)."""
+    if any(c in text for c in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    return text
 
 
 def write_table(path, header, rows) -> None:
     """Write a CSV table: `header`, then each row's strings as given, each
-    quoted by `_csv_field`."""
+    field quoted by `_csv_field`, each line ended by '\n'."""
     with open_output(path) as fh:
         for row in (header, *rows):
             fh.write(",".join(map(_csv_field, row)) + "\n")
@@ -394,7 +389,7 @@ def load_dataset_dir(path, n_sensors: int, labeled: bool = False) -> Dataset:
     accepted = []
     last_hour = np.full(len(order) * n_sensors, -1, dtype=np.int64)  # per (patient, sensor)
     for lines, (pids, hour_col, sensor_col, value_col) in read_table(
-            measurements_path, MEASUREMENTS_HEADER, empty_ok=True):
+            measurements_path, MEASUREMENTS_HEADER):
         n = len(lines)
         patient = _codes(pids, index)
         sensor = _codes(sensor_col, sensor_index)
@@ -479,32 +474,29 @@ def write_dataset_csvs(ds: Dataset, out_dir) -> None:
     """Write measurements/statics/labels CSVs; deterministic row order.
     A dataset with labels on some stays but not all is a SchemaError.
 
-    Each stay's patient id is quoted once, by `_csv_field`, and its lines
-    are formatted in one pass: the bytes Python 3.13's csv.writer writes
-    for rows (patient_id, hour, sensor, f"{value:.4f}"), (patient_id,
-    f"{age:.1f}", int(female), f"{height_cm:.1f}", f"{weight_kg:.1f}",
-    int(stay_hours)) and (patient_id, mortality)."""
+    Each table holds the bytes `write_table` writes for rows (patient_id,
+    hour, sensor, f"{value:.4f}"), (patient_id, f"{age:.1f}", int(female),
+    f"{height_cm:.1f}", f"{weight_kg:.1f}", int(stay_hours)) and
+    (patient_id, mortality). measurements.csv, nearly all of a cohort's
+    lines, quotes each stay's id once and formats its lines in one pass."""
     n_labeled = sum(ep.label is not None for ep in ds.episodes)
     if 0 < n_labeled < len(ds):
         raise SchemaError(f"{ds.name}: {len(ds) - n_labeled} of {len(ds)} stays have no label")
     os.makedirs(out_dir, exist_ok=True)
-    stays = [(_csv_field(ep.patient_id), ep) for ep in ds.episodes]
     with open_output(os.path.join(out_dir, "measurements.csv")) as fh:
         fh.write(",".join(MEASUREMENTS_HEADER) + "\n")
-        for pid, ep in stays:
+        for ep in ds.episodes:
             d_idx, t_idx = np.nonzero(ep.mask)
-            line = pid.replace("%", "%%") + ",%d,%s,%.4f\n"
+            line = _csv_field(ep.patient_id).replace("%", "%%") + ",%d,%s,%.4f\n"
             fh.write("".join(map(line.__mod__, zip(
                 t_idx.tolist(), map(SENSOR_SCHEMA.__getitem__, d_idx.tolist()),
                 ep.values[d_idx, t_idx].tolist()))))
-    with open_output(os.path.join(out_dir, "statics.csv")) as fh:
-        fh.write(",".join(STATICS_HEADER) + "\n")
-        fh.writelines(f"{pid},{ep.statics[0]:.1f},{int(ep.statics[1])},{ep.statics[2]:.1f},"
-                      f"{ep.statics[3]:.1f},{int(ep.stay_hours)}\n" for pid, ep in stays)
+    write_table(os.path.join(out_dir, "statics.csv"), STATICS_HEADER, (
+        (ep.patient_id, f"{ep.statics[0]:.1f}", str(int(ep.statics[1])), f"{ep.statics[2]:.1f}",
+         f"{ep.statics[3]:.1f}", str(int(ep.stay_hours))) for ep in ds.episodes))
     if n_labeled:
-        with open_output(os.path.join(out_dir, "labels.csv")) as fh:
-            fh.write(",".join(LABELS_HEADER) + "\n")
-            fh.writelines(f"{pid},{ep.label}\n" for pid, ep in stays)
+        write_table(os.path.join(out_dir, "labels.csv"), LABELS_HEADER,
+                    ((ep.patient_id, str(ep.label)) for ep in ds.episodes))
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +506,9 @@ def write_dataset_csvs(ds: Dataset, out_dir) -> None:
 def _grid_criteria_ok(mask: np.ndarray) -> bool:
     """At least 4 observed hours, and no gap over 12h (counting the leading
     gap from admission)."""
-    obs_hours = np.nonzero(mask.any(axis=0))[0]
-    if obs_hours.size < MIN_VALID_POINTS:
-        return False
-    if obs_hours[0] > MAX_GAP_HOURS:
-        return False
-    if obs_hours.size > 1 and np.diff(obs_hours).max() > MAX_GAP_HOURS:
-        return False
-    return True
+    obs_hours = np.flatnonzero(mask.any(axis=0))
+    gaps = np.diff(obs_hours, prepend=0)  # the leading gap first
+    return obs_hours.size >= MIN_VALID_POINTS and gaps.max() <= MAX_GAP_HOURS
 
 
 def apply_exclusions(ds: Dataset, task: str) -> Dataset:

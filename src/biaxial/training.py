@@ -658,6 +658,15 @@ def _parallel_map(fn, items: list, jobs: int) -> list:
         return pool.map(_call_in_worker, range(len(items)))
 
 
+def check_test_split(name: str, test_eps: list) -> None:
+    """UndefinedMetricError unless the test split of cohort `name` holds both classes."""
+    labels = [ep.label for ep in test_eps]
+    if 0 not in labels or 1 not in labels:
+        raise mt.UndefinedMetricError(
+            f"the test split of cohort {name!r} lacks a class: "
+            f"{labels.count(1)} positive, {labels.count(0)} negative")
+
+
 def run_experiment_grid(pool_ds: dt.Dataset, test_eps: list, checkpoint: dict | None,
                         model_cfg: BatConfig, train_cfg: TrainConfig,
                         grid: GridConfig) -> tuple[list, list, RunResult | None]:
@@ -673,16 +682,10 @@ def run_experiment_grid(pool_ds: dt.Dataset, test_eps: list, checkpoint: dict | 
     `grid.jobs` workers. Returns (per-run rows, aggregate rows, saved model):
     one run of `grid.save_model` at `train_cfg`'s seed on the training pool
     the cells are cut from, or None. Before any cell trains, `check_variants`
-    must pass for every variant the grid trains, and a test split without both
-    classes raises UndefinedMetricError.
+    must pass for every variant the grid trains, and so must `check_test_split`.
     """
     check_variants(grid.trained, checkpoint, train_cfg)
-    labels = [ep.label for ep in test_eps]
-    if 0 not in labels or 1 not in labels:
-        raise mt.UndefinedMetricError(
-            f"the test split of cohort {pool_ds.name!r} lacks a class: "
-            f"{labels.count(1)} positive, {labels.count(0)} negative")
-
+    check_test_split(pool_ds.name, test_eps)
     for size in grid.sizes:
         if size > len(pool_ds):
             logger.warning("skipping size %d: training pool only has %d episodes",

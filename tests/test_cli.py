@@ -629,7 +629,18 @@ class TestFinetune:
         assert run_cli("finetune", "--data", str(data), "--out", str(out),
                        *[x for item in small for x in ("--set", item)]) == 2
         assert "lacks a class: 0 positive, 9 negative" in capsys.readouterr().err
-        assert not (out / "runs.csv").exists()
+        assert not out.exists()
+
+    def test_grid_no_size_of_which_fits_fails_before_the_config_echo(
+            self, small_dataset_dir, tmp_path, capsys):
+        out = tmp_path / "ft"
+        small = ["model.sensors_count=6", "train.epochs=1", "grid.sizes=1000,2000",
+                 "grid.seeds=0", "grid.variants=scratch_bat", "grid.save_model=scratch_bat"]
+        assert run_cli("finetune", "--data", small_dataset_dir, "--out", str(out),
+                       *[x for item in small for x in ("--set", item)]) == 1
+        assert ("no size of grid.sizes [1000, 2000] fits the training pool of cohort "
+                "'synthA'") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_sensor_the_cohort_never_names_fails_before_any_work(self, tmp_path,
                                                                        capsys):
@@ -831,6 +842,19 @@ class TestEvaluate:
                        "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert f"{data}: measurements.csv names 4 sensors, but model.sensors_count is 6" in err
+        assert not out.exists()
+
+    def test_test_split_without_a_class_fails_before_the_config_echo(
+            self, classifier_ckpts, tmp_path, capsys):
+        data, out = tmp_path / "rare", tmp_path / "e"
+        # 50 stays with 1 positive, which the unstratified cut at the
+        # checkpoint's split seed, 4, leaves out of the test split
+        assert run_cli("generate", "--n", "60", "--prevalence", "0.02", "--sensors-count", "6",
+                       "--seed", "1", "--name", "rare", "--out", str(data)) == 0
+        assert run_cli("evaluate", "--checkpoint", classifier_ckpts[0], "--data", str(data),
+                       "--out", str(out)) == 2
+        assert ("the test split of cohort 'rare' lacks a class: 0 positive, 10 negative"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_preprocessor_of_another_shape_fails_before_the_config_echo(

@@ -87,14 +87,8 @@ class TestLoadDataset:
         ds = load_csvs(tmp_path, "", "", "")
         assert len(ds) == 0
 
-    def test_zero_byte_measurements_file_means_no_observations(self, tmp_path):
-        mpath, _, _ = write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
-        mpath.write_bytes(b"")
-        ds = dt.load_dataset_dir(tmp_path, len(dt.SENSOR_SCHEMA))
-        assert len(ds) == 1 and not ds.episodes[0].mask.any()
-
-    @pytest.mark.parametrize("table", ["statics", "labels"])
-    def test_zero_byte_statics_or_labels_file_is_parse_error(self, tmp_path, table):
+    @pytest.mark.parametrize("table", ["measurements", "statics", "labels"])
+    def test_zero_byte_table_is_parse_error(self, tmp_path, table):
         write_csvs(tmp_path, "", "a,60,1,165,70,8\n", "a,1\n")
         (tmp_path / f"{table}.csv").write_bytes(b"")
         with pytest.raises(dt.ParseError, match=rf"{table}\.csv:1: expected header"):
@@ -268,16 +262,13 @@ class TestLoadDataset:
             dt.load_dataset_dir(tmp_path, 2, labeled=True)
 
 
-def _read_rows(path, header, empty_ok=False):
+def _read_rows(path, header):
     """The row-by-row reader the block reader replaced, kept as the oracle:
     (the line it starts on, row) for each non-blank row, read by the csv
     module."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
-        first = next(rows, None)
-        if first is None and empty_ok:
-            return
-        if first != list(header):
+        if next(rows, None) != list(header):
             raise dt.ParseError(f"{path}:1: expected header {','.join(header)}")
         end = rows.line_num
         for row in rows:
@@ -303,7 +294,7 @@ def _per_cell_load(measurements_path, statics_path, sensors):
     last_hour = {}
     max_hour = {}
     for lineno, (pid, hour_s, sensor, value_s) in _read_rows(
-            measurements_path, dt.MEASUREMENTS_HEADER, empty_ok=True):
+            measurements_path, dt.MEASUREMENTS_HEADER):
         if sensor not in sensor_index:
             raise dt.SchemaError(f"{measurements_path}:{lineno}: unknown sensor {sensor!r}")
         try:
@@ -406,10 +397,11 @@ class TestLoaderOracle:
     def test_matches_the_per_cell_loader(self, block_lines, stays, rows, backward_at,
                                          zero_byte, layout):
         """Interleaved patients, duplicate cells, patients with no rows,
-        stays longer than their last row, an empty or zero-byte measurements
-        file, at `backward_at` a row that goes back in time, and the lines of
-        `layout`, read in blocks of the default size and of 3 lines: the
-        arrays are bitwise equal, and the warnings and errors word for word."""
+        stays longer than their last row, a measurements table with no rows
+        or a zero-byte one (a ParseError: it has no header), at `backward_at`
+        a row that goes back in time, and the lines of `layout`, read in
+        blocks of the default size and of 3 lines: the arrays are bitwise
+        equal, and the warnings and errors word for word."""
         sensors = dt.SENSOR_SCHEMA[:3]
         names = (["p,0", 'p"1', "p\n2", '"p3"', 'p,"4'] if layout["quoted_ids"]
                  else [f"p{p}" for p in range(5)])
